@@ -1439,7 +1439,16 @@ def _tail_remote(args: argparse.Namespace, grammar: str | None,
             import time
 
             with open(args.file, encoding="utf-8") as fh:
-                fh.seek(offset)
+                # the offset counts characters, and a text file's seek()
+                # takes an opaque cookie: read past the committed prefix
+                skip = offset
+                while skip:
+                    skipped = fh.read(min(skip, 1 << 16))
+                    if not skipped:
+                        raise ValueError(
+                            f"{args.file} is shorter than the stream's "
+                            f"committed offset {offset}")
+                    skip -= len(skipped)
                 while True:
                     piece = fh.read(1 << 16)
                     if piece:

@@ -1,26 +1,29 @@
-"""Incremental JSON tokeniser — the streaming twin of :func:`tokenize_json`.
+"""The JSON scanner — tokenise JSON arriving in pieces.
 
-The XML side has :class:`repro.xmlstream.incremental.IncrementalLexer`;
-this module gives the JSON substrate the same contract: accept the
-document in arbitrary pieces (network reads, file blocks), emit each
-token as soon as its bytes are complete, and hold back only the
-unfinished tail — memory stays bounded by the largest single scalar
-token plus the structural frame stack, never the document.
+This is the one JSON scanning loop; the batch
+:func:`~repro.jsonstream.tokenizer.tokenize_json` is this class fed the
+whole text once and closed.  The XML side has the same shape
+(:class:`repro.xmlstream.incremental.IncrementalLexer` and
+:func:`repro.xmlstream.lexer.lex_range` share one loop).  The class
+accepts the document in arbitrary pieces (network reads, file blocks),
+emits each token as soon as its bytes are complete, and holds back
+only the unfinished tail — memory stays bounded by the largest single
+scalar token plus the structural frame stack, never the document.
 
-The produced stream is token-for-token identical to the batch
-:func:`~repro.jsonstream.tokenizer.tokenize_json` on the concatenation
-of the pieces (offsets, decoded string values, array flattening, the
-virtual root wrapper — everything), a property the tests pin with a
-byte-split battery.  Malformed input raises the same
-:class:`~repro.jsonstream.tokenizer.JSONError`, though possibly on a
-later ``feed()`` than the batch scanner's single pass (a split can
-delay the evidence).
+However the text is cut into pieces, the token stream is the same
+(offsets, decoded string values, array flattening, the virtual root
+wrapper — everything; :mod:`~repro.jsonstream.tokenizer` describes the
+mapping), a property the tests pin with a byte-split battery.
+Malformed input raises :class:`JSONError` with the same message and
+offset wherever the cuts fall, though possibly on a later ``feed()``
+than the one that delivered the bad byte (a cut can delay the
+evidence).
 
-Unlike the recursive batch scanner, this class keeps its parse state
-explicit — a mode string, a frame stack and a pending-wrapper slot —
-so :meth:`state` can snapshot it into plain JSON-safe values and
-:meth:`restore` can rebuild it, which is what lets the streaming
-subsystem checkpoint a live tail mid-document.
+The parse state is explicit — a mode string, a frame stack and a
+pending-wrapper slot — so :meth:`~IncrementalJSONTokenizer.state` can
+snapshot it into plain JSON-safe values and
+:meth:`~IncrementalJSONTokenizer.restore` can rebuild it, which is what
+lets the streaming subsystem checkpoint a live tail mid-document.
 
 Usage::
 
@@ -34,15 +37,21 @@ Usage::
 
 from __future__ import annotations
 
-from ..xmlstream.tokens import Token, TokenKind
-from .tokenizer import _NAME_RE, _NUMBER_RE, _WS, DEFAULT_ROOT, JSONError
+import re
 
-__all__ = ["IncrementalJSONTokenizer"]
+from ..xmlstream.tokens import Token, TokenKind
+
+__all__ = ["DEFAULT_ROOT", "IncrementalJSONTokenizer", "JSONError"]
+
+DEFAULT_ROOT = "json"
+
+_NAME_RE = re.compile(r"[A-Za-z_][\w.\-]*\Z")
+_WS = " \t\r\n"
+_NUMBER_RE = re.compile(r"-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][+-]?\d+)?")
 
 # Characters that can possibly extend a number token.  A maximal run of
-# these is collected first, then matched against the batch scanner's
-# number regex, so number/junk boundaries land exactly where the batch
-# scanner puts them.
+# these is collected first, then matched against the number regex, so a
+# number ends at the same byte however the text was cut.
 _NUMBER_CHARS = frozenset("-+.eE0123456789")
 
 _KEYWORDS = {"t": "true", "f": "false", "n": "null"}
@@ -53,6 +62,14 @@ _ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b",
 # An unfinished scalar/key is re-scanned from its first byte on the
 # next feed; these are the modes whose buffer tail starts on a token.
 _SCALAR_MODES = ("scalar_string", "scalar_run", "key_string")
+
+
+class JSONError(ValueError):
+    """Raised on malformed JSON or keys unusable as element names."""
+
+    def __init__(self, message: str, offset: int) -> None:
+        super().__init__(f"{message} (at byte {offset})")
+        self.offset = offset
 
 
 class IncrementalJSONTokenizer:
@@ -107,8 +124,6 @@ class IncrementalJSONTokenizer:
         self._buf = self._buf[i:]
         self._base += i
         if self._mode != "end":
-            if self._mode == "scalar_string" or self._mode == "key_string":
-                raise JSONError("unterminated string", self._length)
             raise JSONError("unexpected end of input", self._length)
         out.append(Token(TokenKind.END, self.root_name, self._length))
         return out
@@ -252,9 +267,9 @@ class IncrementalJSONTokenizer:
         """Scan the held scalar/key starting at ``i``; None = incomplete."""
         if self._mode == "scalar_run":
             return self._scan_run(buf, i, out, final)
-        res = self._scan_string(buf, i)
+        res = self._scan_string(buf, i, final)
         if res is None:
-            return None  # incomplete; close() reports unterminated strings
+            return None  # the closing quote has not arrived yet
         decoded, j = res
         at = self._base + i
         if self._mode == "key_string":
@@ -299,13 +314,14 @@ class IncrementalJSONTokenizer:
             raise JSONError(f"unexpected character {buf[i]!r}", at)
         out.append(Token(TokenKind.TEXT, m.group(), at))
         # any leftover run bytes (e.g. "1.2.3") re-enter as a separator
-        # position, failing exactly where the batch scanner fails
+        # position and fail there
         self._finish_scalar(self._base + m.end(), out)
         return m.end()
 
-    def _scan_string(self, buf: str, i: int) -> tuple[str, int] | None:
+    def _scan_string(self, buf: str, i: int,
+                     final: bool) -> tuple[str, int] | None:
         """Decode the string starting at ``buf[i]`` (a quote); None if
-        the closing quote has not arrived yet."""
+        the closing quote has not arrived yet (an error if ``final``)."""
         i += 1
         parts: list[str] = []
         start = i
@@ -318,14 +334,14 @@ class IncrementalJSONTokenizer:
             if ch == "\\":
                 parts.append(buf[start:i])
                 if i + 1 >= n:
-                    return None
+                    break
                 esc = buf[i + 1]
                 if esc in _ESCAPES:
                     parts.append(_ESCAPES[esc])
                     i += 2
                 elif esc == "u":
                     if i + 6 > n:
-                        return None
+                        break
                     try:
                         parts.append(chr(int(buf[i + 2 : i + 6], 16)))
                     except ValueError:
@@ -337,6 +353,8 @@ class IncrementalJSONTokenizer:
                 start = i
             else:
                 i += 1
+        if final:  # i is on an unfinished escape, or at the end
+            raise JSONError("unterminated string", self._base + i)
         return None
 
     # ------------------------------------------------------------------

@@ -42,7 +42,7 @@ from ..grammar.model import (
     Repeat,
     UNBOUNDED,
 )
-from .tokenizer import DEFAULT_ROOT, _NAME_RE
+from .incremental import _NAME_RE, DEFAULT_ROOT
 
 __all__ = ["JSONSchemaError", "json_schema_to_grammar"]
 

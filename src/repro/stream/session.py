@@ -408,14 +408,9 @@ class StreamSession:
         token, the token buffer by one chunk, pending filter events by
         the widest anchor interval, the stack by document depth.
         """
-        if self.kind == "xml":
-            lexer = {"buf": self._lexer._buf, "base": self._lexer._base,
-                     "closed": self._lexer._closed}
-        else:
-            lexer = self._lexer.state()
         return {
             "kind": self.kind,
-            "lexer": lexer,
+            "lexer": self._lexer.state(),
             "tokens": [[int(t.kind), t.name, t.offset] for t in self._tokens],
             "next_begin": self._next_begin,
             "fed": self._fed,
@@ -437,14 +432,7 @@ class StreamSession:
         if snap["kind"] != self.kind:
             raise StreamError(
                 f"checkpoint kind {snap['kind']!r} != session kind {self.kind!r}")
-        if self.kind == "xml":
-            lx = IncrementalLexer()
-            lx._buf = snap["lexer"]["buf"]
-            lx._base = snap["lexer"]["base"]
-            lx._closed = snap["lexer"]["closed"]
-            self._lexer = lx
-        else:
-            self._lexer = IncrementalJSONTokenizer.restore(snap["lexer"])
+        self._lexer = type(self._lexer).restore(snap["lexer"])
         self._tokens = [Token(TokenKind(k), name, off)
                         for k, name, off in snap["tokens"]]
         self._scan_from = 0

@@ -2,17 +2,19 @@
 
 The paper motivates on-the-fly querying with stream processing:
 "process the queries on-the-fly without constructing any tree
-structure ... with a constant memory requirement" (Section 2.1).  The
-batch lexer needs the whole document string; this class accepts the
-document in arbitrary pieces (network reads, file blocks) and yields
-tokens as soon as they are complete, holding back only the unfinished
-tail — so memory stays bounded by the largest single token, not the
-document.
+structure ... with a constant memory requirement" (Section 2.1).  This
+class accepts the document in arbitrary pieces (network reads, file
+blocks) and yields tokens as soon as they are complete, holding back
+only the unfinished tail — so memory stays bounded by the largest
+single token, not the document.
 
-Offsets remain *global* (as if the pieces were concatenated), so
-matches reported over a stream are directly comparable with batch
-runs — a property the tests pin by equivalence with
-:func:`repro.xmlstream.lexer.lex`.
+It drives the same scanning loop as :func:`~repro.xmlstream.lexer.lex_range`
+(:func:`~repro.xmlstream.lexer._scan`): each :meth:`~IncrementalLexer.feed`
+scans the held tail plus the new piece and stops at the first
+unfinished construct; :meth:`~IncrementalLexer.close` scans what is
+left as the end of the document.  Offsets remain *global* (as if the
+pieces were concatenated), so matches reported over a stream are
+directly comparable with batch runs.
 
 Usage::
 
@@ -26,8 +28,8 @@ Usage::
 
 from __future__ import annotations
 
-from .lexer import LexError, _name_end, _skip_attributes
-from .tokens import Token, TokenKind
+from .lexer import _scan
+from .tokens import Token
 
 __all__ = ["IncrementalLexer"]
 
@@ -51,110 +53,30 @@ class IncrementalLexer:
             raise ValueError("feed() after close()")
         buf = self._buf + piece
         out: list[Token] = []
-        i = 0
-        n = len(buf)
-        while i < n:
-            if buf[i] != "<":
-                j = buf.find("<", i)
-                if j == -1:
-                    break  # text may continue in the next piece
-                content = buf[i:j]
-                if content.strip():
-                    out.append(Token(TokenKind.TEXT, content, self._base + i))
-                i = j
-                continue
-            advance = self._lex_tag(buf, i, out)
-            if advance is None:
-                break  # construct incomplete: hold from i
-            i = advance
-        self._buf = buf[i:]
-        self._base += i
+        stop = _scan(buf, 0, len(buf), self._base, False, out)
+        self._buf = buf[stop:]
+        self._base += stop
         return out
 
     def close(self) -> list[Token]:
         """Flush trailing text; raise if a construct is left unfinished."""
         self._closed = True
         buf, self._buf = self._buf, ""
-        if not buf:
-            return []
-        if buf.lstrip().startswith("<") or "<" in buf:
-            raise LexError("stream ended inside a markup construct", self._base)
-        if buf.strip():
-            return [Token(TokenKind.TEXT, buf, self._base)]
-        return []
+        out: list[Token] = []
+        _scan(buf, 0, len(buf), self._base, True, out)
+        return out
 
-    # ------------------------------------------------------------------
+    # -- state snapshot (checkpoint support) ---------------------------
 
-    def _lex_tag(self, buf: str, i: int, out: list[Token]) -> int | None:
-        """Lex one ``<...`` construct at ``i``; None if incomplete."""
-        n = len(buf)
-        if i + 1 >= n:
-            return None
-        nxt = buf[i + 1]
-        base = self._base
-        if nxt == "/":
-            close = buf.find(">", i + 2)
-            if close == -1:
-                return None
-            name = buf[i + 2 : _name_end(buf, i + 2)]
-            if not name:
-                raise LexError("empty end-tag name", base + i)
-            out.append(Token(TokenKind.END, name, base + i))
-            return close + 1
-        if nxt == "!":
-            return self._lex_decl(buf, i)
-        if nxt == "?":
-            close = buf.find("?>", i + 2)
-            if close == -1:
-                return None
-            return close + 2
-        # start tag: needs its terminating '>' in the buffer
-        j = _name_end(buf, i + 1)
-        name = buf[i + 1 : j]
-        if j >= n:
-            return None  # the name itself may continue
-        if not name:
-            raise LexError("empty start-tag name", base + i)
-        try:
-            k = _skip_attributes(buf, j)
-        except LexError:
-            return None  # an attribute value is split across pieces
-        if k >= n:
-            return None
-        out.append(Token(TokenKind.START, name, base + i))
-        if buf[k] == "/":
-            if k + 1 >= n:
-                # '/' at the very end: '/>' may straddle the boundary —
-                # roll back the START we just appended and wait
-                out.pop()
-                return None
-            out.append(Token(TokenKind.END, name, base + i))
-            return k + 2
-        return k + 1
+    def state(self) -> dict:
+        """The complete lexer state as JSON-safe plain values."""
+        return {"buf": self._buf, "base": self._base, "closed": self._closed}
 
-    def _lex_decl(self, buf: str, i: int) -> int | None:
-        """``<!...`` constructs: comments, CDATA, DOCTYPE; None if split."""
-        if buf.startswith("<!--", i) or "<!--".startswith(buf[i : i + 4]):
-            if not buf.startswith("<!--", i):
-                return None  # the '<!--' itself is split
-            close = buf.find("-->", i + 4)
-            return None if close == -1 else close + 3
-        if buf.startswith("<![CDATA[", i) or "<![CDATA[".startswith(buf[i : i + 9]):
-            if not buf.startswith("<![CDATA[", i):
-                return None
-            close = buf.find("]]>", i + 9)
-            return None if close == -1 else close + 3
-        # DOCTYPE / other declaration with possible internal subset
-        depth = 0
-        j = i + 2
-        n = len(buf)
-        while j < n:
-            ch = buf[j]
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-            elif ch == ">" and depth <= 0:
-                return j + 1
-            j += 1
-        return None
+    @classmethod
+    def restore(cls, state: dict) -> "IncrementalLexer":
+        """Rebuild a lexer from a :meth:`state` snapshot."""
+        lexer = cls()
+        lexer._buf = state["buf"]
+        lexer._base = state["base"]
+        lexer._closed = state["closed"]
+        return lexer

@@ -6,6 +6,14 @@ element tags, text, comments, processing instructions, CDATA sections
 and the DOCTYPE prolog, and emits the flat :class:`~repro.xmlstream.tokens.Token`
 stream the pushdown transducers consume.  It never builds a tree.
 
+There is one scanning loop, :func:`_scan`, and two ways to drive it.
+:func:`lex_range` runs it to the end of a range of a complete text
+(``final=True``: an unfinished construct is an error);
+:class:`~repro.xmlstream.incremental.IncrementalLexer` runs it over the
+pieces of a stream (``final=False``: an unfinished construct is held
+back until more text arrives) and once more when the stream closes.  A
+batch run is a stream that arrives in one piece.
+
 Two properties matter for parallelization:
 
 * **restartability** — :func:`lex_range` can start lexing at any byte
@@ -40,6 +48,13 @@ _WS = " \t\r\n"
 
 _NAME_END = set(_WS) | {">", "/", "<"}
 
+# enum attribute lookups are slow; the scanning loop reads these instead
+_START, _END, _TEXT = TokenKind.START, TokenKind.END, TokenKind.TEXT
+
+# lex_range scans in windows that double from the first size to the cap
+_FIRST_WINDOW = 256
+_MAX_WINDOW = 1 << 16
+
 
 class LexError(ValueError):
     """Raised on malformed XML at the lexical level.
@@ -72,56 +87,96 @@ def lex_range(text: str, start: int, end: int) -> Iterator[Token]:
     chunk.  This convention makes per-chunk token streams partition the
     sequential stream exactly.
     """
-    i = start
+    end = min(end, len(text))
+    out: list[Token] = []
+    window = _FIRST_WINDOW
+    while start < end:
+        # scan window by window so tokens stream out lazily: a consumer
+        # that stops early (element_at) pays for what it reads, and
+        # memory stays bounded by one window's tokens
+        start = _scan(text, start, min(start + window, end), 0, True, out)
+        yield from out
+        out.clear()
+        window = min(2 * window, _MAX_WINDOW)
+
+
+def _scan(text: str, i: int, end: int, base: int, final: bool,
+          out: list[Token]) -> int:
+    """Append the tokens that begin in ``text[i:end]`` to ``out``.
+
+    Returns the index where scanning stopped.  ``base`` is the global
+    offset of ``text[0]``.  A construct left unfinished by the end of
+    ``text`` raises :class:`LexError` when ``final`` is true; otherwise
+    scanning stops at the construct's first character, so a stream can
+    hold ``text[stop:]`` back until more of it arrives.
+    """
     n = len(text)
-    if end > n:
-        end = n
+    append = out.append
     while i < end:
-        ch = text[i]
-        if ch == "<":
-            nxt = text[i + 1] if i + 1 < n else ""
-            if nxt == "/":
-                # end tag </name>
-                j = _name_end(text, i + 2)
-                name = text[i + 2 : j]
-                if not name:
-                    raise LexError("empty end-tag name", i)
-                close = text.find(">", j)
-                if close == -1:
-                    raise LexError("unterminated end tag", i)
-                yield Token(TokenKind.END, name, i)
-                i = close + 1
-            elif nxt == "!":
-                i = _skip_markup_decl(text, i)
-            elif nxt == "?":
-                close = text.find("?>", i + 2)
-                if close == -1:
-                    raise LexError("unterminated processing instruction", i)
-                i = close + 2
-            else:
-                # start tag or empty-element tag
-                j = _name_end(text, i + 1)
-                name = text[i + 1 : j]
-                if not name:
-                    raise LexError("empty start-tag name", i)
-                k = _skip_attributes(text, j)
-                if k >= n:
-                    raise LexError("unterminated start tag", i)
-                yield Token(TokenKind.START, name, i)
-                if text[k] == "/":
-                    # <name/> — emit a matching END immediately
-                    yield Token(TokenKind.END, name, i)
-                    i = k + 2
-                else:
-                    i = k + 1
-        else:
+        if text[i] != "<":
             j = text.find("<", i)
             if j == -1:
+                if not final:
+                    return i  # text may continue in the next piece
                 j = n
             content = text[i:j]
             if content.strip():
-                yield Token(TokenKind.TEXT, content, i)
+                append(Token(_TEXT, content, base + i))
             i = j
+            continue
+        nxt = text[i + 1] if i + 1 < n else ""
+        if nxt == "/":
+            # end tag </name>
+            close = text.find(">", i + 2)
+            if close == -1 and not final:
+                return i
+            name = text[i + 2 : _name_end(text, i + 2)]
+            if not name:
+                raise LexError("empty end-tag name", base + i)
+            if close == -1:
+                raise LexError("unterminated end tag", base + i)
+            append(Token(_END, name, base + i))
+            i = close + 1
+        elif nxt == "!":
+            try:
+                i = _skip_markup_decl(text, i, base)
+            except LexError:
+                if final:
+                    raise
+                return i
+        elif nxt == "?":
+            close = text.find("?>", i + 2)
+            if close == -1:
+                if final:
+                    raise LexError("unterminated processing instruction", base + i)
+                return i
+            i = close + 2
+        else:
+            # start tag or empty-element tag
+            j = _name_end(text, i + 1)
+            if j >= n and not final:
+                return i  # the name may continue
+            name = text[i + 1 : j]
+            if not name:
+                raise LexError("empty start-tag name", base + i)
+            try:
+                k = _skip_attributes(text, j, base)
+            except LexError:
+                if final:
+                    raise
+                return i  # an attribute value is split across pieces
+            if k >= n:
+                if final:
+                    raise LexError("unterminated start tag", base + i)
+                return i  # '>' or a split '/>' has not arrived yet
+            append(Token(_START, name, base + i))
+            if text[k] == "/":
+                # <name/> — emit a matching END immediately
+                append(Token(_END, name, base + i))
+                i = k + 2
+            else:
+                i = k + 1
+    return i
 
 
 def iter_tag_offsets(text: str, start: int = 0) -> Iterator[int]:
@@ -165,11 +220,12 @@ def _name_end(text: str, i: int) -> int:
     return j
 
 
-def _skip_attributes(text: str, i: int) -> int:
+def _skip_attributes(text: str, i: int, base: int = 0) -> int:
     """Scan past attributes; return the index of ``>`` or of ``/`` in ``/>``.
 
     Quoted attribute values may contain ``>`` — this routine respects
-    quotes, which a naive ``find('>')`` would not.
+    quotes, which a naive ``find('>')`` would not.  ``base`` is the
+    global offset of ``text[0]``, for error messages.
     """
     n = len(text)
     while i < n:
@@ -181,29 +237,30 @@ def _skip_attributes(text: str, i: int) -> int:
         if ch in ('"', "'"):
             close = text.find(ch, i + 1)
             if close == -1:
-                raise LexError("unterminated attribute value", i)
+                raise LexError("unterminated attribute value", base + i)
             i = close + 1
         else:
             i += 1
     return i
 
 
-def _skip_markup_decl(text: str, i: int) -> int:
+def _skip_markup_decl(text: str, i: int, base: int = 0) -> int:
     """Skip a ``<!...>`` construct starting at ``i``; return next index.
 
     Handles comments, CDATA sections and DOCTYPE declarations with an
-    internal subset (nested ``[ ... ]``).
+    internal subset (nested ``[ ... ]``).  ``base`` is the global offset
+    of ``text[0]``, for error messages.
     """
     n = len(text)
     if text.startswith("<!--", i):
         close = text.find("-->", i + 4)
         if close == -1:
-            raise LexError("unterminated comment", i)
+            raise LexError("unterminated comment", base + i)
         return close + 3
     if text.startswith("<![CDATA[", i):
         close = text.find("]]>", i + 9)
         if close == -1:
-            raise LexError("unterminated CDATA section", i)
+            raise LexError("unterminated CDATA section", base + i)
         return close + 3
     # DOCTYPE (or other declaration): honour an internal subset
     depth = 0
@@ -217,4 +274,4 @@ def _skip_markup_decl(text: str, i: int) -> int:
         elif ch == ">" and depth <= 0:
             return j + 1
         j += 1
-    raise LexError("unterminated markup declaration", i)
+    raise LexError("unterminated markup declaration", base + i)

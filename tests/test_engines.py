@@ -108,6 +108,34 @@ class TestConvenience:
         with pytest.raises(ValueError):
             element_at(FEED_XML, 2)
 
+    def test_element_at_non_ascii(self):
+        doc = ("<feed><entry><title>Grüße, 東京</title></entry>"
+               "<id>é-1</id></feed>")
+        res = query(doc, ["/feed/entry/title", "/feed/id"], grammar=FEED_DTD)
+        (title,) = res["/feed/entry/title"]
+        (ident,) = res["/feed/id"]
+        assert element_at(doc, title) == ("title", "Grüße, 東京")
+        assert element_at(doc, ident) == ("id", "é-1")
+
+    def test_element_at_lexes_only_near_the_element(self, monkeypatch):
+        # decoding one match must not lex the rest of the document, or
+        # printing N matches costs N passes over it
+        from repro.xmlstream import lexer
+
+        doc = ("<feed><id>x</id>"
+               + "<entry><title>t</title></entry>" * 20000 + "</feed>")
+        scanned: list[int] = []
+        real_scan = lexer._scan
+
+        def spy(text, i, *rest):
+            stop = real_scan(text, i, *rest)
+            scanned.append(stop - i)
+            return stop
+
+        monkeypatch.setattr(lexer, "_scan", spy)
+        assert element_at(doc, 6) == ("id", "x")
+        assert 0 < sum(scanned) < 1024
+
 
 class TestSpecSampling:
     def test_sampled_grammar_engines_run(self):

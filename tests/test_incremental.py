@@ -1,6 +1,14 @@
-"""Tests for the incremental lexer and streaming evaluation."""
+"""Tests for the incremental lexer and streaming evaluation.
+
+The batteries compare against ``tests.lexer_oracles.oracle_lex`` — the
+original batch lexer kept as an independent implementation — not
+against :func:`repro.xmlstream.lex`, which shares the incremental
+lexer's scanning loop.
+"""
 
 from __future__ import annotations
+
+import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,6 +18,7 @@ from repro import SequentialEngine
 from repro.xmlstream import IncrementalLexer, LexError, lex
 
 from tests.conftest import FEED_XML
+from tests.lexer_oracles import oracle_lex
 
 
 def stream_lex(text: str, piece_size: int) -> list:
@@ -27,20 +36,45 @@ DOCS = [
     '<?xml version="1.0"?><!DOCTYPE a [<!ELEMENT a (#PCDATA)>]><a>x</a>',
     "<a><!-- a comment --><![CDATA[<raw>]]><b x=\"v>v\">t</b></a>",
     "<a><b></b><c>one two</c></a>",
+    # non-ASCII: code points and UTF-8 bytes differ from here on
+    "<café><naïve>Grüße, 東京</naïve><ñ x='→'/>ε</café>",
+    '<ä><b é="a>ü" z=\'>\'>Ωmega</b><!-- ☃ --><![CDATA[<λ>]]>日本</ä>',
+]
+
+
+BAD_DOCS = [
+    "<a>x</a",
+    "<a><!-- never finished",
+    "<a><![CDATA[ open",
+    "<a><?pi open",
+    '<a x="é>',
+    "<a/",
+    "<é>text<",
+    "<>x</>",
+    "<a></ >",
+    "<!DOCTYPE a [ <!ELEMENT a ANY> ",
 ]
 
 
 class TestEquivalenceWithBatchLexer:
     @pytest.mark.parametrize("doc", DOCS)
+    def test_batch_lex_equals_oracle(self, doc):
+        assert list(lex(doc)) == list(oracle_lex(doc))
+
+    def test_batch_lex_equals_oracle_generated(self, small_documents):
+        for doc in small_documents.values():
+            assert list(lex(doc)) == list(oracle_lex(doc))
+
+    @pytest.mark.parametrize("doc", DOCS)
     @pytest.mark.parametrize("piece", [1, 2, 3, 5, 7, 100])
     def test_every_piece_size(self, doc, piece):
-        assert stream_lex(doc, piece) == list(lex(doc))
+        assert stream_lex(doc, piece) == list(oracle_lex(doc))
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(st.integers(min_value=1, max_value=20), st.integers(min_value=0, max_value=4))
+    @given(st.integers(min_value=1, max_value=20), st.integers(min_value=0, max_value=len(DOCS) - 1))
     def test_random_piece_sizes(self, piece, doc_idx):
         doc = DOCS[doc_idx]
-        assert stream_lex(doc, piece) == list(lex(doc))
+        assert stream_lex(doc, piece) == list(oracle_lex(doc))
 
 
 class TestByteSplitFuzz:
@@ -51,7 +85,7 @@ class TestByteSplitFuzz:
 
     @pytest.mark.parametrize("doc", DOCS)
     def test_every_byte_position(self, doc):
-        batch = list(lex(doc))
+        batch = list(oracle_lex(doc))
         for i in range(len(doc) + 1):
             lexer = IncrementalLexer()
             toks = lexer.feed(doc[:i])
@@ -63,7 +97,7 @@ class TestByteSplitFuzz:
         # the smallest generated dataset document, end to end: every
         # cut point crosses real markup (attributes, comments, text)
         doc = min(small_documents.values(), key=len)
-        batch = list(lex(doc))
+        batch = list(oracle_lex(doc))
         for i in range(len(doc) + 1):
             lexer = IncrementalLexer()
             toks = lexer.feed(doc[:i])
@@ -88,7 +122,7 @@ class TestByteSplitFuzz:
         for lo, hi in zip(edges, edges[1:]):
             toks.extend(lexer.feed(doc[lo:hi]))
         toks.extend(lexer.close())
-        assert toks == list(lex(doc))
+        assert toks == list(oracle_lex(doc))
 
 
 class TestBufferBehaviour:
@@ -110,7 +144,7 @@ class TestBufferBehaviour:
 
     def test_offsets_are_global(self):
         doc = FEED_XML
-        for t_stream, t_batch in zip(stream_lex(doc, 5), lex(doc)):
+        for t_stream, t_batch in zip(stream_lex(doc, 5), oracle_lex(doc)):
             assert t_stream.offset == t_batch.offset
 
 
@@ -134,11 +168,45 @@ class TestErrors:
         with pytest.raises(ValueError):
             lexer.feed("<more/>")
 
+    @pytest.mark.parametrize("doc", BAD_DOCS)
+    def test_same_error_every_split(self, doc):
+        with pytest.raises(LexError) as batch_exc:
+            list(oracle_lex(doc))
+        for i in range(len(doc) + 1):
+            lexer = IncrementalLexer()
+            with pytest.raises(LexError) as stream_exc:
+                lexer.feed(doc[:i])
+                lexer.feed(doc[i:])
+                lexer.close()
+            assert str(stream_exc.value) == str(batch_exc.value), \
+                f"split at byte {i}"
+            assert stream_exc.value.offset == batch_exc.value.offset
+
     def test_trailing_whitespace_ok(self):
         lexer = IncrementalLexer()
         toks = lexer.feed("<a>x</a>\n  ")
         assert lexer.close() == []
         assert [t.name for t in toks] == ["a", "x", "a"]
+
+
+class TestStateRoundtrip:
+    @pytest.mark.parametrize("doc", DOCS)
+    def test_snapshot_between_any_pieces(self, doc):
+        batch = list(oracle_lex(doc))
+        for i in range(len(doc) + 1):
+            lexer = IncrementalLexer()
+            out = lexer.feed(doc[:i])
+            resumed = IncrementalLexer.restore(lexer.state())
+            out += resumed.feed(doc[i:])
+            out += resumed.close()
+            assert out == batch, f"snapshot at byte {i}"
+
+    def test_state_is_json_safe(self):
+        lexer = IncrementalLexer()
+        lexer.feed("<a><b x='é")
+        state = lexer.state()
+        assert json.loads(json.dumps(state)) == state
+        assert sorted(state) == ["base", "buf", "closed"]
 
 
 class TestRunStream:

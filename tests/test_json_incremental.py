@@ -3,8 +3,12 @@
 Mirrors the XML incremental-lexer battery: however the byte stream is
 cut — every 2-piece split, random multi-piece splits, hypothesis-built
 documents — ``IncrementalJSONTokenizer.feed()/close()`` must produce
-exactly ``tokenize_json``'s token stream, with the same global offsets
-and the same error messages at the same positions.
+exactly the token stream of ``tests.lexer_oracles.oracle_tokenize_json``
+(the original recursive batch scanner, kept as an independent
+implementation), with the same global offsets and the same error
+messages at the same positions.  ``tokenize_json`` itself is the
+incremental tokenizer fed once, so it is checked against the oracle
+too.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from hypothesis import strategies as st
 
 from repro.jsonstream import IncrementalJSONTokenizer, JSONError, tokenize_json
 
+from tests.lexer_oracles import oracle_tokenize_json
+
 DOCS = [
     '{"a": 1}',
     '{"feed": {"entry": [{"id": 1, "title": "x"}, {"title": "y"}]}}',
@@ -28,6 +34,9 @@ DOCS = [
     '-12.5e-3',
     'true',
     '{"num_edge": [0.5, 1e10, -0, 123456789012345678901234567890]}',
+    # non-ASCII: raw characters beside \u escapes of the same text
+    '{"name": "Zoë Ñandú", "city": "東京", "esc": "Zo\\u00eb \\u6771\\u4eac"}',
+    '["π ≈ 3.14", "\\u03c0 raw π", {"k": "☃\\u2603☃"}, "é\\"é"]',
 ]
 
 BAD_DOCS = [
@@ -41,6 +50,10 @@ BAD_DOCS = [
     '{"a": nul}',
     '-',
     '[',
+    '{"é": 1}',
+    '["naïve \\u00',
+    '{"k": "ü\\',
+    '"\\q"',
 ]
 
 
@@ -56,7 +69,8 @@ def stream_tokens(doc: str, edges: list[int]) -> list:
 class TestBatchEquivalence:
     @pytest.mark.parametrize("doc", DOCS)
     def test_every_byte_position(self, doc):
-        batch = list(tokenize_json(doc))
+        batch = oracle_tokenize_json(doc)
+        assert tokenize_json(doc) == batch
         for i in range(len(doc) + 1):
             assert stream_tokens(doc, [0, i, len(doc)]) == batch, \
                 f"split at byte {i}"
@@ -65,7 +79,7 @@ class TestBatchEquivalence:
     @pytest.mark.parametrize("piece", [1, 2, 3, 7])
     def test_fixed_piece_sizes(self, doc, piece):
         edges = list(range(0, len(doc), piece)) + [len(doc)]
-        assert stream_tokens(doc, edges) == list(tokenize_json(doc))
+        assert stream_tokens(doc, edges) == oracle_tokenize_json(doc)
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -79,7 +93,7 @@ class TestBatchEquivalence:
         else:
             cuts = []
         assert stream_tokens(doc, [0, *cuts, len(doc)]) == \
-            list(tokenize_json(doc))
+            oracle_tokenize_json(doc)
 
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -102,7 +116,7 @@ class TestBatchEquivalence:
         doc = json.dumps(value)
         piece = data.draw(st.integers(min_value=1, max_value=9))
         edges = list(range(0, len(doc), piece)) + [len(doc)]
-        assert stream_tokens(doc, edges) == list(tokenize_json(doc))
+        assert stream_tokens(doc, edges) == oracle_tokenize_json(doc)
 
 
 class TestErrorParity:
@@ -112,7 +126,10 @@ class TestErrorParity:
     @pytest.mark.parametrize("doc", BAD_DOCS)
     def test_same_error_every_split(self, doc):
         with pytest.raises(JSONError) as batch_exc:
+            oracle_tokenize_json(doc)
+        with pytest.raises(JSONError) as single_exc:
             tokenize_json(doc)
+        assert str(single_exc.value) == str(batch_exc.value)
         for i in range(len(doc) + 1):
             with pytest.raises(JSONError) as stream_exc:
                 stream_tokens(doc, [0, i, len(doc)])
@@ -142,14 +159,14 @@ class TestBoundedBuffer:
     def test_offsets_are_global(self):
         doc = DOCS[1]
         for ts, tb in zip(stream_tokens(doc, [0, 5, 9, len(doc)]),
-                          tokenize_json(doc)):
+                          oracle_tokenize_json(doc)):
             assert ts.offset == tb.offset
 
 
 class TestStateRoundtrip:
     @pytest.mark.parametrize("doc", DOCS)
     def test_snapshot_between_any_pieces(self, doc):
-        batch = list(tokenize_json(doc))
+        batch = oracle_tokenize_json(doc)
         for i in range(0, len(doc) + 1, 3):
             tok = IncrementalJSONTokenizer()
             out = tok.feed(doc[:i])

@@ -136,6 +136,12 @@ class TestJsonValueAt:
         values = [json_value_at(DOC, o) for o in res["//tags"]]
         assert values == ['"x"', '"y"']
 
+    def test_non_ascii_values(self):
+        doc = '{"feed": {"entry": [{"id": "é\\u00e9", "title": "東京 ✓"}]}}'
+        res = query_json(doc, ["//id", "//title"])
+        assert [json_value_at(doc, o) for o in res["//id"]] == ['"é\\u00e9"']
+        assert [json_value_at(doc, o) for o in res["//title"]] == ['"東京 ✓"']
+
 
 class TestSchemaLowering:
     def test_structure(self):

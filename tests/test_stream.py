@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.core.engine import GapEngine
 from repro.datasets import ALL_DATASETS
 from repro.service import (
@@ -645,6 +646,65 @@ class TestStreamHTTP:
                 assert sorted(got.get(q, [])) == sorted(batch.matches[q])
         finally:
             self.stop(client, thread)
+
+    def test_tail_connect_resumes_non_ascii_file(self, tmp_path, monkeypatch,
+                                                  capsys):
+        # stream offsets count characters; on this file they differ from
+        # UTF-8 byte positions, so the resumed writer must skip the
+        # committed prefix by characters, not seek() to it
+        doc = ("<feed>" + "".join(
+            f"<entry><id>é-{i}</id><title>Ünïcode ✓ {i} 字</title></entry>"
+            for i in range(60)) + "<id>fin</id></feed>")
+        path = tmp_path / "feed.xml"
+        path.write_text(doc, encoding="utf-8")
+        dtd = tmp_path / "feed.dtd"
+        dtd.write_text(FEED_DTD, encoding="utf-8")
+        store = tmp_path / "store"
+        fed: list[str] = []
+        real_feed = StreamSession.feed
+
+        def recording_feed(session, piece):
+            fed.append(piece)
+            return real_feed(session, piece)
+
+        monkeypatch.setattr(StreamSession, "feed", recording_feed)
+        seen: dict[int, dict] = {}
+
+        client, thread = self.start(store)
+        sid = client.stream_create("nonascii", XML_QUERIES, grammar=FEED_DTD,
+                                   root="json", chunk_bytes=64)["stream_id"]
+        cut = len(doc) // 2
+        assert len(doc[:cut].encode("utf-8")) > cut
+        for off in range(0, cut, 37):
+            client.stream_append(sid, doc[off:min(off + 37, cut)], offset=off)
+        for d in client.stream_deltas(sid, since=0, n=500)["deltas"]:
+            seen[d["seq"]] = d["matches"]
+        self.stop(client, thread)  # graceful: checkpoints the stream
+
+        client, thread = self.start(store)
+        try:
+            port = client.port
+            capsys.readouterr()
+            assert cli_main([
+                "tail", str(path), "-g", str(dtd), "--name", "nonascii",
+                "--chunk-bytes", "64", "--connect", f"127.0.0.1:{port}",
+                *(arg for q in XML_QUERIES for arg in ("-q", q)),
+            ]) == 0
+            captured = capsys.readouterr()
+            assert "# resumed stream" in captured.err
+            for line in captured.out.splitlines():
+                d = json.loads(line)
+                seen[d["seq"]] = d["matches"]
+        finally:
+            self.stop(client, thread)
+        assert "".join(fed) == doc
+        assert sorted(seen) == list(range(1, len(seen) + 1))
+        got: dict[str, list[int]] = {}
+        for s in sorted(seen):
+            for q, offs in seen[s].items():
+                got.setdefault(q, []).extend(offs)
+        batch = GapEngine(XML_QUERIES, grammar=FEED_DTD).run(doc)
+        assert got == {q: list(v) for q, v in batch.matches.items() if v}
 
     def test_error_codes(self):
         client, thread = self.start()
