@@ -461,10 +461,11 @@ def _add_kernel_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kernel", choices=("dense", "object"), default="dense",
                    help="chunk executor: dense table-driven kernel (default) or "
                         "the object-graph oracle")
-    p.add_argument("--memo", action=argparse.BooleanOptionalAction, default=True,
+    p.add_argument("--memo", action=argparse.BooleanOptionalAction, default=False,
                    help="structural-repetition memoization in the dense kernel "
-                        "(default on; --no-memo disables; no effect on the "
-                        "object kernel)")
+                        "(default off: planning costs more than it saves and "
+                        "its tables load the garbage collector; --memo opts "
+                        "in; no effect on the object kernel)")
 
 
 def _add_resilience_args(p: argparse.ArgumentParser) -> None:

@@ -149,11 +149,15 @@ class _EngineBase:
     effectively zero cost.
 
     ``memo`` enables structural-repetition memoization for the dense
-    kernel (default on; ignored by the object kernel and the
+    kernel (default off, opt-in; ignored by the object kernel and the
     sequential engine): repeated whole-element token spans replay from
     a shared memo instead of re-running the token loop, with matches,
     segments and counters observationally identical to ``memo=False``
-    — see :mod:`repro.xpath.subseq`.
+    — see :mod:`repro.xpath.subseq`.  It is off by default because it
+    does not pay end to end: planning costs more than the kernel time
+    it saves, and its process-wide tables keep about a million objects
+    alive for the garbage collector to walk on every gen2 collection
+    (docs/PERFORMANCE.md).
 
     ``sample`` turns on the stack-sampling profiler at the given rate
     in Hz (0, the default, is off): each chunk worker samples its own
@@ -174,7 +178,7 @@ class _EngineBase:
         faults: FaultPlane | str | None = None,
         kernel: str = "dense",
         journal: Journal | None = None,
-        memo: bool = True,
+        memo: bool = False,
         sample: float = 0.0,
         profile=None,
     ) -> None:
@@ -364,7 +368,7 @@ class PPTransducerEngine(_EngineBase):
         faults: FaultPlane | str | None = None,
         kernel: str = "dense",
         journal: Journal | None = None,
-        memo: bool = True,
+        memo: bool = False,
         sample: float = 0.0,
         profile=None,
     ) -> None:
@@ -446,7 +450,7 @@ class GapEngine(_EngineBase):
         faults: FaultPlane | str | None = None,
         kernel: str = "dense",
         journal: Journal | None = None,
-        memo: bool = True,
+        memo: bool = False,
         sample: float = 0.0,
         profile=None,
     ) -> None:

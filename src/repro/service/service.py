@@ -96,9 +96,9 @@ class ServiceConfig:
     backend: str = "thread"
     n_chunks: int = 8
     kernel: str = "dense"
-    #: structural-repetition memoization in the dense kernel (no effect
-    #: on the object kernel)
-    memo: bool = True
+    #: structural-repetition memoization in the dense kernel, opt-in
+    #: (no effect on the object kernel)
+    memo: bool = False
     max_queue: int = 64
     max_batch: int = 16
     batch_wait: float = 0.01

@@ -104,7 +104,7 @@ class StreamManager:
         delta_buffer: int = 256,
         max_streams: int = 16,
         kernel: str = "dense",
-        memo: bool = True,
+        memo: bool = False,
     ) -> None:
         self.store = store
         self.journal = journal if journal is not None else NULL_JOURNAL

@@ -174,7 +174,7 @@ class StreamSession:
         root_name: str = DEFAULT_ROOT,
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         kernel: str = "dense",
-        memo: bool = True,
+        memo: bool = False,
         journal: Journal | None = None,
         track_matches: bool = True,
     ) -> None:

@@ -275,7 +275,7 @@ class ParallelPipeline:
         faults: FaultPlane | str | None = None,
         kernel: str = "dense",
         journal: Journal | None = None,
-        memo: bool = True,
+        memo: bool = False,
         sample: float = 0.0,
         profile=None,
     ) -> None:
@@ -311,9 +311,11 @@ class ParallelPipeline:
             self._tables = tables_for_policy(
                 automaton, policy, anchor_sids, journal=self.journal
             )
-        # structural-repetition memoization (default on for the dense
+        # structural-repetition memoization (opt-in for the dense
         # kernel; observationally identical to memo-off — see
-        # :mod:`repro.xpath.subseq`)
+        # :mod:`repro.xpath.subseq`).  Off by default: its planning
+        # costs more than the kernel time it saves, and its tables
+        # keep ~1M objects alive for the GC to walk
         self.memo = bool(memo) and self._tables is not None
 
     def _persist_memo(self) -> None:

@@ -16,16 +16,27 @@ The paper cuts into *equal-sized* chunks; we do the same (by bytes) and
 then snap each cut point forward to the next tag boundary.  Degenerate
 cases (more chunks than tags, boundaries colliding) collapse chunks
 rather than producing empty ones.
+
+The split never walks the document tag by tag in Python.  Each cut
+point is found by :func:`~repro.xmlstream.lexer.tag_offset_at_or_after`
+from the previous boundary: it skips whole constructs (character data,
+tags with quoted attribute values, comments, CDATA sections, processing
+instructions) with one compiled-regex match that stops at the cut
+point, steps past the rare construct the pattern leaves to Python (a
+DOCTYPE, or a malformed construct, which raises the same
+:class:`~repro.xmlstream.lexer.LexError` a tag walk does), and walks
+only the construct that straddles the cut point.  The chunk lists equal
+those of a walk over every :func:`~repro.xmlstream.lexer.iter_tag_offsets`
+offset (``tests/lexer_oracles.py`` keeps that walk as the oracle).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lexer import iter_tag_offsets
+from .lexer import tag_offset_at_or_after
 
 __all__ = ["Chunk", "split_chunks", "split_at_offsets"]
-
 
 @dataclass(frozen=True, slots=True)
 class Chunk:
@@ -48,10 +59,11 @@ def split_chunks(text: str, n_chunks: int) -> list[Chunk]:
 
     The first chunk starts at byte 0 (covering any XML declaration and
     DOCTYPE prolog).  Cut points are placed at ``len(text) * k / n`` and
-    snapped forward to the next top-level tag boundary.  Fewer than
-    ``n_chunks`` chunks are returned when the document is too small for
-    distinct boundaries; at least one chunk is always returned for a
-    non-empty document.
+    snapped forward to the next top-level tag boundary; each cut point
+    takes a tag after the previous one's, so cut points never repeat.
+    Fewer than ``n_chunks`` chunks are returned when the document is
+    too small for distinct boundaries; at least one chunk is always
+    returned for a non-empty document.
     """
     if n_chunks < 1:
         raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
@@ -61,20 +73,20 @@ def split_chunks(text: str, n_chunks: int) -> list[Chunk]:
     if n_chunks == 1:
         return [Chunk(0, 0, n)]
 
-    targets = [n * k // n_chunks for k in range(1, n_chunks)]
     boundaries: list[int] = []
-    it = iter_tag_offsets(text)
-    current = next(it, None)
-    for t in targets:
-        # advance the tag-offset iterator to the first offset >= t
-        while current is not None and current < t:
-            current = next(it, None)
-        if current is None:
+    prev = -1  # the tag offset the previous cut point took
+    for k in range(1, n_chunks):
+        off = tag_offset_at_or_after(text, max(prev, 0),
+                                     max(n * k // n_chunks, prev + 1))
+        if off is None:
             break
-        if current > 0 and (not boundaries or current > boundaries[-1]):
-            boundaries.append(current)
-        # consume it so the next target cannot reuse the same boundary
-        current = next(it, None)
+        if off > 0:
+            boundaries.append(off)
+        prev = off
+    else:
+        # scan on to the tag after the last cut point, as a full walk
+        # of the tag offsets would: a malformed construct there raises
+        tag_offset_at_or_after(text, prev, prev + 1)
 
     return split_at_offsets(n, boundaries)
 

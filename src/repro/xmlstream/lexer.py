@@ -38,11 +38,18 @@ corpus and the paper's model):
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterator
 
 from .tokens import Token, TokenKind
 
-__all__ = ["LexError", "lex", "lex_range", "iter_tag_offsets"]
+__all__ = [
+    "LexError",
+    "lex",
+    "lex_range",
+    "iter_tag_offsets",
+    "tag_offset_at_or_after",
+]
 
 _WS = " \t\r\n"
 
@@ -50,6 +57,9 @@ _NAME_END = set(_WS) | {">", "/", "<"}
 
 # enum attribute lookups are slow; the scanning loop reads these instead
 _START, _END, _TEXT = TokenKind.START, TokenKind.END, TokenKind.TEXT
+
+# builds a Token from its field tuple without the namedtuple __new__
+_new = tuple.__new__
 
 # lex_range scans in windows that double from the first size to the cap
 _FIRST_WINDOW = 256
@@ -121,7 +131,7 @@ def _scan(text: str, i: int, end: int, base: int, final: bool,
                 j = n
             content = text[i:j]
             if content.strip():
-                append(Token(_TEXT, content, base + i))
+                append(_new(Token, (_TEXT, content, base + i)))
             i = j
             continue
         nxt = text[i + 1] if i + 1 < n else ""
@@ -135,7 +145,7 @@ def _scan(text: str, i: int, end: int, base: int, final: bool,
                 raise LexError("empty end-tag name", base + i)
             if close == -1:
                 raise LexError("unterminated end tag", base + i)
-            append(Token(_END, name, base + i))
+            append(_new(Token, (_END, name, base + i)))
             i = close + 1
         elif nxt == "!":
             try:
@@ -169,10 +179,10 @@ def _scan(text: str, i: int, end: int, base: int, final: bool,
                 if final:
                     raise LexError("unterminated start tag", base + i)
                 return i  # '>' or a split '/>' has not arrived yet
-            append(Token(_START, name, base + i))
+            append(_new(Token, (_START, name, base + i)))
             if text[k] == "/":
                 # <name/> — emit a matching END immediately
-                append(Token(_END, name, base + i))
+                append(_new(Token, (_END, name, base + i)))
                 i = k + 2
             else:
                 i = k + 1
@@ -193,22 +203,82 @@ def iter_tag_offsets(text: str, start: int = 0) -> Iterator[int]:
         i = text.find("<", i)
         if i == -1:
             return
-        nxt = text[i + 1] if i + 1 < n else ""
-        if nxt == "!":
-            i = _skip_markup_decl(text, i)
-        elif nxt == "?":
-            close = text.find("?>", i + 2)
-            i = n if close == -1 else close + 2
-        else:
+        if text[i + 1 : i + 2] not in ("!", "?"):
             yield i
-            if nxt == "/":
-                close = text.find(">", i + 2)
-                i = n if close == -1 else close + 1
-            else:
-                # skip the whole tag: a quoted attribute value may
-                # contain '<', which must not become a boundary
-                k = _skip_attributes(text, _name_end(text, i + 1))
-                i = k + 1 if k < n else n
+        i = _skip_construct(text, i)
+
+
+# Whole constructs, as _skip_construct skips them; markup declarations
+# (DOCTYPE) and malformed constructs are left to it.  A construct cut by
+# ``endpos`` is left unmatched rather than half consumed.  Backtracking
+# stays linear: nothing follows the outer repeat, a tag name is followed
+# only by a character that cannot extend it, and the attribute
+# alternatives start with distinct characters.
+_CONSTRUCTS = re.compile(
+    r"""(?:
+        [^<]+                                        # character data
+      | <(?![!?/])[^ \t\r\n>/<]*                      # start tag: name,
+        (?:>|(?=[ \t\r\n</])                          # then attributes
+          (?:[^>/"']|/(?!>)|"[^"]*"|'[^']*')*/?>)
+      | </[^>]*>                                     # end tag
+      | <!--.*?-->                                   # comment
+      | <!\[CDATA\[.*?\]\]>                          # CDATA section
+      | <\?.*?\?>                                    # processing instruction
+    )*""",
+    re.S | re.X,
+)
+
+
+def tag_offset_at_or_after(text: str, pos: int, target: int) -> int | None:
+    """Return the first element-tag offset ``>= target``, or ``None``.
+
+    Equal to the first :func:`iter_tag_offsets` offset ``>= target``
+    when ``pos <= target`` is a construct boundary (0 or a tag offset).
+    The whole constructs between ``pos`` and ``target`` are skipped by
+    one regex match in C; a construct it does not cover (a DOCTYPE, or a
+    malformed one) takes one :func:`_skip_construct` step, and the
+    construct that straddles ``target`` is walked by
+    :func:`iter_tag_offsets`, so malformed input raises the same
+    :class:`LexError` a full walk does.  Used by the split phase.
+    """
+    while True:
+        pos = _CONSTRUCTS.match(text, pos, target).end()
+        if pos >= target:
+            break
+        after = _skip_construct(text, pos)
+        if after > target:
+            break
+        pos = after
+    for off in iter_tag_offsets(text, pos):
+        if off >= target:
+            return off
+    return None
+
+
+def _skip_construct(text: str, i: int) -> int:
+    """Return the index just past the construct whose ``<`` is at ``i``.
+
+    A tag, comment, CDATA section, processing instruction or markup
+    declaration.  Quoted attribute values may contain ``<`` and ``>``,
+    so a start tag is skipped attribute by attribute.  An unterminated
+    tag or processing instruction runs to the end of ``text``; an
+    unterminated attribute value, comment, CDATA section or declaration
+    raises :class:`LexError`.
+    """
+    n = len(text)
+    nxt = text[i + 1] if i + 1 < n else ""
+    if nxt == "!":
+        return _skip_markup_decl(text, i)
+    if nxt == "?":
+        close = text.find("?>", i + 2)
+        return n if close == -1 else close + 2
+    if nxt == "/":
+        close = text.find(">", i + 2)
+        return n if close == -1 else close + 1
+    k = _skip_attributes(text, _name_end(text, i + 1))
+    if k >= n:
+        return n
+    return k + 2 if text[k] == "/" else k + 1
 
 
 def _name_end(text: str, i: int) -> int:

@@ -5,6 +5,11 @@ XML text into a flat stream of :class:`Token` values (start tags, end
 tags, and text), and every downstream component (sequential transducer,
 PP-Transducer baseline, GAP transducer) consumes that stream.
 
+A :class:`Token` is a named tuple ``(kind, name, offset)``, so it also
+equals (and hashes like) that plain tuple; the lexer builds one per tag
+and text run with ``tuple.__new__``, the cheapest construction Python
+offers for an immutable record.
+
 Tokens carry the byte offset of their first character in the original
 document.  Offsets serve two purposes:
 
@@ -20,7 +25,7 @@ document.  Offsets serve two purposes:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["TokenKind", "Token", "start_tag", "end_tag", "text_token"]
 
@@ -37,9 +42,11 @@ class TokenKind(enum.IntEnum):
     TEXT = 2  #: character data between tags (whitespace-only text is skipped)
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token of the XML stream.
+
+    Immutable, hashable, equal by value and picklable (the process
+    backend and the registry's token cache ship tokens by pickle).
 
     Attributes
     ----------

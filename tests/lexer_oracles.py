@@ -1,12 +1,15 @@
 """Reference lexers kept as test oracles.
 
-These are the original batch implementations of the XML lexer and the
-JSON tokenizer, kept verbatim: an independent second implementation
-that the byte-split batteries and the JSON error-parity test compare
-the production scanners against.  The library itself has one scanning
-loop per format (:func:`repro.xmlstream.lexer._scan` and
-:class:`repro.jsonstream.incremental.IncrementalJSONTokenizer`); the
-code here is never imported by it.
+These are the original batch implementations of the XML lexer, the
+split phase's tag walk and the JSON tokenizer, kept verbatim: an
+independent second implementation that the byte-split batteries, the
+split battery and the error-parity tests compare the production code
+against.  The library itself has one scanning loop per format
+(:func:`repro.xmlstream.lexer._scan` and
+:class:`repro.jsonstream.incremental.IncrementalJSONTokenizer`) and a
+split that skips to its cut points with one regex match
+(:func:`repro.xmlstream.chunking.split_chunks`); the code here is
+never imported by it.
 """
 
 from __future__ import annotations
@@ -16,9 +19,16 @@ from collections.abc import Iterator
 
 from repro.jsonstream import DEFAULT_ROOT, JSONError
 from repro.xmlstream import LexError
+from repro.xmlstream.chunking import Chunk, split_at_offsets
 from repro.xmlstream.tokens import Token, TokenKind
 
-__all__ = ["oracle_lex", "oracle_lex_range", "oracle_tokenize_json"]
+__all__ = [
+    "oracle_lex",
+    "oracle_lex_range",
+    "oracle_split_chunks",
+    "oracle_tag_offsets",
+    "oracle_tokenize_json",
+]
 
 # -- XML ---------------------------------------------------------------
 
@@ -158,6 +168,68 @@ def _skip_markup_decl(text: str, i: int) -> int:
         j += 1
     raise LexError("unterminated markup declaration", i)
 
+
+
+def oracle_split_chunks(text: str, n_chunks: int) -> list[Chunk]:
+    """The split phase as one Python walk over every tag offset.
+
+    Each cut point ``len(text) * k // n_chunks`` takes the first tag
+    offset at or after it that the previous cut point did not take.
+    """
+    if n_chunks < 1:
+        raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
+    n = len(text)
+    if n == 0:
+        return []
+    if n_chunks == 1:
+        return [Chunk(0, 0, n)]
+
+    targets = [n * k // n_chunks for k in range(1, n_chunks)]
+    boundaries: list[int] = []
+    it = oracle_tag_offsets(text)
+    current = next(it, None)
+    for t in targets:
+        # advance the tag-offset iterator to the first offset >= t
+        while current is not None and current < t:
+            current = next(it, None)
+        if current is None:
+            break
+        if current > 0 and (not boundaries or current > boundaries[-1]):
+            boundaries.append(current)
+        # consume it so the next target cannot reuse the same boundary
+        current = next(it, None)
+
+    return split_at_offsets(n, boundaries)
+
+
+def oracle_tag_offsets(text: str) -> Iterator[int]:
+    """Yield the offsets of top-level ``<`` characters.
+
+    Offsets inside comments, CDATA sections, processing instructions,
+    the DOCTYPE declaration and quoted attribute values are skipped.
+    """
+    i = 0
+    n = len(text)
+    while i < n:
+        i = text.find("<", i)
+        if i == -1:
+            return
+        nxt = text[i + 1] if i + 1 < n else ""
+        if nxt == "!":
+            i = _skip_markup_decl(text, i)
+        elif nxt == "?":
+            close = text.find("?>", i + 2)
+            i = n if close == -1 else close + 2
+        else:
+            yield i
+            if nxt == "/":
+                close = text.find(">", i + 2)
+                i = n if close == -1 else close + 1
+            else:
+                # skip the whole tag: a quoted attribute value may
+                # contain '<', which must not become a boundary
+                k = _skip_attributes(text, _name_end(text, i + 1))
+                i = k + 1 if k < n else n
 
 # -- JSON --------------------------------------------------------------
 

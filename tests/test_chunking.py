@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
-from repro.xmlstream import lex, lex_range, split_at_offsets, split_chunks
+from repro.datasets import ALL_DATASETS
+from repro.xmlstream import LexError, lex, lex_range, split_at_offsets, split_chunks
+
+from tests.lexer_oracles import oracle_split_chunks
 
 
 DOC = "<a><b>one</b><c>two</c><d><e>deep</e></d></a>"
@@ -87,3 +92,95 @@ class TestSplitAtOffsets:
     def test_no_boundaries(self):
         chunks = split_at_offsets(42, [])
         assert [(c.begin, c.end) for c in chunks] == [(0, 42)]
+
+
+def outcome(split, text, n_chunks):
+    """The chunk list, or the LexError's message and offset."""
+    try:
+        return split(text, n_chunks)
+    except LexError as exc:
+        return ("LexError", str(exc), exc.offset)
+
+
+def non_ascii(text):
+    """Non-ASCII character data before every letter that follows a tag."""
+    return re.sub(r">(?=[A-Za-z])", ">Zoë·東京 𝔛 ", text)
+
+
+#: constructs whose inside holds '<' and '>' a split must not cut at
+ADVERSARIAL = [
+    "<!-- <a> -> </a> -- > -->",
+    "<![CDATA[ <a> ]] > </a> ]]>",
+    "<?pi <a> ? > </a> ?>",
+    "<!DOCTYPE r [ <!ELEMENT r (a)*> <!-- <a> ] > --> <!ATTLIST a k CDATA '<>'> ]>",
+    "<a k=\"<b>\" j='</b> />' />",
+    "<a k='>'  >x<b/></a>",
+    "<a/>",
+    "<a\n/>",
+]
+
+#: malformed documents, and whether a split of them raises: an
+#: unterminated tag or processing instruction just runs to the end
+MALFORMED = [
+    ("<r><a>x</a><!-- unterminated <b></b></r>", True),
+    ("<r><a>x</a><![CDATA[ unterminated <b></b></r>", True),
+    ("<r><a>x</a><!DOCTYPE [ unterminated <b></b></r>", True),
+    ("<r><a k='unterminated><b></b></r>", True),
+    ("<r><a>x</a><b k=\"v></b><c/></r>", True),
+    ("<r><!-- a --><!-- <b> -", True),
+    ("<r>" + "<a>x</a>" * 20 + "<!-- unterminated", True),
+    ("<r>" + "<a>x</a>" * 20 + "<a k='v>" + "<a>x</a>" * 20, True),
+    ("<r><a>x</a><? unterminated <b></b></r>", False),
+    ("<r><a>x</a></b unterminated", False),
+    ("<r><a>x</a><b unterminated", False),
+    ("<r><a>x</a><", False),
+]
+
+def placements(construct):
+    """Documents whose two-chunk cut target falls on each character of
+    ``construct`` in turn (and just past it)."""
+    docs = {}
+    for fill in range(2 * len(construct) + 16):
+        for doc in (f"<r>{'x' * fill}{construct}<b/></r>",
+                    f"<r>{construct}<b/>{'x' * fill}</r>"):
+            at = len(doc) // 2 - doc.index(construct)
+            if 0 <= at <= len(construct):
+                docs.setdefault(at, doc)
+    assert sorted(docs) == list(range(len(construct) + 1))
+    return list(docs.values())
+
+
+class TestSplitOracleBattery:
+    """``split_chunks`` ≡ the tag-walking ``oracle_split_chunks``."""
+
+    @pytest.mark.parametrize("name", sorted(ALL_DATASETS))
+    def test_every_dataset_every_chunk_count(self, name, small_documents):
+        text = small_documents[name]
+        if name == "dblp":
+            text = non_ascii(text)
+            assert len(text.encode("utf-8")) > len(text)
+        for n_chunks in range(1, 65):
+            assert split_chunks(text, n_chunks) == oracle_split_chunks(
+                text, n_chunks), n_chunks
+
+    @pytest.mark.parametrize("construct", ADVERSARIAL)
+    def test_cut_target_on_every_character(self, construct):
+        for doc in placements(construct):
+            assert outcome(split_chunks, doc, 2) == outcome(
+                oracle_split_chunks, doc, 2), doc
+
+    @pytest.mark.parametrize("construct", ADVERSARIAL)
+    def test_adversarial_every_chunk_count(self, construct):
+        doc = f"<r>{construct}<b>t</b>{construct}<c/>{construct}</r>"
+        for n_chunks in range(1, len(doc) + 2):
+            assert outcome(split_chunks, doc, n_chunks) == outcome(
+                oracle_split_chunks, doc, n_chunks), n_chunks
+
+    @pytest.mark.parametrize("doc, raises", MALFORMED)
+    def test_malformed_raises_the_same_lex_error(self, doc, raises):
+        raised = False
+        for n_chunks in range(1, len(doc) + 2):
+            got = outcome(split_chunks, doc, n_chunks)
+            assert got == outcome(oracle_split_chunks, doc, n_chunks), n_chunks
+            raised |= got[0] == "LexError"
+        assert raised == raises

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.xmlstream import (
@@ -179,3 +181,45 @@ class TestTokenHelpers:
     def test_predicates_are_exclusive(self):
         t = start_tag("x")
         assert t.is_start and not t.is_end and not t.is_text
+
+
+class TestTokenContract:
+    """A token is the tuple ``(kind, name, offset)`` with field names."""
+
+    def test_fields_are_read_only(self):
+        t = start_tag("x", 5)
+        for field in ("kind", "name", "offset"):
+            with pytest.raises(AttributeError):
+                setattr(t, field, None)
+        with pytest.raises(AttributeError):
+            t.extra = 1
+
+    def test_equality_and_hash_follow_the_fields(self):
+        t = Token(TokenKind.END, "x", 5)
+        assert t == end_tag("x", 5) == (TokenKind.END, "x", 5)
+        assert hash(t) == hash(end_tag("x", 5)) == hash((TokenKind.END, "x", 5))
+        assert t != start_tag("x", 5)
+        assert t != end_tag("y", 5)
+        assert t != end_tag("x", 6)
+        assert len({t, end_tag("x", 5), start_tag("x", 5)}) == 2
+
+    def test_pickle_round_trip_is_exact(self):
+        tokens = list(lex("<a k='v'><b/>tëxt</a>"))
+        back = pickle.loads(pickle.dumps(tokens))
+        assert back == tokens
+        for got, want in zip(back, tokens):
+            assert type(got) is Token
+            assert type(got.kind) is TokenKind
+            assert (got.kind, got.name, got.offset) == (want.kind, want.name, want.offset)
+
+    def test_predicates_and_str(self):
+        s, e, t = start_tag("a", 0), end_tag("a", 9), text_token("hi", 3)
+        assert [(x.is_start, x.is_end, x.is_text) for x in (s, e, t)] == [
+            (True, False, False), (False, True, False), (False, False, True)]
+        assert [str(x) for x in (s, e, t)] == ["<a>@0", "</a>@9", "text('hi')@3"]
+
+    def test_lexer_builds_tokens(self):
+        tokens = list(lex("<a>hi</a>"))
+        assert all(type(t) is Token for t in tokens)
+        assert tokens == [(TokenKind.START, "a", 0), (TokenKind.TEXT, "hi", 3),
+                          (TokenKind.END, "a", 5)]

@@ -30,6 +30,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import GapEngine
+from repro.datasets import ALL_DATASETS, generate_query_set
 from repro.service import (
     DeadlineExceeded,
     DocumentRegistry,
@@ -44,6 +45,7 @@ from repro.service import (
     UnknownDocument,
     serve,
 )
+from repro.xpath import memo_info
 
 from tests.conftest import FEED_DTD, FEED_XML, RUNNING_DTD, RUNNING_QUERY, RUNNING_XML
 
@@ -289,6 +291,23 @@ class TestBatchingEquivalence:
             assert response["matches"][q] == oracle_matches(FEED_XML, FEED_DTD, q)
         # the batch window actually merged concurrent requests
         assert max(r["batch"]["size"] for r in responses) > 1
+
+    @pytest.mark.parametrize("memo", [False, True])
+    def test_end_to_end_query_with_and_without_memo(self, memo):
+        """Through the scheduler, with the opt-in memo and without."""
+        ds = ALL_DATASETS["xmark"]
+        text = ds.generate(scale=2.0, seed=7)
+        queries = generate_query_set(ds, 3)
+        before = memo_info()
+        with QueryService(small_config(memo=memo)) as svc:
+            doc = svc.register(text, grammar=ds.dtd)
+            response = svc.query(doc.doc_id, queries)
+        for q in queries:
+            assert response["matches"][q] == oracle_matches(text, ds.dtd, q)
+        after = memo_info()
+        consulted = (after["hits"] + after["misses"]
+                     > before["hits"] + before["misses"])
+        assert consulted is memo
 
     def test_distinct_documents_do_not_cross_talk(self):
         with QueryService(small_config(batch_wait=0.05)) as svc:

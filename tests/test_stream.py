@@ -43,6 +43,7 @@ from repro.stream.checkpoint import (
     save_checkpoint,
     stream_key,
 )
+from repro.xpath import memo_info
 
 from tests.conftest import FEED_DTD, FEED_XML
 
@@ -114,6 +115,28 @@ class TestStreamVsBatch:
         for q in queries:
             assert got.get(q, []) == list(batch.matches[q])
         assert session.totals.as_dict() == batch.stats.counters.as_dict()
+
+    @pytest.mark.parametrize("memo", [False, True])
+    def test_xml_differential_memo(self, memo):
+        """The opt-in structural memo keeps stream ≡ batch exact."""
+        doc = ALL_DATASETS["dblp"].generate(scale=0.5, seed=7)
+        grammar = ALL_DATASETS["dblp"].dtd
+        queries = list(ALL_DATASETS["dblp"].queries.values())[:2]
+        before = memo_info()
+        session = StreamSession(queries, grammar=grammar, chunk_bytes=512,
+                                memo=memo)
+        session.sealed_log = []
+        deltas = collect(session, pieces_of(doc, 1))
+        batch = GapEngine(queries, grammar=grammar, memo=memo).run(
+            doc, chunks=self.sealed_chunks(session))
+        got = merged_matches(deltas)
+        for q in queries:
+            assert got.get(q, []) == list(batch.matches[q])
+        assert session.totals.as_dict() == batch.stats.counters.as_dict()
+        after = memo_info()
+        consulted = (after["hits"] + after["misses"]
+                     > before["hits"] + before["misses"])
+        assert consulted is memo
 
     @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_xml_speculative_differential(self, backend):
