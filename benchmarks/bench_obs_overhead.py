@@ -47,7 +47,7 @@ OVERHEAD_BUDGET = 3.0  # percent — the issue's acceptance gate
 def _config(instrumented: bool) -> ServiceConfig:
     return ServiceConfig(
         backend="serial", n_chunks=N_CHUNKS, workers=1,
-        max_queue=2 * N_REQUESTS, max_batch=1, batch_wait=0.0,
+        max_queue=2 * N_REQUESTS, max_batch=1,
         request_tracing=instrumented,
         # threshold 0.0 puts every traced request through the slow log,
         # so the instrumented round pays the full observability bill

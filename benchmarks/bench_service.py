@@ -148,7 +148,7 @@ def load_results():
 
     config = ServiceConfig(
         backend="serial", n_chunks=N_CHUNKS, workers=2,
-        max_queue=2 * N_REQUESTS, max_batch=N_REQUESTS, batch_wait=0.05,
+        max_queue=2 * N_REQUESTS, max_batch=N_REQUESTS,
     )
     with QueryService(config) as service:
         doc = service.register(text, name="xmark", grammar=ds.grammar)
@@ -171,7 +171,7 @@ def load_results():
     open_requests = [queries[i % len(queries)] for i in range(N_OPEN_REQUESTS)]
     open_config = ServiceConfig(
         backend="serial", n_chunks=N_CHUNKS, workers=2,
-        max_queue=4 * N_OPEN_REQUESTS, max_batch=N_REQUESTS, batch_wait=0.05,
+        max_queue=4 * N_OPEN_REQUESTS, max_batch=N_REQUESTS,
         slow_threshold=0.0, slow_log_size=4 * N_OPEN_REQUESTS,
     )
     with QueryService(open_config) as open_service:

@@ -304,12 +304,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="request-queue bound; beyond it requests are rejected "
                         "with 429 (default 64)")
     v.add_argument("--max-batch", type=int, default=16,
-                   help="most requests merged into one pass (default 16)")
-    v.add_argument("--batch-wait", type=float, default=0.01, metavar="SECONDS",
-                   help="how long a batch stays open for companion requests "
-                        "(default 0.01)")
+                   help="most already-queued requests a free worker merges "
+                        "into one pass (default 16)")
     v.add_argument("--workers", type=int, default=4,
-                   help="concurrent batch executors (default 4)")
+                   help="worker threads pulling requests from the queue; a "
+                        "request runs as soon as one is free (default 4)")
     v.add_argument("--max-documents", type=int, default=64,
                    help="registry bound; beyond it ingestion is rejected "
                         "(default 64)")
@@ -1032,7 +1031,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         memo=args.memo,
         max_queue=args.max_queue,
         max_batch=args.max_batch,
-        batch_wait=args.batch_wait,
         workers=args.workers,
         max_documents=args.max_documents,
         default_deadline=args.deadline if args.deadline > 0 else None,

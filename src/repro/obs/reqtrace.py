@@ -1,9 +1,10 @@
 """Per-request tracing — where one service request's time went.
 
 The engine's spans (:mod:`repro.obs.tracer`) decompose one *pass*;
-a service request additionally waits in the admission queue, rides a
-batch-assembly window, shares a merged execution with its batch
-companions and is demultiplexed back out.  A :class:`RequestTrace` is
+a service request additionally waits in the admission queue for a
+free worker, is drained into a batch with whatever else is waiting,
+shares a merged execution with its batch companions and is
+demultiplexed back out.  A :class:`RequestTrace` is
 the request-scoped record of that journey: monotonic marks at each
 stage boundary, stitched to the owning batch's engine spans at
 execution time.
@@ -13,11 +14,14 @@ The canonical stage sequence (see ``docs/SERVICE.md``)::
     admit ──▶ queue_wait ──▶ batch_assembly ──▶ execute ──▶ respond
     (enqueued)   (dequeued)      (exec_start)   (exec_end)  (responded)
 
-* ``queue_wait`` — admitted, sitting in the bounded queue until the
-  dispatcher picks the request up;
-* ``batch_assembly`` — dequeued, waiting for the batch window to
-  close, the worker to pick the group up and the warm engine fetch;
-* ``execute`` — the merged-automaton pass the request shared;
+* ``queue_wait`` — admitted, sitting in the bounded queue until a
+  worker is free to take it;
+* ``batch_assembly`` — dequeued, while the worker drains whatever is
+  already queued (no window: nothing waits for companions) and groups
+  the batch by document; a later group of the same batch also waits
+  here for the groups the worker runs before it;
+* ``execute`` — the merged-automaton pass the request shared,
+  including the warm-engine fetch (or build on a cache miss);
 * ``respond`` — demultiplexing and future delivery.
 
 The stages partition the service-side interval, so they **sum to the

@@ -12,11 +12,13 @@ The moving parts:
 
 * :class:`Request` — one queued query request (queries + a
   :class:`~concurrent.futures.Future` the response or error lands on);
-* :class:`BatchScheduler` — a dispatcher thread drains the queue
-  (collecting up to ``max_batch`` requests for at most ``batch_wait``
-  seconds after the first), groups by document, and hands each group
-  to a small worker pool so distinct documents execute concurrently.
-  The executor callback (the service core) owns engines and demuxing.
+* :class:`BatchScheduler` — ``workers`` threads each block on the
+  queue; a worker that wakes drains whatever else is already waiting
+  (up to ``max_batch`` requests, no waiting for companions), groups
+  the batch by document and executes each group.  A request that
+  arrives at an idle service therefore runs at once, and batches form
+  exactly when every worker is busy.  The executor callback (the
+  service core) owns engines and demuxing.
 
 Admission control is the queue bound: :meth:`BatchScheduler.submit`
 raises :class:`QueueFull` *synchronously* when the queue is at
@@ -34,7 +36,7 @@ import itertools
 import queue
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 from ..obs.reqtrace import NULL_REQUEST_TRACE, NullRequestTrace, RequestTrace
@@ -88,12 +90,12 @@ class Request:
 
 
 class BatchScheduler:
-    """Bounded queue + dispatcher thread + per-document group execution.
+    """Bounded queue + ``workers`` threads that pull from it.
 
     ``execute(doc_id, requests)`` is the service-core callback: it must
     resolve every request's future (result or exception) and never
     raise — the scheduler guards it anyway so one bad group cannot
-    kill the dispatcher.
+    kill a worker.
     """
 
     def __init__(
@@ -101,7 +103,6 @@ class BatchScheduler:
         execute,
         max_queue: int = 64,
         max_batch: int = 16,
-        batch_wait: float = 0.01,
         workers: int = 4,
         trace_requests: bool = False,
     ) -> None:
@@ -109,21 +110,19 @@ class BatchScheduler:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if batch_wait < 0:
-            raise ValueError(f"batch_wait must be >= 0, got {batch_wait}")
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         self._execute = execute
         self.max_batch = max_batch
-        self.batch_wait = batch_wait
         self.trace_requests = trace_requests
         self._queue: queue.Queue[Request | None] = queue.Queue(maxsize=max_queue)
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-svc-batch"
-        )
         self._ids = itertools.count()
         self._closed = threading.Event()
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="repro-svc-dispatch", daemon=True
-        )
+        self._workers = [
+            threading.Thread(target=self._worker_loop,
+                             name=f"repro-svc-worker-{i}", daemon=True)
+            for i in range(workers)
+        ]
         self._started = False
         self._lock = threading.Lock()
         # queue depth and in-flight count are tracked together under
@@ -139,30 +138,36 @@ class BatchScheduler:
     def start(self) -> None:
         with self._lock:
             if not self._started:
-                self._dispatcher.start()
+                for worker in self._workers:
+                    worker.start()
                 self._started = True
 
     def close(self) -> None:
-        """Stop accepting, drain the queue with rejections, join workers."""
+        """Stop accepting, fail what is queued, let running groups finish."""
         if self._closed.is_set():
             return
         self._closed.set()
+        self._fail_queued()
         if self._started:
-            self._queue.put(None)  # wake the dispatcher
-            self._dispatcher.join(timeout=10.0)
-        # whatever is still queued can no longer be served
+            for _ in self._workers:
+                self._queue.put(None)  # one sentinel wakes and stops each
+            for worker in self._workers:
+                worker.join(timeout=10.0)
+        # a submit racing the close may have queued after the first pass
+        self._fail_queued()
+
+    def _fail_queued(self) -> None:
         while True:
             try:
                 req = self._queue.get_nowait()
             except queue.Empty:
-                break
+                return
             if req is None:
                 continue
             with self._state_lock:
                 self._depth -= 1
             if not req.future.done():
                 req.future.set_exception(ServiceClosed("service shut down"))
-        self._pool.shutdown(wait=True)
 
     @property
     def closed(self) -> bool:
@@ -198,60 +203,53 @@ class BatchScheduler:
         )
         if self.trace_requests:
             req.trace = RequestTrace(enqueued=req.enqueued)
+        # count before the put: an idle worker may take the request at
+        # once, and its decrement must not land before this increment
+        with self._state_lock:
+            self._depth += 1
         try:
             self._queue.put_nowait(req)
         except queue.Full:
+            with self._state_lock:
+                self._depth -= 1
             raise QueueFull(
                 f"request queue is full ({self._queue.maxsize} waiting)"
             ) from None
-        with self._state_lock:
-            self._depth += 1
         return req
 
-    # -- dispatch ------------------------------------------------------
+    # -- workers -------------------------------------------------------
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            try:
-                first = self._queue.get(timeout=0.1)
-            except queue.Empty:
-                if self._closed.is_set():
-                    return
-                continue
-            if first is None:
-                return
-            first.trace.mark("dequeued")
-            batch = [first]
-            cutoff = _clock() + self.batch_wait
-            while len(batch) < self.max_batch:
-                remaining = cutoff - _clock()
-                if remaining <= 0:
+    def _worker_loop(self) -> None:
+        stop = False
+        while not stop:
+            # batch only what is already waiting: a backlog exists exactly
+            # when every worker is busy, which is when one merged pass pays
+            batch: list[Request] = []
+            req = self._queue.get()
+            while req is not None:
+                req.trace.mark("dequeued")
+                batch.append(req)
+                if len(batch) == self.max_batch:
                     break
                 try:
-                    nxt = self._queue.get(timeout=remaining)
+                    req = self._queue.get_nowait()
                 except queue.Empty:
                     break
-                if nxt is None:
-                    self._run_groups(batch)
-                    return
-                nxt.trace.mark("dequeued")
-                batch.append(nxt)
-            self._run_groups(batch)
+            else:
+                stop = True  # close()'s sentinel: run this batch, then exit
+            # one lock acquisition moves the whole batch from "queued" to
+            # "in flight" — a concurrent snapshot() never sees a request
+            # in both states or in neither
+            with self._state_lock:
+                self._depth -= len(batch)
+                self._in_flight += len(batch)
+            groups: dict[str, list[Request]] = {}
+            for req in batch:
+                groups.setdefault(req.doc_id, []).append(req)
+            for doc_id, group in groups.items():
+                self._run_group(doc_id, group)
 
-    def _run_groups(self, batch: list[Request]) -> None:
-        # one lock acquisition moves the whole batch from "queued" to
-        # "in flight" — a concurrent snapshot() never sees a request
-        # in both states or in neither
-        with self._state_lock:
-            self._depth -= len(batch)
-            self._in_flight += len(batch)
-        groups: dict[str, list[Request]] = {}
-        for req in batch:
-            groups.setdefault(req.doc_id, []).append(req)
-        for doc_id, group in groups.items():
-            self._pool.submit(self._run_one_group, doc_id, group)
-
-    def _run_one_group(self, doc_id: str, group: list[Request]) -> None:
+    def _run_group(self, doc_id: str, group: list[Request]) -> None:
         try:
             self._execute(doc_id, group)
         except BaseException as exc:  # the executor must not kill workers

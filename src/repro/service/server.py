@@ -464,6 +464,12 @@ class ServiceServer(ThreadingHTTPServer):
     daemon_threads = True
 
     def __init__(self, address: tuple[str, int], service: QueryService) -> None:
+        # a burst of connections must reach admission control (429 on a
+        # full request queue) rather than overflow the listen backlog
+        # (socketserver's default is 5) while busy workers hold the
+        # interpreter and the accept loop waits: a TCP reset, not a 429
+        self.request_queue_size = max(self.request_queue_size,
+                                      service.config.max_queue)
         super().__init__(address, _Handler)
         self.service = service
         self._shutdown_requested = threading.Event()

@@ -85,10 +85,12 @@ class ServiceConfig:
     """Every service knob in one picklable record (CLI flags map 1:1).
 
     ``backend`` is a backend *name* — the service constructs and owns
-    the instance.  ``batch_wait`` is how long the dispatcher holds the
-    first request of a batch open for companions; 0 disables coalescing
-    beyond what is already queued.  ``default_deadline`` applies to
-    requests that do not carry their own (``None`` = no deadline).
+    the instance.  ``workers`` threads pull requests from the bounded
+    queue (``max_queue``); a worker runs a request as soon as it is
+    free and merges into the same pass up to ``max_batch`` requests
+    that are already waiting; nothing waits for companions.
+    ``default_deadline`` applies to requests that do not carry their
+    own (``None`` = no deadline).
     ``chunk_timeout``/``max_retries`` configure the engines' resilience
     supervision (both ``None`` = unsupervised).
     """
@@ -101,7 +103,6 @@ class ServiceConfig:
     memo: bool = False
     max_queue: int = 64
     max_batch: int = 16
-    batch_wait: float = 0.01
     workers: int = 4
     max_documents: int = 64
     default_deadline: float | None = 30.0
@@ -192,7 +193,6 @@ class QueryService:
             self._execute_group,
             max_queue=self.config.max_queue,
             max_batch=self.config.max_batch,
-            batch_wait=self.config.batch_wait,
             workers=self.config.workers,
             trace_requests=self.config.request_tracing,
         )
@@ -431,6 +431,7 @@ class QueryService:
                 req.trace.batch_seq = batch_seq
         try:
             engine = self._engine_for(doc, merged)
+            engine_s = _clock() - t0
             result = self._run(engine, doc, batch_tracer)
         except Exception as exc:
             for req in live:
@@ -463,6 +464,8 @@ class QueryService:
             "size": len(live),
             "merged_queries": len(merged),
             "exec_seconds": exec_s,
+            # the warm-engine lookup (plus the build on a miss) inside exec
+            "engine_seconds": engine_s,
         }
         responded = _clock()
         responses: list[dict] = []
@@ -496,6 +499,7 @@ class QueryService:
                 self.journal.record(
                     "batch", doc=doc_id, size=len(live), batch_seq=batch_seq,
                     merged_queries=len(merged), exec_seconds=round(exec_s, 6),
+                    engine_seconds=round(engine_s, 6),
                     requests=[req.req_id for req in live],
                 )
                 for req in live:
@@ -831,7 +835,6 @@ class QueryService:
                 "backend": self.config.backend,
                 "max_queue": self.config.max_queue,
                 "max_batch": self.config.max_batch,
-                "batch_wait": self.config.batch_wait,
                 "workers": self.config.workers,
                 "request_tracing": self.config.request_tracing,
             },

@@ -39,7 +39,7 @@ from tests.conftest import FEED_DTD, FEED_XML
 
 
 def small_config(**overrides) -> ServiceConfig:
-    defaults = dict(backend="serial", n_chunks=4, workers=2, batch_wait=0.0)
+    defaults = dict(backend="serial", n_chunks=4, workers=2)
     defaults.update(overrides)
     return ServiceConfig(**defaults)
 
@@ -267,8 +267,8 @@ class TestServiceTracing:
         shaped = []
         for ev in events:
             args = dict(ev.get("args", {}))
-            for volatile in ("doc", "exec_seconds", "total_ms", "stages_ms",
-                             "chunk_spans"):
+            for volatile in ("doc", "exec_seconds", "engine_seconds",
+                             "total_ms", "stages_ms", "chunk_spans"):
                 args.pop(volatile, None)
             shaped.append((ev["kind"], tuple(sorted(args.items(),
                                                     key=lambda kv: kv[0]))))

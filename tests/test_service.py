@@ -13,7 +13,12 @@ Pins the serving-layer contracts of :mod:`repro.service`:
 * **batching equivalence** (the oracle property) — a merged-automaton
   pass answering several requests at once returns, for every request,
   exactly the matches an independent per-query engine returns, across
-  serial and thread backends and for XML and JSON documents;
+  serial and thread backends and for XML and JSON documents; a real
+  backlog behind a held worker is answered by exactly one merged pass
+  per document;
+* **dispatch on arrival** — a lone request does not wait for
+  companions, ``close()`` fails the queued backlog while the running
+  pass finishes, and the batch window knob is gone;
 * **lifecycle** — N sequential requests do not grow the process
   thread count (warm engines share the one service-owned backend and
   never close it), and shutdown releases everything exactly once;
@@ -24,6 +29,7 @@ Pins the serving-layer contracts of :mod:`repro.service`:
 from __future__ import annotations
 
 import threading
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -64,7 +70,7 @@ CORPORA = [
 
 
 def small_config(**overrides) -> ServiceConfig:
-    defaults = dict(backend="serial", n_chunks=4, workers=2, batch_wait=0.0)
+    defaults = dict(backend="serial", n_chunks=4, workers=2)
     defaults.update(overrides)
     return ServiceConfig(**defaults)
 
@@ -86,6 +92,25 @@ def oracle_matches(text, grammar, query, n_chunks=4):
         return list(engine.run(text).matches[query])
     finally:
         engine.close()
+
+
+def gate_first_pass(monkeypatch) -> SimpleNamespace:
+    """Hold the first merged pass of any service until ``release`` is set.
+
+    With one worker, requests submitted while the pass is held build a
+    real backlog that the worker drains when it is released.
+    """
+    gate = SimpleNamespace(entered=threading.Event(), release=threading.Event())
+    original = QueryService._execute_group
+
+    def gated(self, doc_id, group):
+        if not gate.entered.is_set():
+            gate.entered.set()
+            assert gate.release.wait(30.0), "gate never released"
+        return original(self, doc_id, group)
+
+    monkeypatch.setattr(QueryService, "_execute_group", gated)
+    return gate
 
 
 # ---------------------------------------------------------------------------
@@ -279,18 +304,29 @@ class TestBatchingEquivalence:
             svc.close()
 
     @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_concurrent_submissions_coalesce_and_agree(self, backend):
-        """End to end through the scheduler: concurrent clients, one doc."""
-        config = small_config(backend=backend, batch_wait=0.05, max_batch=32)
+    def test_concurrent_submissions_coalesce_and_agree(self, backend, monkeypatch):
+        """End to end through the scheduler: a real backlog, one doc.
+
+        The only worker is held inside its first pass while N more
+        requests queue; once released it drains all N into ONE merged
+        pass.
+        """
+        gate = gate_first_pass(monkeypatch)
+        config = small_config(backend=backend, workers=1, max_batch=32)
         queries = ["/feed/entry/title", "//id", "/feed/id", "//title"]
         with QueryService(config) as svc:
             doc = svc.register(FEED_XML, grammar=FEED_DTD)
+            blocker = svc.submit(doc.doc_id, ["//id"])
+            assert gate.entered.wait(10.0)
             futures = [svc.submit(doc.doc_id, [q]) for q in queries * 4]
+            gate.release.set()
             responses = [f.result(timeout=30.0) for f in futures]
+            assert blocker.result(timeout=30.0)["batch"]["size"] == 1
         for response, q in zip(responses, queries * 4):
             assert response["matches"][q] == oracle_matches(FEED_XML, FEED_DTD, q)
-        # the batch window actually merged concurrent requests
-        assert max(r["batch"]["size"] for r in responses) > 1
+        # the backlog was answered by exactly one merged pass
+        assert {r["batch"]["size"] for r in responses} == {len(futures)}
+        assert len({r["batch"]["seq"] for r in responses}) == 1
 
     @pytest.mark.parametrize("memo", [False, True])
     def test_end_to_end_query_with_and_without_memo(self, memo):
@@ -309,22 +345,105 @@ class TestBatchingEquivalence:
                      > before["hits"] + before["misses"])
         assert consulted is memo
 
-    def test_distinct_documents_do_not_cross_talk(self):
-        with QueryService(small_config(batch_wait=0.05)) as svc:
+    def test_distinct_documents_do_not_cross_talk(self, monkeypatch):
+        """A backlog over two documents: one merged pass per document."""
+        gate = gate_first_pass(monkeypatch)
+        with QueryService(small_config(workers=1)) as svc:
             running = svc.register(RUNNING_XML, grammar=RUNNING_DTD)
             feed = svc.register(FEED_XML, grammar=FEED_DTD)
-            f1 = svc.submit(running.doc_id, ["//c"])
-            f2 = svc.submit(feed.doc_id, ["//id"])
-            r1, r2 = f1.result(timeout=30.0), f2.result(timeout=30.0)
-        assert r1["matches"]["//c"] == oracle_matches(RUNNING_XML, RUNNING_DTD, "//c")
-        assert r2["matches"]["//id"] == oracle_matches(FEED_XML, FEED_DTD, "//id")
-        assert r1["doc_id"] != r2["doc_id"]
+            blocker = svc.submit(running.doc_id, ["//c"])
+            assert gate.entered.wait(10.0)
+            backlog = [
+                (running, RUNNING_XML, RUNNING_DTD, "//c"),
+                (feed, FEED_XML, FEED_DTD, "//id"),
+                (running, RUNNING_XML, RUNNING_DTD, "/a/c"),
+                (feed, FEED_XML, FEED_DTD, "//title"),
+            ]
+            futures = [svc.submit(doc.doc_id, [q]) for doc, _, _, q in backlog]
+            gate.release.set()
+            responses = [f.result(timeout=30.0) for f in futures]
+            blocker.result(timeout=30.0)
+        seqs = {}
+        for response, (doc, text, grammar, q) in zip(responses, backlog):
+            assert response["doc_id"] == doc.doc_id
+            assert response["matches"] == {q: oracle_matches(text, grammar, q)}
+            assert response["batch"]["size"] == 2
+            seqs.setdefault(doc.doc_id, set()).add(response["batch"]["seq"])
+        # each document's two requests shared one pass; the passes differ
+        assert all(len(s) == 1 for s in seqs.values())
+        assert len(set.union(*seqs.values())) == 2
 
     def test_json_document_round_trip(self, service):
         doc = service.register(JSON_DOC)
         response = service.query(doc.doc_id, ["//id", "//tags"])
         assert response["matches"]["//id"] == oracle_matches(JSON_DOC, None, "//id")
         assert response["counts"]["//tags"] == 2
+
+
+# ---------------------------------------------------------------------------
+# dispatch on arrival: no batch window
+# ---------------------------------------------------------------------------
+
+
+class TestDispatchOnArrival:
+    def test_lone_requests_do_not_wait_for_companions(self):
+        """An idle worker runs a lone request at once (default config)."""
+        import json as _json
+        import statistics
+
+        config = ServiceConfig(backend="serial", n_chunks=4, workers=1)
+        with QueryService(config) as svc:
+            doc = svc.register(FEED_XML, grammar=FEED_DTD)
+            for _ in range(20):
+                svc.query(doc.doc_id, ["//id"])
+            events = [_json.loads(line) for line in svc.journal_jsonl().splitlines()]
+        assembly = [e["args"]["stages_ms"]["batch_assembly"]
+                    for e in events if e["kind"] == "trace"]
+        assert len(assembly) == 20
+        assert statistics.median(assembly) < 2.0
+
+    def test_close_fails_the_backlog_and_finishes_the_running_pass(
+        self, monkeypatch
+    ):
+        gate = gate_first_pass(monkeypatch)
+        svc = QueryService(small_config(workers=1)).start()
+        doc = svc.register(FEED_XML, grammar=FEED_DTD)
+        running = svc.submit(doc.doc_id, ["//id"])
+        assert gate.entered.wait(10.0)
+        queued = [svc.submit(doc.doc_id, ["//title"]) for _ in range(5)]
+        closer = threading.Thread(target=svc.close)
+        closer.start()
+        try:
+            for future in queued:
+                assert isinstance(future.exception(timeout=10.0), ServiceClosed)
+            assert not running.done()
+        finally:
+            gate.release.set()
+            closer.join(timeout=30.0)
+        assert not closer.is_alive()
+        response = running.result(timeout=0)
+        assert response["matches"]["//id"] == oracle_matches(FEED_XML, FEED_DTD, "//id")
+        assert svc._scheduler.snapshot() == {"queue_depth": 0, "in_flight": 0}
+
+    def test_batch_info_reports_the_engine_share_of_execute(self, service):
+        import json as _json
+
+        doc = service.register(FEED_XML, grammar=FEED_DTD)
+        infos = [service.query(doc.doc_id, ["//id"])["batch"] for _ in range(2)]
+        events = [_json.loads(line) for line in service.journal_jsonl().splitlines()]
+        infos += [e["args"] for e in events if e["kind"] == "batch"]
+        assert len(infos) == 4  # a cold build, a warm hit, and both journaled
+        for info in infos:
+            assert 0.0 <= info["engine_seconds"] <= info["exec_seconds"]
+
+    def test_batch_window_knob_is_gone(self):
+        from repro.cli import main
+
+        with pytest.raises(TypeError):
+            ServiceConfig(batch_wait=0.01)
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--batch-wait", "0.02"])
+        assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +496,7 @@ class TestLifecycle:
         svc.query(doc.doc_id, ["//id"])
         assert threading.active_count() > before
         svc.close()
-        assert threading.active_count() <= before + 1  # dispatcher may linger briefly
+        assert threading.active_count() <= before + 1  # a worker may linger briefly
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +601,16 @@ class TestHTTP:
             )
         for response, q in zip(responses, queries * 4):
             assert response["matches"][q] == oracle_matches(FEED_XML, FEED_DTD, q)
+
+    def test_listen_backlog_holds_a_full_request_queue(self):
+        """A connection burst reaches admission control, not a TCP reset."""
+        svc = QueryService(small_config(max_queue=100))
+        server = serve("127.0.0.1", 0, svc)
+        try:
+            assert server.request_queue_size == 100
+        finally:
+            server.server_close()
+            svc.close()
 
     def test_graceful_shutdown(self, http_service):
         client = http_service

@@ -530,7 +530,7 @@ class TestRegistryFullReporting:
 
     def test_http_429_reports_capacity_and_hash(self):
         svc = QueryService(ServiceConfig(
-            backend="serial", max_documents=1, batch_wait=0.0))
+            backend="serial", max_documents=1))
         server = serve("127.0.0.1", 0, svc)
         thread = threading.Thread(target=server.run, daemon=True)
         thread.start()
@@ -577,7 +577,7 @@ class TestRegistryFullReporting:
 class TestServiceWarmStart:
     def test_restart_hits_store(self, tmp_path):
         config = ServiceConfig(
-            backend="serial", batch_wait=0.0,
+            backend="serial",
             artifact_store=str(tmp_path / "store"),
         )
         with QueryService(config) as svc:
@@ -601,7 +601,7 @@ class TestServiceWarmStart:
         from repro.xpath.compile_tables import get_artifact_store
 
         config = ServiceConfig(
-            backend="serial", batch_wait=0.0,
+            backend="serial",
             artifact_store=str(tmp_path / "store"),
         )
         svc = QueryService(config).start()

@@ -533,7 +533,7 @@ class TestStreamHTTP:
     @staticmethod
     def start(tmp_path=None, **overrides):
         config = ServiceConfig(
-            backend="serial", workers=2, batch_wait=0.0,
+            backend="serial", workers=2,
             stream_chunk_bytes=overrides.pop("stream_chunk_bytes", 64),
             artifact_store=str(tmp_path) if tmp_path is not None else None,
             collector=False, request_tracing=False, **overrides)

@@ -491,7 +491,7 @@ class TestTopRates:
 
 def obs_config(**overrides) -> ServiceConfig:
     defaults = dict(
-        backend="serial", n_chunks=4, workers=2, batch_wait=0.0,
+        backend="serial", n_chunks=4, workers=2,
         collect_interval=60.0,  # the thread never fires mid-test
         alert_rules=("queue_fraction>-1:for=0:resolve=9999:name=wired",),
     )
