@@ -5,10 +5,10 @@ regressions in the hot loops show up in `--benchmark-compare` runs:
 
 * lexer MB/s over a DBLP corpus;
 * sequential PDT tokens/s (the speedup baseline's inner loop);
-* GAP chunk runner (single-path stack mode) vs PP chunk runner
-  (multi-path tree mode) on the same chunk — the per-token cost gap
-  that runtime data-structure switching exploits, measured in real
-  wall-clock rather than the cost model.
+* the chunk kernel under the GAP policy (single-path stack mode) vs
+  under the PP policy (multi-path tree mode) on the same chunk — the
+  per-token cost gap that runtime data-structure switching exploits,
+  measured in real wall-clock rather than the cost model.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import generate_document
-from repro.core import GapPolicy, infer_feasible_paths
+from repro.core import DenseRunner, GapPolicy, infer_feasible_paths, tables_for_policy
 from repro.datasets import dataset_by_name
 from repro.grammar import build_syntax_tree
-from repro.transducer import BaselinePolicy, ChunkRunner, run_sequential
+from repro.transducer import BaselinePolicy, run_sequential
 from repro.xmlstream import lex, lex_range
 from repro.xpath import build_automaton, parse_xpath
 
@@ -49,9 +49,15 @@ def test_sequential_pdt_throughput(corpus, benchmark):
     print(f"\nsequential PDT: {len(tokens) / benchmark.stats['mean'] / 1e6:.2f} Mtokens/s")
 
 
+def kernel_for(automaton, policy):
+    """The production chunk kernel over the tables the pipeline compiles."""
+    return DenseRunner(automaton, policy,
+                       tables=tables_for_policy(automaton, policy))
+
+
 def test_gap_chunk_runner_stack_mode(corpus, benchmark):
     text, automaton, table = corpus
-    runner = ChunkRunner(automaton, GapPolicy(automaton, table))
+    runner = kernel_for(automaton, GapPolicy(automaton, table))
     begin = len(text) // 2
     begin = text.index("<", begin)
     benchmark(lambda: runner.run_chunk(lex_range(text, begin, len(text)), 1, begin, len(text)))
@@ -59,7 +65,7 @@ def test_gap_chunk_runner_stack_mode(corpus, benchmark):
 
 def test_pp_chunk_runner_tree_mode(corpus, benchmark):
     text, automaton, _t = corpus
-    runner = ChunkRunner(automaton, BaselinePolicy(automaton))
+    runner = kernel_for(automaton, BaselinePolicy(automaton))
     begin = len(text) // 2
     begin = text.index("<", begin)
     result = benchmark(

@@ -1,6 +1,5 @@
 """Benchmark harness shared by the ``benchmarks/`` drivers."""
 
-from .kernel_bench import gate_failures, measure_kernel_throughput, run_bench
 from .harness import (
     VERSIONS,
     VersionRun,
@@ -18,12 +17,9 @@ __all__ = [
     "banner",
     "format_series",
     "format_table",
-    "gate_failures",
     "generate_document",
     "geomean",
     "make_engine",
-    "measure_kernel_throughput",
-    "run_bench",
     "print_series",
     "print_table",
     "run_experiment",

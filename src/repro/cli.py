@@ -23,17 +23,6 @@ The commands mirror the library's workflow:
     and GAP, and report the simulated N-core speedups (the benchmark
     harness in miniature).
 
-``bench``
-    Measure dense vs object kernel throughput on a benchmark dataset
-    and (with ``--gate``) discover every recorded ``BENCH_*.json``
-    baseline and fail if any of its benchmarks regressed — kernel
-    throughput (``BENCH_3.json``) and structural-memoization speedup
-    (``BENCH_8.json``) — the CI performance gate (see
-    ``docs/PERFORMANCE.md``).  Each measurement
-    is appended to a JSONL history (``--history``/``--no-history``)
-    and ``--check-history`` fails the run when the ratio drops below
-    the rolling median of prior records.
-
 ``report``
     Run a query with tracing *and* the flight recorder on; emit a run
     report — chunk timeline, per-chunk path lifecycle, the paper's
@@ -158,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="persistent artifact store: reuse stored compiled "
                         "tables, chunk splits and token caches, and publish "
                         "what this run computes")
-    _add_kernel_arg(q)
+    _add_memo_arg(q)
     _add_obs_args(q)
     _add_resilience_args(q)
     q.set_defaults(func=_cmd_query)
@@ -181,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("-Q", "--n-queries", type=int, default=10)
     s.add_argument("-s", "--scale", type=float, default=10.0)
     s.add_argument("-c", "--cores", type=int, default=20)
-    _add_kernel_arg(s)
+    _add_memo_arg(s)
     _add_obs_args(s)
     _add_resilience_args(s)
     s.set_defaults(func=_cmd_speedup)
@@ -204,43 +193,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flame", metavar="FILE",
                    help="write the sampled profile as a self-contained HTML "
                         "flame view (implies --sample)")
-    _add_kernel_arg(p)
+    _add_memo_arg(p)
     _add_obs_args(p)
     _add_resilience_args(p)
     p.set_defaults(func=_cmd_profile)
-
-    b = sub.add_parser(
-        "bench",
-        help="measure dense vs object kernel throughput; optionally gate on a baseline",
-    )
-    b.add_argument("dataset", nargs="?", default="xmark", choices=sorted(ALL_DATASETS))
-    b.add_argument("-s", "--scale", type=float, default=4.0)
-    b.add_argument("-n", "--chunks", type=int, default=8)
-    b.add_argument("-Q", "--n-queries", type=int, default=4)
-    b.add_argument("-r", "--repeats", type=int, default=3)
-    b.add_argument("-o", "--out", metavar="FILE",
-                   help="write the measurement record as JSON")
-    b.add_argument("--gate", action="store_true",
-                   help="fail (exit 1) if any recorded benchmark ratio "
-                        "regressed more than --threshold vs its baseline")
-    b.add_argument("--baseline", default=None, metavar="FILE",
-                   help="recorded baseline for --gate/--update-baseline "
-                        "(default: discover and enforce every BENCH_*.json "
-                        "for --gate; BENCH_3.json for --update-baseline)")
-    b.add_argument("--threshold", type=float, default=0.15,
-                   help="tolerated relative ratio drop for --gate (default 0.15)")
-    b.add_argument("--update-baseline", action="store_true",
-                   help="record this measurement as the new baseline")
-    b.add_argument("--history", default=None, metavar="FILE",
-                   help="JSONL file the measurement is appended to "
-                        "(default: benchmarks/results/history.jsonl)")
-    b.add_argument("--no-history", action="store_true",
-                   help="do not append this measurement to the history file")
-    b.add_argument("--check-history", action="store_true",
-                   help="fail (exit 1) if the dense/object ratio drops more "
-                        "than --threshold below the rolling median of prior "
-                        "history records")
-    b.set_defaults(func=_cmd_bench)
 
     r = sub.add_parser(
         "report",
@@ -266,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    dest="report_format", help="report format (default terminal)")
     r.add_argument("-o", "--output", metavar="FILE",
                    help="write the report to FILE instead of stdout")
-    _add_kernel_arg(r)
+    _add_memo_arg(r)
     _add_obs_args(r)
     _add_resilience_args(r)
     r.set_defaults(func=_cmd_report)
@@ -284,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     x.add_argument("-n", "--chunks", type=int, default=8, help="parallel chunks (default 8)")
     x.add_argument("--learn", action="append", default=[], metavar="FILE",
                    help="prior document(s) to learn a partial grammar from (speculative mode)")
-    _add_kernel_arg(x)
+    _add_memo_arg(x)
     _add_obs_args(x)
     _add_resilience_args(x)
     x.set_defaults(func=_cmd_explain)
@@ -370,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="grammar for documents preloaded with --document")
     v.add_argument("--log-level", metavar="LEVEL",
                    help="enable repro logging at LEVEL (DEBUG, INFO, ...)")
-    _add_kernel_arg(v)
+    _add_memo_arg(v)
     v.set_defaults(func=_cmd_serve)
 
     t = sub.add_parser(
@@ -433,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          "checkpointed stream after a daemon restart)")
     ta.add_argument("--stats", action="store_true",
                     help="print work counters to stderr when the stream ends")
-    _add_kernel_arg(ta)
+    _add_memo_arg(ta)
     ta.set_defaults(func=_cmd_tail)
 
     st = sub.add_parser(
@@ -456,15 +412,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_kernel_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kernel", choices=("dense", "object"), default="dense",
-                   help="chunk executor: dense table-driven kernel (default) or "
-                        "the object-graph oracle")
+def _add_memo_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--memo", action=argparse.BooleanOptionalAction, default=False,
-                   help="structural-repetition memoization in the dense kernel "
+                   help="structural-repetition memoization in the chunk kernel "
                         "(default off: planning costs more than it saves and "
-                        "its tables load the garbage collector; --memo opts "
-                        "in; no effect on the object kernel)")
+                        "its tables load the garbage collector; --memo opts in)")
 
 
 def _add_resilience_args(p: argparse.ArgumentParser) -> None:
@@ -600,7 +552,7 @@ def _build_query_engine(args: argparse.Namespace, content: str, as_json: bool, t
     if args.engine == "pp":
         return PPTransducerEngine(
             args.queries, n_chunks=args.chunks, backend=args.backend, tracer=tracer,
-            resilience=resilience, faults=faults, kernel=args.kernel,
+            resilience=resilience, faults=faults,
             memo=args.memo, journal=journal, sample=sample, profile=profile,
         )
     grammar = None
@@ -611,7 +563,7 @@ def _build_query_engine(args: argparse.Namespace, content: str, as_json: bool, t
     engine = GapEngine(
         args.queries, grammar=grammar, n_chunks=args.chunks,
         backend=args.backend, tracer=tracer,
-        resilience=resilience, faults=faults, kernel=args.kernel,
+        resilience=resilience, faults=faults,
         memo=args.memo, journal=journal, sample=sample, profile=profile,
     )
     for prior in args.learn:
@@ -770,13 +722,11 @@ def _cmd_speedup(args: argparse.Namespace) -> int:
         ("pp", PPTransducerEngine(queries, n_chunks=args.cores,
                                   backend=args.backend, tracer=tracer,
                                   resilience=resilience, faults=faults,
-                                  kernel=args.kernel, memo=args.memo,
-                                  journal=journal)),
+                                  memo=args.memo, journal=journal)),
         ("gap", GapEngine(queries, grammar=ds.grammar, n_chunks=args.cores,
                           backend=args.backend, tracer=tracer,
                           resilience=resilience, faults=faults,
-                          kernel=args.kernel, memo=args.memo,
-                          journal=journal)),
+                          memo=args.memo, journal=journal)),
     ):
         with engine:
             res = engine.run(xml)
@@ -795,25 +745,6 @@ def _cmd_speedup(args: argparse.Namespace) -> int:
             collect_run_metrics(res.stats, registry=registry)
     _obs_emit(args, tracer, registry, journal)
     return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench.kernel_bench import DEFAULT_HISTORY, run_bench
-
-    return run_bench(
-        dataset=args.dataset,
-        scale=args.scale,
-        n_chunks=args.chunks,
-        n_queries=args.n_queries,
-        repeats=args.repeats,
-        out=args.out,
-        gate=args.gate,
-        baseline_path=args.baseline,
-        threshold=args.threshold,
-        update_baseline=args.update_baseline,
-        history_path=None if args.no_history else (args.history or DEFAULT_HISTORY),
-        check_history=args.check_history,
-    )
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -937,7 +868,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             "file": args.file,
             "bytes": len(content),
             "engine": mode,
-            "kernel": args.kernel,
             "chunks": args.chunks,
             "backend": args.backend or "serial",
         },
@@ -1027,7 +957,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         backend=args.backend,
         n_chunks=args.chunks,
-        kernel=args.kernel,
         memo=args.memo,
         max_queue=args.max_queue,
         max_batch=args.max_batch,
@@ -1325,7 +1254,7 @@ def _cmd_tail(args: argparse.Namespace) -> int:
 
     session = StreamSession(
         args.queries, grammar=grammar, kind=kind, root_name=args.root,
-        chunk_bytes=args.chunk_bytes, kernel=args.kernel, memo=args.memo,
+        chunk_bytes=args.chunk_bytes, memo=args.memo,
         track_matches=False,
     )
     seq = 0

@@ -42,7 +42,6 @@ from ..parallel.backend import Backend, get_backend
 from ..parallel.faults import FaultPlane, parse_fault_spec
 from ..parallel.resilience import RetryPolicy
 from ..transducer.pipeline import (
-    KERNELS,
     ParallelPipeline,
     ParallelRunResult,
     run_sequential_pipeline,
@@ -135,25 +134,17 @@ class _EngineBase:
     accepted on every engine for uniform construction; the sequential
     engine has no parallel phase and ignores them.
 
-    ``kernel`` selects the chunk executor for the parallel engines:
-    ``"dense"`` (default) compiles the automaton and feasibility table
-    into flat integer arrays (:mod:`repro.core.kernel`), ``"object"``
-    runs the original object-graph interpreter — retained as the
-    differential oracle.  Both produce identical matches, events and
-    work counters; the sequential engine has no chunk phase and
-    ignores the knob.
-
     ``journal`` is a :class:`~repro.obs.journal.Journal` recording the
     structured path-lifecycle event stream (the flight recorder); the
     default :data:`~repro.obs.journal.NULL_JOURNAL` records nothing at
     effectively zero cost.
 
-    ``memo`` enables structural-repetition memoization for the dense
-    kernel (default off, opt-in; ignored by the object kernel and the
-    sequential engine): repeated whole-element token spans replay from
-    a shared memo instead of re-running the token loop, with matches,
-    segments and counters observationally identical to ``memo=False``
-    — see :mod:`repro.xpath.subseq`.  It is off by default because it
+    ``memo`` enables structural-repetition memoization for the chunk
+    kernel (default off, opt-in; ignored by the sequential engine):
+    repeated whole-element token spans replay from a shared memo
+    instead of re-running the token loop, with matches, segments and
+    counters observationally identical to ``memo=False`` — see
+    :mod:`repro.xpath.subseq`.  It is off by default because it
     does not pay end to end: planning costs more than the kernel time
     it saves, and its process-wide tables keep about a million objects
     alive for the garbage collector to walk on every gen2 collection
@@ -176,7 +167,6 @@ class _EngineBase:
         tracer: Tracer | None = None,
         resilience: RetryPolicy | None = None,
         faults: FaultPlane | str | None = None,
-        kernel: str = "dense",
         journal: Journal | None = None,
         memo: bool = False,
         sample: float = 0.0,
@@ -184,9 +174,6 @@ class _EngineBase:
     ) -> None:
         if not queries:
             raise EngineError("at least one query is required")
-        if kernel not in KERNELS:
-            raise EngineError(f"unknown kernel {kernel!r} (choose from {KERNELS})")
-        self.kernel = kernel
         self.memo = bool(memo)
         self.queries = [str(q) for q in queries]
         self.compiled, self.registry = compile_queries(self.queries)
@@ -366,21 +353,20 @@ class PPTransducerEngine(_EngineBase):
         tracer: Tracer | None = None,
         resilience: RetryPolicy | None = None,
         faults: FaultPlane | str | None = None,
-        kernel: str = "dense",
         journal: Journal | None = None,
         memo: bool = False,
         sample: float = 0.0,
         profile=None,
     ) -> None:
         super().__init__(queries, backend, minimize=minimize, tracer=tracer,
-                         resilience=resilience, faults=faults, kernel=kernel,
+                         resilience=resilience, faults=faults,
                          journal=journal, memo=memo, sample=sample,
                          profile=profile)
         self.n_chunks = n_chunks
         self.policy = BaselinePolicy(self.automaton)
         self._pipeline = ParallelPipeline(
             self.automaton, self.policy, self.anchor_sids, self.backend, self.tracer,
-            resilience=self.resilience, faults=self.faults, kernel=self.kernel,
+            resilience=self.resilience, faults=self.faults,
             journal=self.journal, memo=self.memo,
             sample=self.sample, profile=self.profile,
         )
@@ -448,14 +434,13 @@ class GapEngine(_EngineBase):
         tracer: Tracer | None = None,
         resilience: RetryPolicy | None = None,
         faults: FaultPlane | str | None = None,
-        kernel: str = "dense",
         journal: Journal | None = None,
         memo: bool = False,
         sample: float = 0.0,
         profile=None,
     ) -> None:
         super().__init__(queries, backend, minimize=minimize, tracer=tracer,
-                         resilience=resilience, faults=faults, kernel=kernel,
+                         resilience=resilience, faults=faults,
                          journal=journal, memo=memo, sample=sample,
                          profile=profile)
         if mode not in ("auto", "nonspec", "spec"):
@@ -539,7 +524,7 @@ class GapEngine(_EngineBase):
         return ParallelPipeline(
             self.automaton, policy, self.anchor_sids, self.backend,
             tracer if tracer is not None else self.tracer,
-            resilience=self.resilience, faults=self.faults, kernel=self.kernel,
+            resilience=self.resilience, faults=self.faults,
             journal=journal if journal is not None else self.journal,
             memo=self.memo, sample=self.sample, profile=self.profile,
         )

@@ -1,8 +1,8 @@
 """GAP pushdown transducers — the policies that make the pipeline GAP.
 
 A :class:`GapPolicy` plugs the feasible-path table
-(:mod:`repro.core.inference`) into the shared chunk runner
-(:mod:`repro.transducer.runner`), enabling the paper's two novel
+(:mod:`repro.core.inference`) into the shared chunk kernel
+(:mod:`repro.core.kernel`), enabling the paper's two novel
 features (Section 4.3):
 
 * **dynamic path elimination** in the three scenarios — chunk start,
@@ -92,7 +92,6 @@ def run_gap_transducer(
     eliminate: str = ELIMINATE_PAPER,
     switch_to_stack: bool = True,
     backend: Backend | None = None,
-    kernel: str = "dense",
     journal=None,
 ) -> ParallelRunResult:
     """One-shot GAP run (mode follows the table's completeness)."""
@@ -100,5 +99,5 @@ def run_gap_transducer(
         automaton, table, eliminate=eliminate, switch_to_stack=switch_to_stack
     )
     pipeline = ParallelPipeline(automaton, policy, anchor_sids, backend,
-                                kernel=kernel, journal=journal)
+                                journal=journal)
     return pipeline.run(text, n_chunks)

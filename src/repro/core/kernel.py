@@ -1,21 +1,36 @@
-"""Dense table-driven chunk kernel.
+"""Dense table-driven chunk kernel — the parallel phase of every engine.
 
-:class:`DenseRunner` is a drop-in replacement for
-:class:`~repro.transducer.runner.ChunkRunner` that executes the same
-parallel-phase semantics — multi-path execution with the three
-elimination scenarios, speculative revival, divergence segmentation,
-runtime data-structure switching — over the flat integer tables of
-:mod:`repro.xpath.compile_tables` instead of the automaton/policy
-object graph.
+:class:`DenseRunner` executes one chunk of the document under a
+:class:`~repro.transducer.policies.PathPolicy`: multi-path execution
+with the three elimination scenarios, speculative revival, divergence
+segmentation and runtime data-structure switching, over the flat
+integer tables of :mod:`repro.xpath.compile_tables`.  Depending on the
+policy it behaves as
+
+* the **PP-Transducer** parallel phase (baseline policy: start from
+  every state, enumerate Γ on divergence, never eliminate, never
+  switch data structures),
+* the **GAP transducer** parallel phase (feasible-table policy:
+  grammar-restricted starts and divergences, dynamic path elimination,
+  runtime data-structure switching), or
+* the **speculative GAP** parallel phase (same, plus replace-semantics
+  at post-divergence checks and path *revival* that enables selective
+  reprocessing).
+
+Live paths are grouped into :class:`~repro.transducer.doubletree.PathGroup`
+objects, organised into **cohorts** (one chain per synchronisation
+lineage — the main chain plus any speculative restarts).  All groups
+of a cohort share their local stack depth, so a cohort's groups always
+underflow together; each underflow closes the cohort's current
+*segment* (see :mod:`repro.transducer.mapping`) and reopens it keyed
+by the enumerated pop candidates.
 
 Two execution regimes, switched per token:
 
-* **multi-path phase** — an exact port of the object runner's loop:
-  cohorts of :class:`~repro.transducer.doubletree.PathGroup` objects
-  advance in lockstep, with feasibility checks answered from
-  precompiled per-symbol rows (``bytes`` bitmaps indexed by state)
-  instead of frozenset membership, and DFA moves from one flat
-  ``array('i')`` lookup instead of two dict probes;
+* **multi-path phase** — cohorts of path groups advance in lockstep,
+  with feasibility checks answered from precompiled per-symbol rows
+  (``bytes`` bitmaps indexed by state) and DFA moves from one flat
+  ``array('i')`` lookup;
 * **single-stack fast loop** — entered whenever exactly one path is
   live with switching enabled and no post-divergence check pending
   (the "executes exactly like a sequential pushdown transducer" state
@@ -24,20 +39,17 @@ Two execution regimes, switched per token:
   all; it exits to the multi-path code on stack underflow (the next
   divergence) without consuming the underflowing token.
 
-Equivalence with the object kernel is *structural*, not just
-observational: both kernels build their results from the same
-``PathGroup`` / ``Cohort`` / ``Segment`` types with identical event
-ordering and identical :class:`~repro.transducer.counters.WorkCounters`
-accounting, so the differential suite can assert equality on matches
-**and** stats.  The object runner stays in the tree as the oracle
-(``--kernel object``).
+Work accounting: every token adds either one stack-mode step or one
+tree-mode step weighted by the number of live groups.  These counters
+drive the simulated-cluster speedup model (DESIGN.md §2), and the test
+suite pins them, with the matches, to an object-graph interpreter of
+the same semantics (``tests/object_kernel.py``).
 
 A runner is built either from precompiled :class:`KernelTables`
 (shipped to workers by the pipeline) or compiles them on construction
-through the structural cache.  Policies the compiler does not
-recognise (custom :class:`PathPolicy` subclasses with dynamic hooks)
-are *not* compilable — :func:`tables_for_policy` returns ``None`` and
-the pipeline silently falls back to the object kernel for them.
+through the structural cache.  Only the policies whose hooks are pure
+table or constant lookups compile; :func:`tables_for_policy` refuses
+any other :class:`PathPolicy` subclass, so the pipeline does too.
 """
 
 from __future__ import annotations
@@ -45,6 +57,7 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left
 from collections.abc import Iterable
+from dataclasses import dataclass, field
 
 from ..obs.journal import NULL_JOURNAL
 from ..obs.logsetup import get_logger
@@ -57,19 +70,42 @@ from ..transducer.policies import (
     BaselinePolicy,
     PathPolicy,
 )
-from ..transducer.runner import _LiveCohort, spawn_states_arg
 from ..xmlstream.tokens import Token, TokenKind
 from ..xpath.automaton import QueryAutomaton
 from ..xpath.compile_tables import KernelTables, compiled_tables
 from ..xpath.events import close, hit
+from .engine import EngineError
 from .gap_transducer import GapPolicy
 
-__all__ = ["DenseRunner", "tables_for_policy"]
+__all__ = ["DenseRunner", "spawn_states_arg", "tables_for_policy"]
 
 logger = get_logger("core.kernel")
 
 _START = int(TokenKind.START)
 _END = int(TokenKind.END)
+
+#: state lists longer than this are journalled as a count only
+_MAX_JOURNAL_STATES = 16
+
+
+def spawn_states_arg(states) -> dict:
+    """The ``path_spawn`` args snapshot for a starting-state set.
+
+    Small sets are recorded verbatim (they are what ``repro explain``
+    replays); larger ones only as a count, to keep events bounded.
+    """
+    states = sorted(states)
+    if len(states) <= _MAX_JOURNAL_STATES:
+        return {"live": len(states), "states": states}
+    return {"live": len(states)}
+
+
+@dataclass(slots=True)
+class _LiveCohort:
+    """A cohort still executing: its finished segments + live groups."""
+
+    cohort: Cohort
+    groups: list[PathGroup] = field(default_factory=list)
 
 
 def tables_for_policy(
@@ -77,13 +113,13 @@ def tables_for_policy(
     policy: PathPolicy,
     anchor_sids: frozenset[int] = frozenset(),
     journal=NULL_JOURNAL,
-) -> KernelTables | None:
+) -> KernelTables:
     """Compile (and cache) dense tables for a recognised policy.
 
     Only the concrete policies whose hooks are pure table/constant
     lookups compile; an unrecognised :class:`PathPolicy` subclass may
-    implement arbitrary dynamic hooks, so it returns ``None`` ("not
-    compilable — use the object kernel").  The *exact*-type check is
+    implement arbitrary dynamic hooks, so it raises
+    :class:`~repro.core.engine.EngineError`.  The *exact*-type check is
     deliberate: a subclass overriding one hook must not silently lose
     that override to the dense port of its parent.
     """
@@ -92,16 +128,19 @@ def tables_for_policy(
         return compiled_tables(automaton, None, anchor_sids, journal=journal)
     if t is GapPolicy:
         return compiled_tables(automaton, policy.table, anchor_sids, journal=journal)
-    return None
+    raise EngineError(
+        f"policy {t.__name__} does not compile to kernel tables: the "
+        "kernel runs BaselinePolicy, PathPolicy and GapPolicy themselves, "
+        "not subclasses that may override a hook"
+    )
 
 
 class DenseRunner:
     """Table-driven chunk executor (see module docstring).
 
-    Same construction signature and ``run_chunk`` contract as
-    :class:`~repro.transducer.runner.ChunkRunner`, plus an optional
-    precompiled ``tables`` argument so pipeline workers skip
-    compilation entirely.
+    ``tables`` are the precompiled :class:`KernelTables` pipeline
+    workers receive, so they skip compilation entirely; without them
+    the runner compiles its own (:func:`tables_for_policy`).
     """
 
     def __init__(
@@ -114,11 +153,6 @@ class DenseRunner:
     ) -> None:
         if tables is None:
             tables = tables_for_policy(automaton, policy, anchor_sids)
-            if tables is None:
-                raise ValueError(
-                    f"policy {type(policy).__name__} is not compilable to dense "
-                    "tables; use the object kernel (ChunkRunner) instead"
-                )
         self.automaton = automaton
         self.policy = policy
         self.anchor_sids = anchor_sids
@@ -144,10 +178,13 @@ class DenseRunner:
         start_states: frozenset[int] | None = None,
         journal=NULL_JOURNAL,
     ) -> ChunkResult:
-        """Process one chunk; mirrors ``ChunkRunner.run_chunk`` exactly.
+        """Process one chunk; return its segmented mappings and counters.
 
-        ``journal`` records path-lifecycle events at the same sites the
-        object runner does; the fast loops are never instrumented per
+        ``start_states`` overrides the policy's scenario-1 inference —
+        used for chunk 0, which always starts from the known initial
+        configuration.  ``journal`` records path-lifecycle events
+        (spawn/kill/converge/switch) at check, divergence, merge and
+        switch sites only; the fast loops are never instrumented per
         token (they only run while no lifecycle event is possible), so
         the default :data:`~repro.obs.journal.NULL_JOURNAL` costs
         nothing.  With a memo attached, span-granular ``memo_hit`` /
@@ -256,8 +293,8 @@ class DenseRunner:
                 # paths.  `diff` counts stack positions where the two
                 # stacks disagree, maintained O(1) per push/pop — the
                 # two paths converge at a pop exactly when diff == 0
-                # (identical stacks ⇒ identical popped values ⇒ the
-                # object kernel's merge_groups key collision), so the
+                # (identical stacks ⇒ identical popped values ⇒ a
+                # merge_groups key collision), so the
                 # per-pop O(depth) stack-tuple comparison disappears.
                 # Convergence and underflow both exit to the general
                 # loop, which performs the actual merge / divergence.

@@ -40,12 +40,12 @@ from __future__ import annotations
 import re
 
 from ..xmlstream.tokens import Token, TokenKind
+from ..xpath.parser import is_name
 
 __all__ = ["DEFAULT_ROOT", "IncrementalJSONTokenizer", "JSONError"]
 
 DEFAULT_ROOT = "json"
 
-_NAME_RE = re.compile(r"[A-Za-z_][\w.\-]*\Z")
 _WS = " \t\r\n"
 _NUMBER_RE = re.compile(r"-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][+-]?\d+)?")
 
@@ -273,7 +273,7 @@ class IncrementalJSONTokenizer:
         decoded, j = res
         at = self._base + i
         if self._mode == "key_string":
-            if not _NAME_RE.match(decoded):
+            if not is_name(decoded):
                 raise JSONError(
                     f"member key {decoded!r} is not usable as an element name",
                     at,

@@ -42,7 +42,8 @@ from ..grammar.model import (
     Repeat,
     UNBOUNDED,
 )
-from .incremental import _NAME_RE, DEFAULT_ROOT
+from ..xpath.parser import is_name
+from .incremental import DEFAULT_ROOT
 
 __all__ = ["JSONSchemaError", "json_schema_to_grammar"]
 
@@ -128,7 +129,7 @@ class _Lowering:
             if "patternProperties" in schema:
                 raise JSONSchemaError("patternProperties is unsupported")
             for prop, sub in schema.get("properties", {}).items():
-                if not _NAME_RE.match(prop):
+                if not is_name(prop):
                     raise JSONSchemaError(
                         f"property {prop!r} is not usable as an element name"
                     )

@@ -25,7 +25,9 @@ scalar array items / roots), which the token-mode pipeline's boundary
 placement accounts for.
 
 So that XPath queries can name members, keys must be query-compatible
-names (``[A-Za-z_][\\w.-]*``); a document with other keys raises
+names (:func:`repro.xpath.parser.is_name`: a letter of any script or
+``_``, then letters, digits, combining marks, ``_``, ``.``, ``-`` or
+``·``); a document with other keys raises
 :class:`JSONError` (mapping arbitrary keys is an escaping policy, out
 of scope).
 """

@@ -9,7 +9,7 @@ does).
 
 Noteworthy events and their levels:
 
-* ``DEBUG`` on ``repro.transducer.runner`` — per-check path-elimination
+* ``DEBUG`` on ``repro.core.kernel`` — per-check path-elimination
   and divergence events (guarded so the hot loop pays one
   ``isEnabledFor`` per chunk when disabled);
 * ``DEBUG`` on ``repro.transducer.join`` — join-time misspeculations

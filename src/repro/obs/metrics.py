@@ -383,7 +383,7 @@ def collect_run_metrics(
                 "Dense-table compile cache misses (process-wide)").inc(cache["misses"])
     memo = cache["memo"]
     reg.counter("repro_memo_hits_total",
-                "Structural memo replays in the dense kernel (process-wide)"
+                "Structural memo replays in the kernel (process-wide)"
                 ).inc(memo["hits"])
     reg.counter("repro_memo_misses_total",
                 "Structural memo lookups that recorded a new entry "

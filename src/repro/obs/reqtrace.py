@@ -32,8 +32,7 @@ Zero-overhead contract (mirrors :class:`~repro.obs.tracer.NullTracer`):
 when request tracing is disabled the scheduler carries the
 :data:`NULL_REQUEST_TRACE` singleton, whose ``mark`` is a constant
 no-op — per request the disabled path costs a handful of attribute
-lookups and no allocation, proven within the CI overhead gate
-(``benchmarks/bench_obs_overhead.py``).
+lookups and no allocation.
 """
 
 from __future__ import annotations

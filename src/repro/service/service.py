@@ -97,9 +97,7 @@ class ServiceConfig:
 
     backend: str = "thread"
     n_chunks: int = 8
-    kernel: str = "dense"
-    #: structural-repetition memoization in the dense kernel, opt-in
-    #: (no effect on the object kernel)
+    #: structural-repetition memoization in the kernel, opt-in
     memo: bool = False
     max_queue: int = 64
     max_batch: int = 16
@@ -268,7 +266,6 @@ class QueryService:
             chunk_bytes=self.config.stream_chunk_bytes,
             delta_buffer=self.config.stream_delta_buffer,
             max_streams=self.config.max_streams,
-            kernel=self.config.kernel,
             memo=self.config.memo,
         )
         self._closed = False
@@ -566,7 +563,6 @@ class QueryService:
             grammar=doc.grammar,
             n_chunks=doc.n_chunks,
             backend=self._backend,  # shared instance: service-owned
-            kernel=self.config.kernel,
             memo=self.config.memo,
             resilience=self._resilience,
             sample=self._engine_sample,
@@ -719,7 +715,7 @@ class QueryService:
             memo = cache["memo"]
             self.metrics.gauge(
                 "repro_service_memo_hits",
-                "Structural memo replays in the dense kernel (process-wide)",
+                "Structural memo replays in the kernel (process-wide)",
             ).set(memo["hits"])
             self.metrics.gauge(
                 "repro_service_memo_misses",

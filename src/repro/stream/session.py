@@ -35,7 +35,7 @@ bounded-memory stream does not keep (the batch engines serve those).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.engine import GapEngine
 from ..jsonstream.incremental import IncrementalJSONTokenizer
@@ -173,7 +173,6 @@ class StreamSession:
         kind: str = "xml",
         root_name: str = DEFAULT_ROOT,
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-        kernel: str = "dense",
         memo: bool = False,
         journal: Journal | None = None,
         track_matches: bool = True,
@@ -186,8 +185,8 @@ class StreamSession:
         self.root_name = root_name
         self.chunk_bytes = int(chunk_bytes)
         self.journal = journal if journal is not None else NULL_JOURNAL
-        self.engine = GapEngine(queries, grammar=grammar, kernel=kernel,
-                                memo=memo, journal=self.journal)
+        self.engine = GapEngine(queries, grammar=grammar, memo=memo,
+                                journal=self.journal)
         if self.engine.has_value_predicates:
             raise StreamError(
                 "continuous queries cannot use value predicates ([a = 'x']): "

@@ -6,7 +6,6 @@
   path convergence (the baseline's double tree);
 * :mod:`~repro.transducer.policies` — per-variant path policies
   (the PP-Transducer baseline lives here);
-* :mod:`~repro.transducer.runner` — the parallel-phase chunk engine;
 * :mod:`~repro.transducer.pipeline` — split/parallel/join driver;
 * :mod:`~repro.transducer.counters` — work counters for the cost model.
 """
@@ -28,12 +27,10 @@ from .policies import (
     ELIMINATE_PAPER,
     PathPolicy,
 )
-from .runner import ChunkRunner
 
 __all__ = [
     "BaselinePolicy",
     "ChunkResult",
-    "ChunkRunner",
     "Cohort",
     "ELIMINATE_ALWAYS",
     "ELIMINATE_NEVER",

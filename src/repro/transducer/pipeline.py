@@ -5,7 +5,7 @@ Section 2.3:
 
 1. **split** — cut the document into tag-aligned chunks
    (:mod:`repro.xmlstream.chunking`);
-2. **parallel** — run a :class:`~repro.transducer.runner.ChunkRunner`
+2. **parallel** — run the chunk kernel (:class:`repro.core.kernel.DenseRunner`)
    on every chunk through an execution backend; chunk 0 starts from
    the known initial configuration, the rest from whatever the policy
    allows;
@@ -37,22 +37,13 @@ from .counters import WorkCounters
 from .machine import run_sequential
 from .mapping import ChunkResult, join_results
 from .policies import BaselinePolicy, PathPolicy
-from .runner import ChunkRunner
 
 __all__ = [
-    "KERNELS",
     "ParallelRunResult",
     "ParallelPipeline",
     "run_pp_transducer",
     "run_sequential_pipeline",
 ]
-
-#: chunk-executor implementations: the dense table-driven kernel
-#: (:mod:`repro.core.kernel`, the default) and the object-graph
-#: interpreter (:class:`~repro.transducer.runner.ChunkRunner`, retained
-#: as the differential oracle)
-KERNELS = ("dense", "object")
-
 
 @dataclass(slots=True)
 class ParallelRunResult:
@@ -86,11 +77,10 @@ class _Ctx:
     #: still honours ``REPRO_FAULTS``, ``NO_FAULTS`` disables injection
     #: entirely (the resilience fallback runs with the latter)
     faults: FaultPlane | None = None
-    #: precompiled dense tables (:class:`repro.xpath.compile_tables.KernelTables`)
-    #: — ``None`` selects the object kernel; typed loosely to keep this
-    #: module import-free of :mod:`repro.core`
-    tables: object | None = None
-    #: structural-repetition memoization for the dense kernel: workers
+    #: precompiled kernel tables (:class:`repro.xpath.compile_tables.KernelTables`)
+    #: — typed loosely to keep this module import-free of :mod:`repro.core`
+    tables: object = None
+    #: structural-repetition memoization for the kernel: workers
     #: resolve the shared per-tables :class:`repro.xpath.subseq.MemoTable`
     #: from their process-local registry (the table itself holds a lock
     #: and is not shipped)
@@ -115,19 +105,17 @@ def _skip_leading_end(tokens, begin: int):
 
 
 def _make_runner(automaton, policy, anchor_sids, tables, memo=False):
-    """Instantiate the chunk executor a compiled-tables value selects."""
-    if tables is not None:
-        # deferred import: repro.core imports this module at load time
-        from ..core.kernel import DenseRunner
+    """Instantiate the chunk kernel over precompiled tables."""
+    # deferred import: repro.core imports this module at load time
+    from ..core.kernel import DenseRunner
 
-        memo_table = None
-        if memo:
-            from ..xpath.subseq import memo_for_tables
+    memo_table = None
+    if memo:
+        from ..xpath.subseq import memo_for_tables
 
-            memo_table = memo_for_tables(tables)
-        return DenseRunner(automaton, policy, anchor_sids, tables=tables,
-                           memo=memo_table)
-    return ChunkRunner(automaton, policy, anchor_sids)
+        memo_table = memo_for_tables(tables)
+    return DenseRunner(automaton, policy, anchor_sids, tables=tables,
+                       memo=memo_table)
 
 
 def _run_one_chunk(ctx: _Ctx, chunk: Chunk, attempt: int = 0) -> ChunkResult:
@@ -191,10 +179,7 @@ def _run_one_chunk_body(ctx: _Ctx, chunk: Chunk, attempt: int = 0) -> ChunkResul
             tokens, chunk.index, chunk.begin, chunk.end,
             start_states=start, journal=jr,
         )
-        _snapshot_chunk_counters(
-            sp, result.counters,
-            kernel="dense" if ctx.tables is not None else "object",
-        )
+        _snapshot_chunk_counters(sp, result.counters)
     result.spans = tracer.spans
     if jr.enabled:
         result.journal = list(jr.events)
@@ -238,7 +223,7 @@ def _validate_chunk_result(result: object, chunk: Chunk) -> str | None:
     return None
 
 
-def _snapshot_chunk_counters(span, counters: WorkCounters, kernel: str | None = None) -> None:
+def _snapshot_chunk_counters(span, counters: WorkCounters) -> None:
     """Attach the per-chunk counter snapshot a timeline row needs."""
     span.args.update(
         tokens=counters.total_tokens,
@@ -247,8 +232,6 @@ def _snapshot_chunk_counters(span, counters: WorkCounters, kernel: str | None = 
         divergences=counters.divergences,
         paths_eliminated=counters.paths_eliminated,
     )
-    if kernel is not None:
-        span.args["kernel"] = kernel
 
 
 class ParallelPipeline:
@@ -262,6 +245,10 @@ class ParallelPipeline:
     an incomplete mapping by falling back to the selective-reprocessing
     recovery path instead of raising, so a degraded chunk costs
     re-execution of (at most) itself, never its siblings.
+
+    The policy must compile to kernel tables
+    (:func:`repro.core.kernel.tables_for_policy`); any other raises
+    :class:`repro.core.engine.EngineError` here, at construction.
     """
 
     def __init__(
@@ -273,14 +260,11 @@ class ParallelPipeline:
         tracer: Tracer | None = None,
         resilience: RetryPolicy | None = None,
         faults: FaultPlane | str | None = None,
-        kernel: str = "dense",
         journal: Journal | None = None,
         memo: bool = False,
         sample: float = 0.0,
         profile=None,
     ) -> None:
-        if kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {kernel!r} (choose from {KERNELS})")
         if sample < 0:
             raise ValueError(f"sample rate must be >= 0 Hz, got {sample}")
         self.automaton = automaton
@@ -290,7 +274,6 @@ class ParallelPipeline:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.resilience = resilience
         self.faults = parse_fault_spec(faults) if isinstance(faults, str) else faults
-        self.kernel = kernel
         self.journal = journal if journal is not None else NULL_JOURNAL
         # stack-sampling rate (Hz); the accumulated profile may be
         # caller-owned (engines construct a GAP pipeline per run and
@@ -301,22 +284,17 @@ class ParallelPipeline:
             from ..obs.sampler import SampleProfile
 
             self.profile = SampleProfile()
-        self._tables = None
-        if kernel == "dense":
-            # compile once per pipeline through the structural cache; a
-            # policy the compiler does not recognise yields None and the
-            # pipeline transparently runs the object kernel
-            from ..core.kernel import tables_for_policy
+        # compile once per pipeline through the structural cache
+        from ..core.kernel import tables_for_policy
 
-            self._tables = tables_for_policy(
-                automaton, policy, anchor_sids, journal=self.journal
-            )
-        # structural-repetition memoization (opt-in for the dense
-        # kernel; observationally identical to memo-off — see
-        # :mod:`repro.xpath.subseq`).  Off by default: its planning
-        # costs more than the kernel time it saves, and its tables
-        # keep ~1M objects alive for the GC to walk
-        self.memo = bool(memo) and self._tables is not None
+        self._tables = tables_for_policy(
+            automaton, policy, anchor_sids, journal=self.journal
+        )
+        # structural-repetition memoization (opt-in; observationally
+        # identical to memo-off — see :mod:`repro.xpath.subseq`).  Off
+        # by default: its planning costs more than the kernel time it
+        # saves, and its tables keep ~1M objects alive for the GC to walk
+        self.memo = bool(memo)
 
     def _persist_memo(self) -> None:
         """Write the memo through to the artifact store when warranted."""
@@ -326,7 +304,7 @@ class ParallelPipeline:
             maybe_persist_memo(self._tables)
 
     def chunk_runner(self):
-        """The chunk executor this pipeline's kernel/memo config selects.
+        """The chunk executor this pipeline's memo config selects.
 
         Exposed for callers that drive chunks one at a time instead of
         through :meth:`run`/:meth:`run_tokens` — the streaming
@@ -412,7 +390,7 @@ class ParallelPipeline:
                         tokens[i0:i1], ci, begin, end, start_states=start, journal=journal
                     )
                     if tracer.enabled:
-                        _snapshot_chunk_counters(sp, r.counters, kernel=self.kernel)
+                        _snapshot_chunk_counters(sp, r.counters)
                 results.append(r)
         finally:
             if sampler is not None:
@@ -571,11 +549,10 @@ def run_pp_transducer(
     anchor_sids: frozenset[int] = frozenset(),
     n_chunks: int = 4,
     backend: Backend | None = None,
-    kernel: str = "dense",
 ) -> ParallelRunResult:
     """Run the PP-Transducer baseline (Ogden et al., VLDB'13)."""
     policy = BaselinePolicy(automaton)
-    pipeline = ParallelPipeline(automaton, policy, anchor_sids, backend, kernel=kernel)
+    pipeline = ParallelPipeline(automaton, policy, anchor_sids, backend)
     return pipeline.run(text, n_chunks)
 
 

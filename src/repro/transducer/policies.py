@@ -1,6 +1,6 @@
-"""Path policies — what a chunk runner may assume about execution paths.
+"""Path policies — what the chunk kernel may assume about execution paths.
 
-The chunk runner (:mod:`repro.transducer.runner`) is shared by every
+The chunk kernel (:mod:`repro.core.kernel`) is shared by every
 parallel variant in the paper's evaluation; a :class:`PathPolicy`
 object encapsulates all the differences:
 

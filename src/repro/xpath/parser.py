@@ -23,6 +23,7 @@ as ``self::*``.
 from __future__ import annotations
 
 import re
+import unicodedata
 
 from .ast import (
     Axis,
@@ -38,9 +39,32 @@ from .ast import (
     XPathError,
 )
 
-__all__ = ["parse_xpath", "parse_relative_path"]
+__all__ = ["is_name", "name_end", "parse_xpath", "parse_relative_path"]
 
-_NAME_RE = re.compile(r"[A-Za-z_][\w.\-]*")
+#: the name characters ``re`` can class: alphanumerics of any script,
+#: ``_``, ``.``, ``-`` and ``·``; combining marks are added in name_end
+_NAME_BODY_RE = re.compile(r"[\w.\-\u00b7]*")
+
+
+def name_end(text: str, pos: int) -> int:
+    """End of the name that starts at ``pos``, or ``pos`` if none does.
+
+    A name is a letter of any script (``str.isalpha``) or ``_``, then
+    any of: letters and digits of any script (``str.isalnum``),
+    combining marks (Unicode category M*, e.g. a decomposed accent or
+    a Devanagari vowel sign), ``_``, ``.``, ``-`` and ``·``.
+    """
+    if pos >= len(text) or not (text[pos].isalpha() or text[pos] == "_"):
+        return pos
+    end = _NAME_BODY_RE.match(text, pos + 1).end()
+    while end < len(text) and unicodedata.category(text[end])[0] == "M":
+        end = _NAME_BODY_RE.match(text, end + 1).end()
+    return end
+
+
+def is_name(text: str) -> bool:
+    """Whether all of ``text`` is one name (see :func:`name_end`)."""
+    return bool(text) and name_end(text, 0) == len(text)
 
 _AXES = {
     "child": Axis.CHILD,
@@ -144,9 +168,9 @@ class _Parser:
     def parse_step(self, default_axis: Axis) -> Step:
         axis = default_axis
         self.skip_ws()
-        m = _NAME_RE.match(self.text, self.pos)
-        if m and self.text.startswith("::", m.end()):
-            axis_name = m.group()
+        end = name_end(self.text, self.pos)
+        if end > self.pos and self.text.startswith("::", end):
+            axis_name = self.text[self.pos:end]
             mapped = _AXES.get(axis_name)
             if mapped is None:
                 raise self.error(f"unsupported axis {axis_name!r}")
@@ -158,17 +182,17 @@ class _Parser:
                 axis = Axis.DESCENDANT
             else:
                 axis = mapped
-            self.pos = m.end() + 2
-            m = _NAME_RE.match(self.text, self.pos)
+            self.pos = end + 2
+            end = name_end(self.text, self.pos)
 
         if self.accept("*"):
             name = WILDCARD
         elif self.accept("."):
             name = WILDCARD
             axis = Axis.SELF
-        elif m:
-            name = m.group()
-            self.pos = m.end()
+        elif end > self.pos:
+            name = self.text[self.pos:end]
+            self.pos = end
         else:
             raise self.error("expected a name test")
 

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.datasets import ALL_DATASETS
 from repro.grammar import parse_dtd
+
+
+def non_ascii(text):
+    """Non-ASCII character data before every letter that follows a tag."""
+    return re.sub(r">(?=[A-Za-z])", ">Zoë·東京 𝔛 ", text)
 
 
 #: the paper's running example (Figure 4-a): recursive grammar

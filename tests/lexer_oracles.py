@@ -15,6 +15,7 @@ never imported by it.
 from __future__ import annotations
 
 import re
+import unicodedata
 from collections.abc import Iterator
 
 from repro.jsonstream import DEFAULT_ROOT, JSONError
@@ -233,7 +234,14 @@ def oracle_tag_offsets(text: str) -> Iterator[int]:
 
 # -- JSON --------------------------------------------------------------
 
-_NAME_RE = re.compile(r"[A-Za-z_][\w.\-]*\Z")
+def _is_name(key: str) -> bool:
+    """A letter of any script or ``_``, then letters, digits, combining
+    marks, ``_``, ``.``, ``-`` or ``·`` (checked character by character)."""
+    if not key or not (key[0].isalpha() or key[0] == "_"):
+        return False
+    return all(ch.isalnum() or ch in "_.-\u00b7"
+               or unicodedata.category(ch).startswith("M") for ch in key[1:])
+
 _NUMBER_RE = re.compile(r"-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][+-]?\d+)?")
 
 
@@ -345,7 +353,7 @@ class _Scanner:
             if self.text[key_at] != '"':
                 raise self.error("expected a string key")
             key = self._string()
-            if not _NAME_RE.match(key):
+            if not _is_name(key):
                 raise JSONError(
                     f"member key {key!r} is not usable as an element name", key_at
                 )

@@ -1,78 +1,59 @@
-"""Chunk runner — the parallel-phase engine shared by all variants.
+"""Object-graph chunk kernel: the differential oracle for the dense kernel.
 
-One :class:`ChunkRunner` executes one chunk of the document under a
-:class:`~repro.transducer.policies.PathPolicy`.  Depending on the
-policy it behaves as
-
-* the **PP-Transducer** parallel phase (baseline policy: start from
-  every state, enumerate Γ on divergence, never eliminate, never
-  switch data structures),
-* the **GAP transducer** parallel phase (feasible-table policy:
-  grammar-restricted starts and divergences, dynamic path elimination
-  in the paper's three scenarios, runtime data-structure switching), or
-* the **speculative GAP** parallel phase (same, plus replace-semantics
-  at post-divergence checks and path *revival* that enables selective
-  reprocessing).
+:class:`ChunkRunner` interprets the parallel phase straight from the
+automaton and policy objects — the same semantics as
+:class:`repro.core.kernel.DenseRunner`, with none of its compiled
+tables or fast loops.  The test suite runs both and asserts equality
+on matches, aggregate counters and per-chunk counters
+(``tests/test_kernel_differential.py``).
 
 Live paths are grouped into :class:`~repro.transducer.doubletree.PathGroup`
-objects, organised into **cohorts** (one chain per synchronisation
-lineage — the main chain plus any speculative restarts).  All groups
-of a cohort share their local stack depth, so a cohort's groups always
-underflow together; each underflow closes the cohort's current
-*segment* (see :mod:`repro.transducer.mapping`) and reopens it keyed
-by the enumerated pop candidates.  This keeps the chunk's mapping
-table linear in (#segments × #states) rather than exponential in the
-number of divergences.
+objects, organised into cohorts (one chain per synchronisation lineage
+— the main chain plus any speculative restarts).  All groups of a
+cohort share their local stack depth, so a cohort's groups always
+underflow together; each underflow closes the cohort's current segment
+and reopens it keyed by the enumerated pop candidates.
 
-Work accounting: every token adds either one stack-mode step (a single
-live path with switching enabled — the configuration in which a GAP
-transducer "executes exactly like a sequential pushdown transducer")
-or one tree-mode step weighted by the number of live groups.  These
-counters drive the simulated-cluster speedup model (DESIGN.md §2).
+:func:`object_kernel` swaps the oracle into every pipeline built inside
+it by patching :func:`repro.transducer.pipeline._make_runner`; the
+patch lives in this process only, so it covers the serial and thread
+backends, not a process pool.
 """
 
 from __future__ import annotations
 
 import logging
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from contextlib import contextmanager
 
-from ..obs.journal import NULL_JOURNAL
-from ..obs.logsetup import get_logger
-from ..xpath.automaton import QueryAutomaton
-from ..xpath.events import close, hit
-from ..xmlstream.tokens import Token, TokenKind
-from .counters import WorkCounters
-from .doubletree import PathGroup, merge_groups, segment_entries
-from .mapping import ChunkResult, Cohort, Segment
-from .policies import ELIMINATE_ALWAYS, ELIMINATE_NEVER, PathPolicy
+import pytest
 
-__all__ = ["ChunkRunner", "spawn_states_arg"]
+from repro.core.kernel import _LiveCohort, spawn_states_arg
+from repro.obs.journal import NULL_JOURNAL
+from repro.obs.logsetup import get_logger
+from repro.transducer import pipeline
+from repro.transducer.counters import WorkCounters
+from repro.transducer.doubletree import PathGroup, merge_groups, segment_entries
+from repro.transducer.mapping import ChunkResult, Cohort, Segment
+from repro.transducer.policies import ELIMINATE_ALWAYS, ELIMINATE_NEVER, PathPolicy
+from repro.xmlstream.tokens import Token, TokenKind
+from repro.xpath.automaton import QueryAutomaton
+from repro.xpath.events import close, hit
 
-logger = get_logger("transducer.runner")
+__all__ = ["ChunkRunner", "object_kernel"]
 
-#: state lists longer than this are journalled as a count only
-_MAX_JOURNAL_STATES = 16
-
-
-def spawn_states_arg(states) -> dict:
-    """The ``path_spawn`` args snapshot for a starting-state set.
-
-    Small sets are recorded verbatim (they are what ``repro explain``
-    replays); larger ones only as a count, to keep events bounded.
-    """
-    states = sorted(states)
-    if len(states) <= _MAX_JOURNAL_STATES:
-        return {"live": len(states), "states": states}
-    return {"live": len(states)}
+logger = get_logger("transducer.object_kernel")
 
 
-@dataclass(slots=True)
-class _LiveCohort:
-    """A cohort still executing: its finished segments + live groups."""
+@contextmanager
+def object_kernel():
+    """Run every pipeline chunk inside the block on :class:`ChunkRunner`."""
+    def make_runner(automaton, policy, anchor_sids, tables, memo=False):
+        return ChunkRunner(automaton, policy, anchor_sids)
 
-    cohort: Cohort
-    groups: list[PathGroup] = field(default_factory=list)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_make_runner", make_runner)
+        yield
 
 
 class ChunkRunner:

@@ -14,8 +14,6 @@ from repro.bench import (
     run_experiment,
     run_version,
 )
-from repro.bench.kernel_bench import _gate_one, discover_baselines
-from repro.bench.memo_bench import memo_gate_failures
 from repro.core.engine import GapEngine, PPTransducerEngine, SequentialEngine
 from repro.datasets import dataset_by_name
 
@@ -89,91 +87,6 @@ class TestGeomean:
     def test_ignores_nonpositive(self):
         assert geomean([4.0, 0.0]) == pytest.approx(4.0)
         assert geomean([]) == 0.0
-
-
-class TestBaselineDiscovery:
-    def test_orders_by_pr_number(self, tmp_path):
-        # creation order is deliberately scrambled; numeric order must win
-        for name in ("BENCH_12.json", "BENCH_3.json", "BENCH_8.json"):
-            (tmp_path / name).write_text("{}")
-        names = [p.split("/")[-1] for p in discover_baselines(str(tmp_path))]
-        assert names == ["BENCH_3.json", "BENCH_8.json", "BENCH_12.json"]
-
-    def test_non_numeric_sorts_last(self, tmp_path):
-        for name in ("BENCH_extra.json", "BENCH_8.json"):
-            (tmp_path / name).write_text("{}")
-        names = [p.split("/")[-1] for p in discover_baselines(str(tmp_path))]
-        assert names == ["BENCH_8.json", "BENCH_extra.json"]
-
-    def test_empty_directory(self, tmp_path):
-        assert discover_baselines(str(tmp_path)) == []
-
-    def test_repo_baselines_cover_both_kernel_kinds(self):
-        import json
-        import os
-
-        root = os.path.join(os.path.dirname(__file__), "..")
-        kinds = set()
-        for path in discover_baselines(root):
-            with open(path, encoding="utf-8") as fh:
-                kinds.add(json.load(fh).get("benchmark", "kernel_throughput"))
-        assert {"kernel_throughput", "memo_speedup"} <= kinds
-
-
-class TestMemoGate:
-    CURRENT = {"memo_over_plain": 1.8}
-
-    def test_passes_against_equal_baseline(self):
-        baseline = {"memo_over_plain": 1.8, "min_ratio": 1.5}
-        assert memo_gate_failures(self.CURRENT, baseline) == []
-
-    def test_passes_within_threshold(self):
-        baseline = {"memo_over_plain": 2.0, "min_ratio": 1.5}
-        assert memo_gate_failures(self.CURRENT, baseline, threshold=0.15) == []
-
-    def test_fails_on_relative_regression(self):
-        baseline = {"memo_over_plain": 2.4, "min_ratio": 1.5}
-        failures = memo_gate_failures(self.CURRENT, baseline, threshold=0.15)
-        assert len(failures) == 1
-        assert "regressed" in failures[0]
-
-    def test_fails_below_recorded_floor(self):
-        baseline = {"memo_over_plain": 1.8, "min_ratio": 1.9}
-        failures = memo_gate_failures(self.CURRENT, baseline)
-        assert len(failures) == 1
-        assert "floor" in failures[0]
-
-    def test_missing_fields_do_not_gate(self):
-        assert memo_gate_failures(self.CURRENT, {}) == []
-
-
-class TestGateDispatch:
-    MEASURED = {
-        "kernel_throughput": {"dense_over_object": 3.0},
-        "memo_speedup": {"memo_over_plain": 2.0},
-    }
-
-    def test_dispatches_kernel_throughput(self):
-        baseline = {"benchmark": "kernel_throughput", "dense_over_object": 3.0}
-        assert _gate_one(self.MEASURED, baseline, "BENCH_3.json", 0.15) == []
-        bad = {"benchmark": "kernel_throughput", "min_ratio": 99.0}
-        assert _gate_one(self.MEASURED, bad, "BENCH_3.json", 0.15)
-
-    def test_dispatches_memo_speedup(self):
-        baseline = {"benchmark": "memo_speedup", "memo_over_plain": 2.0}
-        assert _gate_one(self.MEASURED, baseline, "BENCH_8.json", 0.15) == []
-        bad = {"benchmark": "memo_speedup", "min_ratio": 99.0}
-        assert _gate_one(self.MEASURED, bad, "BENCH_8.json", 0.15)
-
-    def test_legacy_baseline_defaults_to_kernel_throughput(self):
-        # pre-PR8 baselines carry no "benchmark" field
-        baseline = {"dense_over_object": 3.0}
-        assert _gate_one(self.MEASURED, baseline, "BENCH_3.json", 0.15) == []
-
-    def test_unmeasured_kind_is_a_failure(self):
-        baseline = {"benchmark": "memo_speedup", "memo_over_plain": 2.0}
-        failures = _gate_one({"kernel_throughput": {}}, baseline, "B.json", 0.15)
-        assert failures and "no measurement" in failures[0]
 
 
 class TestReporting:

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import re
-
 import pytest
 
 from repro.datasets import ALL_DATASETS
 from repro.xmlstream import LexError, lex, lex_range, split_at_offsets, split_chunks
 
+from tests.conftest import non_ascii
 from tests.lexer_oracles import oracle_split_chunks
 
 
@@ -100,11 +99,6 @@ def outcome(split, text, n_chunks):
         return split(text, n_chunks)
     except LexError as exc:
         return ("LexError", str(exc), exc.offset)
-
-
-def non_ascii(text):
-    """Non-ASCII character data before every letter that follows a tag."""
-    return re.sub(r">(?=[A-Za-z])", ">Zoë·東京 𝔛 ", text)
 
 
 #: constructs whose inside holds '<' and '>' a split must not cut at

@@ -32,10 +32,16 @@ import os
 import subprocess
 import sys
 import textwrap
+from contextlib import nullcontext
 
 from repro import GapEngine
 from repro.datasets import DocumentGenerator
 from repro.grammar import parse_dtd
+
+from tests.object_kernel import object_kernel
+
+#: the production kernel, then the oracle
+KERNELS = (("dense", nullcontext), ("object", object_kernel))
 
 DTD = "<!ELEMENT a (b+, c)> <!ELEMENT b (c*)> <!ELEMENT c (#PCDATA)>"
 QUERIES = ["/a/b/c", "//c", "//*[b]"]
@@ -51,8 +57,8 @@ def _workload() -> tuple[str, str]:
     return train, xml
 
 
-def _make_engine(train: str, kernel: str = "dense") -> GapEngine:
-    engine = GapEngine(QUERIES, kernel=kernel)
+def _make_engine(train: str) -> GapEngine:
+    engine = GapEngine(QUERIES)
     engine.learner.observe_prefix(train, 0.5)  # tiny, wrong prior
     return engine
 
@@ -68,19 +74,21 @@ def _fingerprint(result) -> dict:
 class TestSpeculationDeterminism:
     def test_double_run_same_engine(self):
         train, xml = _workload()
-        for kernel in ("dense", "object"):
-            engine = _make_engine(train, kernel)
-            first = _fingerprint(engine.run(xml, n_chunks=N_CHUNKS))
-            second = _fingerprint(engine.run(xml, n_chunks=N_CHUNKS))
+        for kernel, on_kernel in KERNELS:
+            engine = _make_engine(train)
+            with on_kernel():
+                first = _fingerprint(engine.run(xml, n_chunks=N_CHUNKS))
+                second = _fingerprint(engine.run(xml, n_chunks=N_CHUNKS))
             assert first == second, kernel
             # sanity: the prior really is wrong enough to speculate
             assert first["counters"]["degraded_lookups"] >= 0
 
     def test_fresh_engines_agree(self):
         train, xml = _workload()
-        for kernel in ("dense", "object"):
-            a = _fingerprint(_make_engine(train, kernel).run(xml, n_chunks=N_CHUNKS))
-            b = _fingerprint(_make_engine(train, kernel).run(xml, n_chunks=N_CHUNKS))
+        for kernel, on_kernel in KERNELS:
+            with on_kernel():
+                a = _fingerprint(_make_engine(train).run(xml, n_chunks=N_CHUNKS))
+                b = _fingerprint(_make_engine(train).run(xml, n_chunks=N_CHUNKS))
             assert a == b, kernel
 
     def test_hash_seed_sweep(self):
@@ -98,7 +106,7 @@ class TestSpeculationDeterminism:
                                       repeat_range=(0, 3)).generate(include_prolog=False)
             xml = DocumentGenerator(grammar, seed=22, max_depth=7,
                                     repeat_range=(0, 3)).generate(include_prolog=False)
-            engine = GapEngine(queries, kernel="dense")
+            engine = GapEngine(queries)
             engine.learner.observe_prefix(train, 0.5)
             result = engine.run(xml, n_chunks=n_chunks)
             print(json.dumps({

@@ -14,6 +14,7 @@ from repro import (
     query,
 )
 from repro.grammar import sample_partial_grammar
+from repro.xpath import XPathError
 
 from tests.conftest import FEED_DTD, FEED_XML
 
@@ -55,6 +56,43 @@ class TestEngineConstruction:
     def test_n_subqueries_exposed(self):
         engine = SequentialEngine(["/feed/entry[title]/id", "//id"])
         assert engine.n_subqueries == 4
+
+
+class TestNonAsciiNames:
+    """Name tests may start with a letter of any script, as XML names do,
+    and go on with combining marks and '·'."""
+
+    DOC = ("<été><東京><𝔛>Zoë</𝔛><aé/></東京><東京><𝔛/></東京>"
+           "<𝔛>x</𝔛><e\u0301te\u0301/><हिंदी><a·b/></हिंदी></été>")
+    QUERIES = ["//été", "//東京", "//𝔛", "/été/東京/𝔛", "//aé",
+               "//e\u0301te\u0301", "//हिंदी/a·b"]
+
+    def test_xml_names_match_the_dom_oracle(self):
+        from repro.xmlstream import lex
+        from repro.xpath import build_document, evaluate_offsets
+
+        dom = build_document(lex(self.DOC))
+        for engine in (GapEngine(self.QUERIES, n_chunks=3),
+                       PPTransducerEngine(self.QUERIES, n_chunks=3),
+                       SequentialEngine(self.QUERIES)):
+            got = engine.run(self.DOC).matches
+            for q in self.QUERIES:
+                assert got[q] == evaluate_offsets(dom, q), (type(engine).__name__, q)
+        assert GapEngine(["//𝔛"]).run(self.DOC).count("//𝔛") == 3
+        assert all(GapEngine(self.QUERIES).run(self.DOC).count(q) for q in self.QUERIES)
+
+    @pytest.mark.parametrize("query", ["//²a", "//½", "//Ⅻ", "//\u0301e"])
+    def test_names_start_with_a_letter(self, query):
+        # alphanumeric but not letters ('²', '½', 'Ⅻ'), or a lone combining mark
+        with pytest.raises(XPathError, match="expected a name test"):
+            GapEngine([query])
+
+    def test_json_key(self):
+        from repro.jsonstream import tokenize_json
+
+        tokens = tokenize_json('{"été": 1, "id": {"été": [2, 3]}}')
+        got = SequentialEngine(["/json/été", "//été"]).run_tokens(tokens)
+        assert got.matches == {"/json/été": [1], "//été": [1, 26, 29]}
 
 
 class TestQueryResult:

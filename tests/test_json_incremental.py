@@ -37,6 +37,11 @@ DOCS = [
     # non-ASCII: raw characters beside \u escapes of the same text
     '{"name": "Zoë Ñandú", "city": "東京", "esc": "Zo\\u00eb \\u6771\\u4eac"}',
     '["π ≈ 3.14", "\\u03c0 raw π", {"k": "☃\\u2603☃"}, "é\\"é"]',
+    # keys may start with a letter of any script
+    '{"été": {"東京": [1, 2], "𝔛_1": null}}',
+    # ... and go on with combining marks (decomposed é, a Devanagari
+    # vowel sign) and '·'
+    '{"e\u0301te\u0301": {"हिंदी": 1, "a·b": 2}}',
 ]
 
 BAD_DOCS = [
@@ -50,7 +55,10 @@ BAD_DOCS = [
     '{"a": nul}',
     '-',
     '[',
-    '{"é": 1}',
+    # a key must start with a letter or '_': '·' is neither
+    '{"·é": 1}',
+    # '²' is alphanumeric (a digit) but not a letter
+    '{"²a": 1}',
     '["naïve \\u00',
     '{"k": "ü\\',
     '"\\q"',

@@ -2,7 +2,7 @@
 
 The dense table-driven chunk kernel (:class:`repro.core.kernel.DenseRunner`)
 must be *observationally identical* to the object-graph interpreter
-(:class:`repro.transducer.runner.ChunkRunner`) — not just on matches but
+(:class:`tests.object_kernel.ChunkRunner`) — not just on matches but
 on every counter the run statistics report (token/path-step/switch/
 convergence/divergence accounting), because the stats pages regenerate
 the paper's tables from those numbers.  And both must agree with the
@@ -11,14 +11,16 @@ DOM reference oracle (:func:`repro.xpath.evaluate_offsets`) on matches.
 Three layers of evidence:
 
 * a **seeded corpus sweep** — deterministic documents from fixed finite
-  DTDs, run through every engine configuration (complete grammar,
-  sampled partial grammar, no grammar, PP baseline, both ablation
-  knobs) across chunk counts 1, 2 and 7;
+  DTDs (one with non-ASCII element names and character data), run
+  through every engine configuration (complete grammar, sampled
+  partial grammar, no grammar, PP baseline, both ablation knobs)
+  across chunk counts 1, 2 and 7;
 * a **property-based sweep** — hypothesis-generated grammars, documents
   and queries (reusing the strategies of ``test_properties``), budget
   adjustable via ``REPRO_HYP_MAX_EXAMPLES`` for the nightly CI job;
-* a **backend sweep** — serial and thread inline, process pools under
-  the ``slow`` marker.
+* a **backend sweep** — serial and thread inline; under the ``slow``
+  marker, the dense kernel on a process pool against the oracle on the
+  serial backend (the oracle is patched into this process only).
 
 Chunk counts {1, 2, 7} are deliberate: the degenerate single chunk, the
 minimal parallel split, and a count that does not divide typical
@@ -34,11 +36,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import GapEngine, PPTransducerEngine
+from repro.core import DenseRunner
 from repro.datasets import DocumentGenerator
 from repro.grammar import parse_dtd, sample_partial_grammar
 from repro.xmlstream import lex
 from repro.xpath import build_document, evaluate_offsets
 
+from tests.conftest import non_ascii
+from tests.object_kernel import ChunkRunner, object_kernel
 from tests.test_properties import documents, queries
 
 CHUNK_COUNTS = (1, 2, 7)
@@ -54,43 +59,64 @@ HYP = settings(
 )
 
 #: finite DTDs (the document generator requires finitely derivable
-#: grammars) with nesting, repetition, choice and dead declarations
+#: grammars) with nesting, repetition, choice and dead declarations, as
+#: (DTD, queries, transform of each generated document)
 CORPUS = [
     (
         "<!ELEMENT a (b+, c)> <!ELEMENT b (c*)> <!ELEMENT c (#PCDATA)>",
         ["/a/b/c", "//c", "//b//c", "//*[b]", "/a/*"],
+        None,
     ),
     (
         "<!ELEMENT r (x*, y?)> <!ELEMENT x (y, y)> <!ELEMENT y (#PCDATA)>",
         ["/r/x/y", "//y", "/r/*", "//x[y]"],
+        None,
     ),
     (
         "<!ELEMENT m (m | n)*> <!ELEMENT n (#PCDATA)>",
         ["//m/n", "/m//n", "//*"],
+        None,
+    ),
+    (
+        "<!ELEMENT été (東京+, 𝔛?)> <!ELEMENT 東京 (ñu*, 𝔛, 東京?)>"
+        " <!ELEMENT ñu (#PCDATA)> <!ELEMENT 𝔛 (#PCDATA)>",
+        ["//東京/𝔛", "/été/東京//ñu", "//𝔛", "/été/*", "//東京[ñu]"],
+        non_ascii,
     ),
 ]
+CORPUS_IDS = ["seq", "nested", "recursive", "non-ascii"]
+
+
+def corpus_document(grammar, seed, transform=None):
+    xml = DocumentGenerator(grammar, seed=seed, max_depth=7,
+                            repeat_range=(0, 3)).generate(include_prolog=False)
+    return transform(xml) if transform else xml
 
 
 def configs_for(qs, grammar, partial):
-    """The engine configurations under test, as (name, kernel → engine)."""
+    """The engine configurations under test, as (name, engine factory)."""
     return [
-        ("gap", lambda k: GapEngine(qs, grammar=grammar, kernel=k)),
-        ("gap-partial", lambda k: GapEngine(qs, grammar=partial, kernel=k)),
-        ("gap-nogrammar", lambda k: GapEngine(qs, kernel=k)),
-        ("pp", lambda k: PPTransducerEngine(qs, kernel=k)),
-        ("gap-always", lambda k: GapEngine(qs, grammar=grammar,
-                                           eliminate="always", kernel=k)),
-        ("gap-never", lambda k: GapEngine(qs, grammar=grammar,
-                                          eliminate="never", kernel=k)),
-        ("gap-noswitch", lambda k: GapEngine(qs, grammar=grammar,
-                                             switch_to_stack=False, kernel=k)),
+        ("gap", lambda: GapEngine(qs, grammar=grammar)),
+        ("gap-partial", lambda: GapEngine(qs, grammar=partial)),
+        ("gap-nogrammar", lambda: GapEngine(qs)),
+        ("pp", lambda: PPTransducerEngine(qs)),
+        ("gap-always", lambda: GapEngine(qs, grammar=grammar, eliminate="always")),
+        ("gap-never", lambda: GapEngine(qs, grammar=grammar, eliminate="never")),
+        ("gap-noswitch", lambda: GapEngine(qs, grammar=grammar,
+                                           switch_to_stack=False)),
     ]
 
 
-def assert_kernels_equivalent(xml, qs, make_engine, n_chunks, label=""):
-    """dense ≡ object on matches, aggregate stats and per-chunk stats."""
-    dense = make_engine("dense").run(xml, n_chunks=n_chunks)
-    obj = make_engine("object").run(xml, n_chunks=n_chunks)
+def assert_kernels_equivalent(xml, qs, make_engine, n_chunks, label="",
+                              make_oracle_engine=None):
+    """dense ≡ object on matches, aggregate stats and per-chunk stats.
+
+    The object kernel runs on ``make_oracle_engine``'s engine when given
+    (a backend the in-process patch cannot reach needs a stand-in).
+    """
+    dense = make_engine().run(xml, n_chunks=n_chunks)
+    with object_kernel():
+        obj = (make_oracle_engine or make_engine)().run(xml, n_chunks=n_chunks)
     assert dense.matches == obj.matches, (label, n_chunks)
     d, o = dense.stats.counters.as_dict(), obj.stats.counters.as_dict()
     assert d == o, (label, n_chunks, {k: (d[k], o[k]) for k in d if d[k] != o[k]})
@@ -106,17 +132,24 @@ def assert_matches_oracle(xml, result, qs, label=""):
         assert result.matches[q] == evaluate_offsets(doc, q), (label, q)
 
 
+class TestOracleSwap:
+    def test_object_kernel_replaces_the_dense_kernel(self):
+        engine = PPTransducerEngine(CORPUS[0][1])
+        assert type(engine._pipeline.chunk_runner()) is DenseRunner
+        with object_kernel():
+            assert type(engine._pipeline.chunk_runner()) is ChunkRunner
+        assert type(engine._pipeline.chunk_runner()) is DenseRunner
+
+
 class TestSeededCorpus:
     """Deterministic sweep: every config × chunk count × corpus seed."""
 
-    @pytest.mark.parametrize("dtd,qs", CORPUS, ids=["seq", "nested", "recursive"])
-    def test_dense_equals_object_equals_reference(self, dtd, qs):
+    @pytest.mark.parametrize("dtd,qs,transform", CORPUS, ids=CORPUS_IDS)
+    def test_dense_equals_object_equals_reference(self, dtd, qs, transform):
         grammar = parse_dtd(dtd)
         partial = sample_partial_grammar(grammar, 0.5, seed=3)
         for seed in range(4):
-            gen = DocumentGenerator(grammar, seed=seed, max_depth=7,
-                                    repeat_range=(0, 3))
-            xml = gen.generate(include_prolog=False)
+            xml = corpus_document(grammar, seed, transform)
             for name, make in configs_for(qs, grammar, partial):
                 for n in CHUNK_COUNTS:
                     result = assert_kernels_equivalent(
@@ -137,10 +170,10 @@ class TestSeededCorpus:
         xml = DocumentGenerator(grammar, seed=12, max_depth=7,
                                 repeat_range=(0, 3)).generate(include_prolog=False)
 
-        def make(kernel):
+        def make():
             # observing before the first run: the feasible table is
             # built lazily, so it is inferred from the learner's tree
-            engine = GapEngine(qs, kernel=kernel)
+            engine = GapEngine(qs)
             engine.learner.observe_prefix(train, 0.4)
             return engine
 
@@ -159,9 +192,9 @@ class TestPropertyBased:
         qs = sorted({data.draw(queries(grammar)) for _ in range(3)})
         partial = sample_partial_grammar(grammar, 0.5, seed=1)
         for name, make in (
-            ("gap", lambda k: GapEngine(qs, grammar=grammar, kernel=k)),
-            ("gap-partial", lambda k: GapEngine(qs, grammar=partial, kernel=k)),
-            ("pp", lambda k: PPTransducerEngine(qs, kernel=k)),
+            ("gap", lambda: GapEngine(qs, grammar=grammar)),
+            ("gap-partial", lambda: GapEngine(qs, grammar=partial)),
+            ("pp", lambda: PPTransducerEngine(qs)),
         ):
             for n in CHUNK_COUNTS:
                 result = assert_kernels_equivalent(xml, qs, make, n, label=name)
@@ -176,9 +209,7 @@ class TestBackends:
     @pytest.fixture(scope="class")
     def workload(self):
         grammar = parse_dtd(CORPUS[0][0])
-        xml = DocumentGenerator(grammar, seed=5, max_depth=7,
-                                repeat_range=(0, 3)).generate(include_prolog=False)
-        return grammar, xml
+        return grammar, corpus_document(grammar, 5)
 
     @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_inline_backends(self, workload, backend):
@@ -186,8 +217,7 @@ class TestBackends:
         for n in CHUNK_COUNTS:
             result = assert_kernels_equivalent(
                 xml, self.QS,
-                lambda k: GapEngine(self.QS, grammar=grammar,
-                                    backend=backend, kernel=k),
+                lambda: GapEngine(self.QS, grammar=grammar, backend=backend),
                 n, label=backend)
             assert_matches_oracle(xml, result, self.QS, label=(backend, n))
 
@@ -197,7 +227,7 @@ class TestBackends:
         for n in (2, 7):
             result = assert_kernels_equivalent(
                 xml, self.QS,
-                lambda k: GapEngine(self.QS, grammar=grammar,
-                                    backend="process", kernel=k),
-                n, label="process")
+                lambda: GapEngine(self.QS, grammar=grammar, backend="process"),
+                n, label="process",
+                make_oracle_engine=lambda: GapEngine(self.QS, grammar=grammar))
             assert_matches_oracle(xml, result, self.QS, label=("process", n))

@@ -40,7 +40,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import GapEngine, PPTransducerEngine
-from repro.datasets import DocumentGenerator, dataset_by_name, generate_query_set
+from repro.datasets import dataset_by_name, generate_query_set
 from repro.grammar import parse_dtd, sample_partial_grammar
 from repro.xmlstream import lex
 from repro.xpath import (
@@ -51,7 +51,13 @@ from repro.xpath import (
     set_memo_defaults,
 )
 
-from tests.test_kernel_differential import CHUNK_COUNTS, CORPUS
+from tests.object_kernel import object_kernel
+from tests.test_kernel_differential import (
+    CHUNK_COUNTS,
+    CORPUS,
+    CORPUS_IDS,
+    corpus_document,
+)
 from tests.test_properties import documents, queries
 
 MAX_EXAMPLES = int(os.environ.get("REPRO_HYP_MAX_EXAMPLES", "15"))
@@ -83,11 +89,19 @@ def rows_doc(n: int, payload=None) -> str:
     return f"<table>{rows}</table>"
 
 
-def assert_memo_equivalent(xml, qs, make_engine, n_chunks, label=""):
-    """memo-on ≡ memo-off ≡ object kernel, matches and all counters."""
-    on = make_engine(True, "dense").run(xml, n_chunks=n_chunks)
-    off = make_engine(False, "dense").run(xml, n_chunks=n_chunks)
-    obj = make_engine(True, "object").run(xml, n_chunks=n_chunks)
+def assert_memo_equivalent(xml, qs, make_engine, n_chunks, label="",
+                           make_oracle_engine=None):
+    """memo-on ≡ memo-off ≡ object kernel, matches and all counters.
+
+    The object kernel runs on ``make_oracle_engine()`` when given (the
+    oracle is patched into this process only, so a process-pool engine
+    needs an in-process stand-in).
+    """
+    on = make_engine(True).run(xml, n_chunks=n_chunks)
+    off = make_engine(False).run(xml, n_chunks=n_chunks)
+    with object_kernel():
+        oracle = make_oracle_engine() if make_oracle_engine else make_engine(False)
+        obj = oracle.run(xml, n_chunks=n_chunks)
     assert on.matches == off.matches == obj.matches, (label, n_chunks)
     a = on.stats.counters.as_dict()
     b = off.stats.counters.as_dict()
@@ -109,21 +123,17 @@ def assert_matches_oracle(xml, result, qs, label=""):
 class TestSeededCorpus:
     """Every kernel-differential corpus entry, memo on vs off vs object."""
 
-    @pytest.mark.parametrize("dtd,qs", CORPUS, ids=["seq", "nested", "recursive"])
-    def test_memo_invisible_on_corpus(self, dtd, qs):
+    @pytest.mark.parametrize("dtd,qs,transform", CORPUS, ids=CORPUS_IDS)
+    def test_memo_invisible_on_corpus(self, dtd, qs, transform):
         grammar = parse_dtd(dtd)
         partial = sample_partial_grammar(grammar, 0.5, seed=3)
         for seed in range(3):
-            gen = DocumentGenerator(grammar, seed=seed, max_depth=7,
-                                    repeat_range=(0, 3))
-            xml = gen.generate(include_prolog=False)
+            xml = corpus_document(grammar, seed, transform)
             for name, make in (
-                ("gap", lambda m, k: GapEngine(qs, grammar=grammar,
-                                               memo=m, kernel=k)),
-                ("gap-partial", lambda m, k: GapEngine(qs, grammar=partial,
-                                                       memo=m, kernel=k)),
-                ("gap-nogrammar", lambda m, k: GapEngine(qs, memo=m, kernel=k)),
-                ("pp", lambda m, k: PPTransducerEngine(qs, memo=m, kernel=k)),
+                ("gap", lambda m: GapEngine(qs, grammar=grammar, memo=m)),
+                ("gap-partial", lambda m: GapEngine(qs, grammar=partial, memo=m)),
+                ("gap-nogrammar", lambda m: GapEngine(qs, memo=m)),
+                ("pp", lambda m: PPTransducerEngine(qs, memo=m)),
             ):
                 for n in CHUNK_COUNTS:
                     result = assert_memo_equivalent(
@@ -135,8 +145,8 @@ class TestSeededCorpus:
         xml = rows_doc(40)
         qs = ["//row/a", "/table/row/c", "//b"]
 
-        def make(memo, kernel):
-            return GapEngine(qs, memo=memo, kernel=kernel)
+        def make(memo):
+            return GapEngine(qs, memo=memo)
 
         for n in CHUNK_COUNTS:
             clear_memo_tables()
@@ -153,8 +163,8 @@ class TestSeededCorpus:
         xml = ds.generate(scale=0.5, seed=0)
         qs = generate_query_set(ds, 3)
 
-        def make(memo, kernel):
-            return GapEngine(qs, grammar=ds.grammar, memo=memo, kernel=kernel)
+        def make(memo):
+            return GapEngine(qs, grammar=ds.grammar, memo=memo)
 
         for n in CHUNK_COUNTS:
             clear_memo_tables()
@@ -172,9 +182,8 @@ class TestPropertyBased:
         qs = sorted({data.draw(queries(grammar)) for _ in range(3)})
         clear_memo_tables()
         for name, make in (
-            ("gap", lambda m, k: GapEngine(qs, grammar=grammar,
-                                           memo=m, kernel=k)),
-            ("pp", lambda m, k: PPTransducerEngine(qs, memo=m, kernel=k)),
+            ("gap", lambda m: GapEngine(qs, grammar=grammar, memo=m)),
+            ("pp", lambda m: PPTransducerEngine(qs, memo=m)),
         ):
             for n in CHUNK_COUNTS:
                 result = assert_memo_equivalent(xml, qs, make, n, label=name)
@@ -194,8 +203,8 @@ class TestBackends:
 
     @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_inline_backends(self, backend):
-        def make(memo, kernel):
-            return GapEngine(self.QS, backend=backend, memo=memo, kernel=kernel)
+        def make(memo):
+            return GapEngine(self.QS, backend=backend, memo=memo)
 
         for n in CHUNK_COUNTS:
             result = assert_memo_equivalent(
@@ -204,12 +213,13 @@ class TestBackends:
 
     @pytest.mark.slow
     def test_process_backend(self):
-        def make(memo, kernel):
-            return GapEngine(self.QS, backend="process", memo=memo, kernel=kernel)
+        def make(memo):
+            return GapEngine(self.QS, backend="process", memo=memo)
 
         for n in (2, 7):
             result = assert_memo_equivalent(
-                self.XML, self.QS, make, n, label="process")
+                self.XML, self.QS, make, n, label="process",
+                make_oracle_engine=lambda: GapEngine(self.QS))
             assert_matches_oracle(self.XML, result, self.QS, label=("process", n))
 
 
@@ -248,8 +258,8 @@ class TestAdversarialNearRepeats:
         xml = rows_doc(24, payload=lambda i: "x" * (1 + i % 7))
         qs = ["//row/a", "//c"]
 
-        def make(memo, kernel):
-            return GapEngine(qs, memo=memo, kernel=kernel)
+        def make(memo):
+            return GapEngine(qs, memo=memo)
 
         clear_memo_tables()
         result = assert_memo_equivalent(xml, qs, make, 1, label="near-repeat")
@@ -268,8 +278,8 @@ class TestAdversarialNearRepeats:
         xml = f"<table>{rows}</table>"
         qs = ["//row/a", "//row"]
 
-        def make(memo, kernel):
-            return GapEngine(qs, memo=memo, kernel=kernel)
+        def make(memo):
+            return GapEngine(qs, memo=memo)
 
         clear_memo_tables()
         result = assert_memo_equivalent(xml, qs, make, 1, label="attr-variant")
@@ -294,8 +304,8 @@ class TestAdversarialNearRepeats:
         xml = f"<r>{span_a}{span_a}{span_b}{span_b}</r>"
         qs = ["//x", "//y", f"//{b}/x"]
 
-        def make(memo, kernel):
-            return GapEngine(qs, memo=memo, kernel=kernel)
+        def make(memo):
+            return GapEngine(qs, memo=memo)
 
         clear_memo_tables()
         result = assert_memo_equivalent(xml, qs, make, 1, label="crc-collision")

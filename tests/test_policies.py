@@ -100,3 +100,27 @@ class TestGapPolicy:
     def test_switching_knob(self):
         automaton, table = setup()
         assert not GapPolicy(automaton, table, switch_to_stack=False).switch_to_stack
+
+
+class TestUnrecognisedPolicy:
+    """A policy the kernel cannot compile is refused when the pipeline is built."""
+
+    class PickyPolicy(BaselinePolicy):
+        def start_states(self, token):
+            return frozenset((self.automaton.initial,))
+
+    def test_pipeline_refuses_subclass(self):
+        from repro import EngineError
+        from repro.transducer import ParallelPipeline
+
+        automaton, _table = setup()
+        with pytest.raises(EngineError, match="PickyPolicy does not compile"):
+            ParallelPipeline(automaton, self.PickyPolicy(automaton))
+
+    def test_kernel_refuses_subclass(self):
+        from repro import EngineError
+        from repro.core import DenseRunner
+
+        automaton, _table = setup()
+        with pytest.raises(EngineError, match="PickyPolicy does not compile"):
+            DenseRunner(automaton, self.PickyPolicy(automaton))

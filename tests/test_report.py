@@ -1,18 +1,10 @@
-"""Tests for run reports, chunk explanations and the bench history."""
+"""Tests for run reports and chunk explanations."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro import GapEngine
-from repro.bench.kernel_bench import (
-    HISTORY_MIN_RECORDS,
-    append_history,
-    history_failures,
-    load_history,
-)
 from repro.grammar import parse_dtd
 from repro.obs import (
     Journal,
@@ -30,11 +22,11 @@ from repro.xpath.compile_tables import clear_compile_cache
 from tests.conftest import FEED_DTD, FEED_XML, RUNNING_DTD, RUNNING_QUERY, RUNNING_XML
 
 
-def _journaled_run(queries, dtd, xml, n_chunks, tracer=None, kernel="dense"):
+def _journaled_run(queries, dtd, xml, n_chunks, tracer=None):
     clear_compile_cache()
     journal = Journal()
     engine = GapEngine(queries, grammar=parse_dtd(dtd), tracer=tracer,
-                       kernel=kernel, journal=journal)
+                       journal=journal)
     return engine.run(xml, n_chunks=n_chunks), journal
 
 
@@ -154,72 +146,10 @@ class TestRunReport:
 class TestDenseProfileTimeline:
     def test_dense_kernel_emits_chunk_spans(self):
         # regression: the profile timeline must not be empty under the
-        # dense kernel, and spans identify which kernel ran the chunk
+        # dense kernel
         tracer = Tracer()
-        _journaled_run(["//title"], FEED_DTD, FEED_XML, 3, tracer=tracer,
-                       kernel="dense")
+        _journaled_run(["//title"], FEED_DTD, FEED_XML, 3, tracer=tracer)
         chunks = tracer.chunk_spans()
         assert [s.name for s in chunks] == ["chunk[0]", "chunk[1]", "chunk[2]"]
-        assert all(s.args.get("kernel") == "dense" for s in chunks)
         _, rows = chunk_timeline(tracer.spans)
         assert any(r[0].strip().startswith("chunk[") for r in rows)
-
-    def test_object_kernel_spans_tagged(self):
-        tracer = Tracer()
-        _journaled_run(["//title"], FEED_DTD, FEED_XML, 3, tracer=tracer,
-                       kernel="object")
-        assert all(s.args.get("kernel") == "object"
-                   for s in tracer.chunk_spans())
-
-
-def _record(ratio, dataset="xmark"):
-    return {"dataset": dataset, "dense_over_object": ratio}
-
-
-class TestBenchHistory:
-    def test_append_and_load_round_trip(self, tmp_path):
-        path = str(tmp_path / "nested" / "history.jsonl")
-        append_history(_record(2.0), path)
-        append_history(_record(2.1), path)
-        records = load_history(path)
-        assert [r["dense_over_object"] for r in records] == [2.0, 2.1]
-        assert all("recorded_at" in r for r in records)
-
-    def test_load_missing_and_corrupt(self, tmp_path):
-        assert load_history(str(tmp_path / "absent.jsonl")) == []
-        path = tmp_path / "history.jsonl"
-        path.write_text('{"dense_over_object": 2.0, "dataset": "xmark"}\n'
-                        "not json\n" "[1, 2]\n", encoding="utf-8")
-        records = load_history(str(path))
-        assert len(records) == 1
-
-    def test_too_few_records_pass_vacuously(self):
-        history = [_record(2.0)] * (HISTORY_MIN_RECORDS - 1)
-        assert history_failures(_record(0.1), history) == []
-
-    def test_regression_detected_against_rolling_median(self):
-        history = [_record(r) for r in (2.0, 2.2, 1.8, 2.0)]
-        # median 2.0, threshold 15% → floor 1.7
-        assert history_failures(_record(1.9), history) == []
-        failures = history_failures(_record(1.5), history)
-        assert len(failures) == 1
-        assert "rolling-median" in failures[0]
-
-    def test_other_datasets_ignored(self):
-        history = [_record(5.0, dataset="treebank")] * 5 + [_record(2.0)] * 3
-        assert history_failures(_record(1.9), history) == []
-
-    def test_window_keeps_recent_records(self):
-        # old fast runs scroll out of the window; recent slower runs set
-        # the median the check compares against
-        history = [_record(4.0)] * 10 + [_record(2.0)] * 10
-        assert history_failures(_record(1.9), history, window=10) == []
-        assert history_failures(_record(1.9), history, window=20) != []
-
-    def test_jsonl_lines_are_sorted_and_parseable(self, tmp_path):
-        path = str(tmp_path / "history.jsonl")
-        append_history({"b": 1, "a": 2, "dataset": "xmark",
-                        "dense_over_object": 2.0}, path)
-        line = open(path, encoding="utf-8").read().strip()
-        keys = list(json.loads(line))
-        assert keys == sorted(keys)

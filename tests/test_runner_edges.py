@@ -1,4 +1,4 @@
-"""Edge-case tests for the chunk runner and parallel pipeline.
+"""Edge-case tests for the chunk kernel and parallel pipeline.
 
 Exercises the boundary conditions the integration tests only hit by
 luck: chunks that begin on end tags or text, single-token chunks,
@@ -11,9 +11,9 @@ from __future__ import annotations
 import pytest
 
 from repro import GapEngine, PPTransducerEngine, SequentialEngine
-from repro.core import GapPolicy, infer_feasible_paths
+from repro.core import DenseRunner, GapPolicy, infer_feasible_paths
 from repro.grammar import build_syntax_tree, parse_dtd
-from repro.transducer import BaselinePolicy, ChunkRunner, JoinError
+from repro.transducer import BaselinePolicy, JoinError
 from repro.transducer.pipeline import ParallelPipeline
 from repro.xmlstream import lex, lex_range, split_at_offsets, iter_tag_offsets
 from repro.xpath import build_automaton, parse_xpath
@@ -57,9 +57,7 @@ class TestChunkStartKinds:
             # use the public engine with 2 chunks via explicit lexing:
             from repro.transducer.mapping import join_results
             from repro.transducer import WorkCounters
-            from repro.transducer.runner import ChunkRunner as CR
-
-            runner = CR(automaton, policy, engine.anchor_sids)
+            runner = DenseRunner(automaton, policy, engine.anchor_sids)
             results = []
             for c in chunks:
                 start = frozenset({automaton.initial}) if c.index == 0 else None
@@ -151,7 +149,7 @@ class TestMalformedInput:
 class TestRunnerDirect:
     def test_single_token_chunk(self):
         automaton, table = feed_setup()
-        runner = ChunkRunner(automaton, GapPolicy(automaton, table))
+        runner = DenseRunner(automaton, GapPolicy(automaton, table))
         toks = list(lex(FEED_XML))
         mid = toks[len(toks) // 2]
         res = runner.run_chunk([mid], 1, mid.offset, mid.offset + 1)
@@ -159,7 +157,7 @@ class TestRunnerDirect:
 
     def test_baseline_empty_chunk_identity(self):
         automaton, _ = feed_setup()
-        runner = ChunkRunner(automaton, BaselinePolicy(automaton))
+        runner = DenseRunner(automaton, BaselinePolicy(automaton))
         res = runner.run_chunk([], 2, 10, 10)
         (cohort,) = res.cohorts
         assert len(cohort.segments[0].entries) == automaton.n_states
