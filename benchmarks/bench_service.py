@@ -43,10 +43,13 @@ from repro import GapEngine
 from repro.bench import generate_document
 from repro.bench.reporting import format_table
 from repro.datasets import dataset_by_name, generate_query_set
-from repro.obs.reqtrace import STAGES
+from repro.obs.layers import REQUEST_LAYERS, stage_key
 from repro.service import QueryService, ServiceConfig
 
 from conftest import emit
+
+#: the request stages' JSON keys (queue_wait, …), in lifecycle order
+STAGES = tuple(stage_key(layer) for layer in REQUEST_LAYERS)
 
 SCALE = 10.0
 N_CHUNKS = 8

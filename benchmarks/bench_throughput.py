@@ -35,18 +35,34 @@ def corpus():
     return text, automaton, table
 
 
+@pytest.fixture(scope="module")
+def half_chunk(corpus):
+    """The second half of the corpus as one chunk, lexed once."""
+    text = corpus[0]
+    begin = text.index("<", len(text) // 2)
+    return tuple(lex_range(text, begin, len(text))), begin, len(text)
+
+
+def _mean_seconds(benchmark) -> float | None:
+    """Mean time per round, or None under ``--benchmark-disable``."""
+    return benchmark.stats["mean"] if benchmark.stats is not None else None
+
+
 def test_lexer_throughput(corpus, benchmark):
     text, _a, _t = corpus
     n_tokens = benchmark(lambda: sum(1 for _ in lex(text)))
-    mb = len(text) / 1e6
-    print(f"\nlexer: {mb / benchmark.stats['mean']:.1f} MB/s, {n_tokens} tokens")
+    mean = _mean_seconds(benchmark)
+    if mean is not None:
+        print(f"\nlexer: {len(text) / 1e6 / mean:.1f} MB/s, {n_tokens} tokens")
 
 
 def test_sequential_pdt_throughput(corpus, benchmark):
     text, automaton, _t = corpus
     tokens = list(lex(text))
     benchmark(lambda: run_sequential(automaton, tokens))
-    print(f"\nsequential PDT: {len(tokens) / benchmark.stats['mean'] / 1e6:.2f} Mtokens/s")
+    mean = _mean_seconds(benchmark)
+    if mean is not None:
+        print(f"\nsequential PDT: {len(tokens) / mean / 1e6:.2f} Mtokens/s")
 
 
 def kernel_for(automaton, policy):
@@ -55,21 +71,17 @@ def kernel_for(automaton, policy):
                        tables=tables_for_policy(automaton, policy))
 
 
-def test_gap_chunk_runner_stack_mode(corpus, benchmark):
-    text, automaton, table = corpus
+def test_gap_chunk_runner_stack_mode(corpus, half_chunk, benchmark):
+    _text, automaton, table = corpus
     runner = kernel_for(automaton, GapPolicy(automaton, table))
-    begin = len(text) // 2
-    begin = text.index("<", begin)
-    benchmark(lambda: runner.run_chunk(lex_range(text, begin, len(text)), 1, begin, len(text)))
+    tokens, begin, end = half_chunk
+    benchmark(lambda: runner.run_chunk(tokens, 1, begin, end))
 
 
-def test_pp_chunk_runner_tree_mode(corpus, benchmark):
-    text, automaton, _t = corpus
+def test_pp_chunk_runner_tree_mode(corpus, half_chunk, benchmark):
+    _text, automaton, _t = corpus
     runner = kernel_for(automaton, BaselinePolicy(automaton))
-    begin = len(text) // 2
-    begin = text.index("<", begin)
-    result = benchmark(
-        lambda: runner.run_chunk(lex_range(text, begin, len(text)), 1, begin, len(text))
-    )
+    tokens, begin, end = half_chunk
+    result = benchmark(lambda: runner.run_chunk(tokens, 1, begin, end))
     # sanity: the baseline really ran multi-path
     assert result.counters.tree_tokens > 0

@@ -25,9 +25,10 @@ The commands mirror the library's workflow:
 
 ``report``
     Run a query with tracing *and* the flight recorder on; emit a run
-    report — chunk timeline, per-chunk path lifecycle, the paper's
-    Table 5/6 profile — to the terminal or as a self-contained HTML
-    page (``--format html``, no scripts, no external assets).
+    report — chunk timeline, per-layer self time, per-chunk path
+    lifecycle, the paper's Table 5/6 profile — to the terminal or as a
+    self-contained HTML page (``--format html``, no scripts, no
+    external assets).
 
 ``explain``
     Replay one chunk's flight-recorder journal tag by tag: which paths
@@ -43,17 +44,11 @@ The commands mirror the library's workflow:
 
 ``top``
     Live operator view of a running service: poll ``/varz`` and render
-    queue depth, in-flight count, request rates (derived from
-    successive snapshots), latency percentiles per stage and the most
-    recent slow requests.  ``--once`` prints a single snapshot and
-    exits (the CI smoke check).
-
-``monitor``
-    Live telemetry view of a running service: poll
-    ``/varz?history=N`` and render the collector's time-series store
-    as sparkline panels plus the alert-rule table (firing set,
-    fire/resolve counts).  Shares ``top``'s polling plumbing;
-    ``--once`` prints one frame and exits.
+    the ``/statusz`` sections in the terminal — queue, latency
+    percentiles per request layer, caches, the most recent slow
+    requests, the alert-rule table and telemetry sparklines — plus
+    request rates derived from successive snapshots.  ``--once``
+    prints a single frame and exits (the CI smoke check).
 
 ``tail``
     Continuously query a growing file: bytes feed the incremental
@@ -65,12 +60,13 @@ The commands mirror the library's workflow:
 
 ``profile``
     Run a query with tracing on and print the per-chunk timeline
-    (duration, tokens, mode switches per chunk); optionally write
-    Chrome-tracing JSON (``--trace-out``, loadable in
+    (duration, tokens, mode switches per chunk) and the exclusive time
+    per layer (``repro.obs.LAYERS``, garbage collection included);
+    optionally write Chrome-tracing JSON (``--trace-out``, loadable in
     ``chrome://tracing`` / Perfetto) and a metrics snapshot
     (``--metrics-out``).  ``--sample`` additionally runs the
     stack-sampling profiler during execution and prints the collapsed
-    (folded) stacks with a per-stage attribution table; ``--flame
+    (folded) stacks with a per-layer attribution table; ``--flame
     OUT`` writes the self-contained HTML flame view.
 
 ``query``, ``speedup``, ``profile``, ``report`` and ``explain`` share
@@ -89,14 +85,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager, nullcontext
 
 from .core.engine import GapEngine, PPTransducerEngine, SequentialEngine, element_at
 from .core.inference import infer_feasible_paths
 from .datasets import ALL_DATASETS, dataset_by_name, generate_query_set
 from .grammar import build_syntax_tree, is_xsd, parse_dtd, parse_xsd
+from .jsonstream import json_value_at, tokenize_json
 from .obs import (
     Journal,
     MetricsRegistry,
+    Page,
+    Section,
     Tracer,
     build_report,
     collect_run_metrics,
@@ -104,13 +104,25 @@ from .obs import (
     explain_chunk,
     format_explain,
     format_timeline,
+    gc_spans,
+    layer_seconds,
     render_html,
     render_terminal,
+    varz_sections,
     write_chrome_trace,
 )
 from .obs.journal import NULL_JOURNAL
+from .obs.report import (
+    VIEW_HISTORY,
+    layer_rows,
+    render_sections,
+    sample_sections,
+    varz_meta,
+)
 from .obs.tracer import NULL_TRACER
 from .parallel import SimulatedCluster
+from .store import prepare_json, prepare_xml
+from .xpath.compile_tables import compile_cache_info, set_artifact_store
 
 __all__ = ["main"]
 
@@ -133,23 +145,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(required=True, metavar="command")
 
     q = sub.add_parser("query", help="run XPath queries over an XML file")
-    q.add_argument("file", help="XML document (use '-' for stdin)")
-    q.add_argument("-q", "--query", action="append", required=True, dest="queries",
-                   help="XPath query (repeatable)")
-    q.add_argument("-g", "--grammar", help="DTD or XSD file (default: the document's inline DTD, if any)")
-    q.add_argument("-e", "--engine", choices=("gap", "pp", "seq"), default="gap")
-    q.add_argument("-n", "--chunks", type=int, default=8, help="parallel chunks (default 8)")
-    q.add_argument("--learn", action="append", default=[], metavar="FILE",
-                   help="prior document(s) to learn a partial grammar from (speculative mode)")
+    _add_run_args(q)
     q.add_argument("--text", action="store_true", help="decode matched elements' text")
     q.add_argument("--stats", action="store_true", help="print execution statistics")
     q.add_argument("--artifact-store", metavar="DIR",
                    help="persistent artifact store: reuse stored compiled "
                         "tables, chunk splits and token caches, and publish "
                         "what this run computes")
-    _add_memo_arg(q)
-    _add_obs_args(q)
-    _add_resilience_args(q)
     q.set_defaults(func=_cmd_query)
 
     i = sub.add_parser("inspect", help="show grammar/automaton/feasible-table info")
@@ -176,73 +178,41 @@ def _build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_speedup)
 
     p = sub.add_parser("profile", help="run a query traced; print a per-chunk timeline")
-    p.add_argument("file", help="XML or JSON document (use '-' for stdin)")
-    p.add_argument("-q", "--query", action="append", required=True, dest="queries",
-                   help="XPath query (repeatable)")
-    p.add_argument("-g", "--grammar", help="DTD or XSD file (default: the document's inline DTD, if any)")
-    p.add_argument("-e", "--engine", choices=("gap", "pp", "seq"), default="gap")
-    p.add_argument("-n", "--chunks", type=int, default=8, help="parallel chunks (default 8)")
-    p.add_argument("--learn", action="append", default=[], metavar="FILE",
-                   help="prior document(s) to learn a partial grammar from (speculative mode)")
+    _add_run_args(p)
     p.add_argument("--sample", action="store_true",
                    help="run the stack-sampling profiler during execution; "
-                        "print collapsed (folded) stacks and a per-stage "
+                        "print collapsed (folded) stacks and a per-layer "
                         "attribution table")
     p.add_argument("--sample-hz", type=float, default=50.0, metavar="HZ",
                    help="sampling rate for --sample (default 50)")
     p.add_argument("--flame", metavar="FILE",
                    help="write the sampled profile as a self-contained HTML "
                         "flame view (implies --sample)")
-    _add_memo_arg(p)
-    _add_obs_args(p)
-    _add_resilience_args(p)
     p.set_defaults(func=_cmd_profile)
 
     r = sub.add_parser(
         "report",
         help="run a query with the flight recorder on; emit a run report",
     )
-    r.add_argument("file", nargs="?",
-                   help="XML or JSON document (use '-' for stdin); "
-                        "not needed with --from-journal")
-    r.add_argument("-q", "--query", action="append", dest="queries", default=[],
-                   help="XPath query (repeatable)")
+    _add_run_args(r, required=False)
     r.add_argument("--from-journal", metavar="FILE",
                    help="render from a saved service journal (JSONL, e.g. "
                         "GET /journal) instead of running a query")
     r.add_argument("--request", type=int, metavar="ID",
                    help="with --from-journal: follow one request id through "
                         "its lifecycle (admit / batch / respond / trace)")
-    r.add_argument("-g", "--grammar", help="DTD or XSD file (default: the document's inline DTD, if any)")
-    r.add_argument("-e", "--engine", choices=("gap", "pp", "seq"), default="gap")
-    r.add_argument("-n", "--chunks", type=int, default=8, help="parallel chunks (default 8)")
-    r.add_argument("--learn", action="append", default=[], metavar="FILE",
-                   help="prior document(s) to learn a partial grammar from (speculative mode)")
     r.add_argument("--format", choices=("terminal", "html"), default="terminal",
                    dest="report_format", help="report format (default terminal)")
     r.add_argument("-o", "--output", metavar="FILE",
                    help="write the report to FILE instead of stdout")
-    _add_memo_arg(r)
-    _add_obs_args(r)
-    _add_resilience_args(r)
     r.set_defaults(func=_cmd_report)
 
     x = sub.add_parser(
         "explain",
         help="replay one chunk's flight-recorder journal tag by tag",
     )
-    x.add_argument("file", help="XML or JSON document (use '-' for stdin)")
+    _add_run_args(x)
     x.add_argument("chunk", type=int, help="chunk index to explain")
-    x.add_argument("-q", "--query", action="append", required=True, dest="queries",
-                   help="XPath query (repeatable)")
-    x.add_argument("-g", "--grammar", help="DTD or XSD file (default: the document's inline DTD, if any)")
-    x.add_argument("-e", "--engine", choices=("gap", "pp", "seq"), default="gap")
-    x.add_argument("-n", "--chunks", type=int, default=8, help="parallel chunks (default 8)")
-    x.add_argument("--learn", action="append", default=[], metavar="FILE",
-                   help="prior document(s) to learn a partial grammar from (speculative mode)")
-    _add_memo_arg(x)
-    _add_obs_args(x)
-    _add_resilience_args(x)
     x.set_defaults(func=_cmd_explain)
 
     v = sub.add_parser(
@@ -345,23 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="slow-log entries shown (default 5)")
     t.set_defaults(func=_cmd_top)
 
-    m = sub.add_parser(
-        "monitor",
-        help="live telemetry view of a running service (polls /varz?history=)",
-    )
-    m.add_argument("--host", default="127.0.0.1", help="service address (default 127.0.0.1)")
-    m.add_argument("--port", type=int, default=8077, help="service port (default 8077)")
-    m.add_argument("-i", "--interval", type=float, default=2.0, metavar="SECONDS",
-                   help="polling interval (default 2.0)")
-    m.add_argument("--once", action="store_true",
-                   help="print one frame and exit (no screen clearing)")
-    m.add_argument("--count", type=int, default=0, metavar="N",
-                   help="stop after N refreshes (default: until Ctrl-C)")
-    m.add_argument("--history", type=int, default=60, metavar="N",
-                   help="telemetry points requested per series (default 60; "
-                        "also the sparkline width)")
-    m.set_defaults(func=_cmd_monitor)
-
     ta = sub.add_parser(
         "tail",
         help="continuously query a growing file; print match deltas (JSONL)",
@@ -410,6 +363,26 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="emit machine-readable JSON")
         sp.set_defaults(func=_cmd_store)
     return parser
+
+
+def _add_run_args(p: argparse.ArgumentParser, required: bool = True) -> None:
+    """What the commands that run one query share (query / profile /
+    report / explain): the document, queries, engine and grammar, plus
+    the memo, observability and resilience flags."""
+    p.add_argument("file", nargs=None if required else "?",
+                   help="XML or JSON document (use '-' for stdin)"
+                        + ("" if required else "; not needed with --from-journal"))
+    p.add_argument("-q", "--query", action="append", required=required,
+                   dest="queries", default=None if required else [],
+                   help="XPath query (repeatable)")
+    p.add_argument("-g", "--grammar", help="DTD or XSD file (default: the document's inline DTD, if any)")
+    p.add_argument("-e", "--engine", choices=("gap", "pp", "seq"), default="gap")
+    p.add_argument("-n", "--chunks", type=int, default=8, help="parallel chunks (default 8)")
+    p.add_argument("--learn", action="append", default=[], metavar="FILE",
+                   help="prior document(s) to learn a partial grammar from (speculative mode)")
+    _add_memo_arg(p)
+    _add_obs_args(p)
+    _add_resilience_args(p)
 
 
 def _add_memo_arg(p: argparse.ArgumentParser) -> None:
@@ -525,13 +498,9 @@ def _obs_emit(args: argparse.Namespace, tracer, registry: MetricsRegistry | None
         print(f"# journal written to {args.journal_out} "
               f"({len(journal.events)} event(s), {journal.dropped} dropped)")
     if args.trace and tracer.enabled:
-        print("# trace (seconds by phase)")
-        by_phase: dict[str, float] = {}
-        for span in tracer.spans:
-            if span.cat == "phase":
-                by_phase[span.name] = by_phase.get(span.name, 0.0) + span.duration
-        for name, total in sorted(by_phase.items(), key=lambda kv: -kv[1]):
-            print(f"  {name}: {total:.6f}")
+        print("# trace (self seconds by layer)")
+        for layer, total in layer_seconds(tracer.spans).items():
+            print(f"  {layer}: {total:.6f}")
     if args.trace_out:
         write_chrome_trace(tracer.spans, args.trace_out)
         print(f"# trace written to {args.trace_out}")
@@ -569,8 +538,6 @@ def _build_query_engine(args: argparse.Namespace, content: str, as_json: bool, t
     for prior in args.learn:
         prior_text = _read(prior)
         if _looks_like_json(prior_text):
-            from .jsonstream import tokenize_json
-
             engine.learn_tokens(tokenize_json(prior_text))
         else:
             engine.learn(prior_text)
@@ -592,75 +559,31 @@ def _execute(engine, args: argparse.Namespace, content: str, tokens, prep=None):
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    tracer, journal = _obs_prepare(args)
-    content = _read(args.file)
-    as_json = _looks_like_json(content)
-    tokens = None
-    store = None
-    prep = None
-    if getattr(args, "artifact_store", None):
-        from .store import ArtifactStore, prepare_json, prepare_xml
-        from .xpath.compile_tables import set_artifact_store
+    with _run_query(args, trace=False) as run:
+        if args.engine == "gap":
+            print(f"# engine: {run.mode}")
 
-        store = ArtifactStore(args.artifact_store, journal=journal)
-        set_artifact_store(store)
-    try:
-        if as_json:
-            if store is not None:
-                from .store import prepare_json
-
-                tokens = prepare_json(store, content)
-            else:
-                from .jsonstream import tokenize_json
-
-                tokens = tokenize_json(content)
-        elif store is not None and args.engine != "seq":
-            from .store import prepare_xml
-
-            prep = prepare_xml(store, content, args.chunks, tracer=tracer)
-
-        with _build_query_engine(args, content, as_json, tracer, journal) as engine:
-            result = _execute(engine, args, content, tokens, prep=prep)
-    finally:
-        if store is not None:
-            from .xpath.compile_tables import set_artifact_store
-
-            set_artifact_store(None)
-    if args.engine == "gap":
-        print(f"# engine: gap ({engine.mode})")
-
-    for query, offsets in result.matches.items():
-        print(f"{query}: {len(offsets)} match(es)")
-        for offset in offsets:
-            if args.text and as_json:
-                from .jsonstream import json_value_at
-
-                print(f"  @{offset} {json_value_at(content, offset)!r}")
-            elif args.text:
-                tag, text = element_at(content, offset)
-                print(f"  @{offset} <{tag}> {text!r}")
-            else:
-                print(f"  @{offset}")
-    if args.stats:
-        from .xpath.compile_tables import compile_cache_info
-
-        print("# stats")
-        for key, value in result.stats.summary().items():
-            print(f"  {key}: {_format_stat(value)}")
-        cache = compile_cache_info()
-        print(f"  compile_cache_hits: {cache['hits']}")
-        print(f"  compile_cache_misses: {cache['misses']}")
-        print(f"  compiles: {cache['compiles']}")
-        if store is not None:
-            for key, value in store.counters().items():
-                print(f"  store_{key}: {value}")
-
-    registry = None
-    if args.metrics_out:
-        registry = collect_run_metrics(
-            result.stats, matches=result.matches, spans=tracer.spans
-        )
-    _obs_emit(args, tracer, registry, journal)
+        for query, offsets in run.result.matches.items():
+            print(f"{query}: {len(offsets)} match(es)")
+            for offset in offsets:
+                if args.text and run.as_json:
+                    print(f"  @{offset} {json_value_at(run.content, offset)!r}")
+                elif args.text:
+                    tag, text = element_at(run.content, offset)
+                    print(f"  @{offset} <{tag}> {text!r}")
+                else:
+                    print(f"  @{offset}")
+        if args.stats:
+            print("# stats")
+            for key, value in run.result.stats.summary().items():
+                print(f"  {key}: {_format_stat(value)}")
+            cache = compile_cache_info()
+            print(f"  compile_cache_hits: {cache['hits']}")
+            print(f"  compile_cache_misses: {cache['misses']}")
+            print(f"  compiles: {cache['compiles']}")
+            if run.store is not None:
+                for key, value in run.store.counters().items():
+                    print(f"  store_{key}: {value}")
     return 0
 
 
@@ -747,82 +670,101 @@ def _cmd_speedup(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    tracer, journal = _obs_prepare(args, force_trace=True)
+@contextmanager
+def _run_query(args: argparse.Namespace, *, journal: bool = False,
+               sample: bool = False, trace: bool = True):
+    """One run of ``args.queries`` over ``args.file``, yielded to a command.
+
+    The sequence ``query``, ``profile``, ``report`` and ``explain``
+    share: read, sniff JSON, build the engine (the ``xpath.compile``
+    layer), tokenize JSON under a ``jsonstream.lex`` span — or take the
+    tokens, split and chunk tokens from ``--artifact-store`` — and
+    execute, with each garbage collection of a traced run recorded as a
+    ``runtime.gc`` span.  When the command's block ends, the requested
+    observability outputs are written.  ``trace=False`` leaves tracing
+    to ``--trace``/``--trace-out``.
+    """
+    tracer, jr = _obs_prepare(args, force_trace=trace, force_journal=journal)
     content = _read(args.file)
     as_json = _looks_like_json(content)
-    tokens = None
-    if as_json:
-        from .jsonstream import tokenize_json
-
-        with tracer.span("lex", cat="phase") as sp:
-            tokens = tokenize_json(content)
-            sp.args["tokens"] = len(tokens)
-
-    if args.flame:
-        args.sample = True
     profile = None
-    if args.sample:
-        if args.sample_hz <= 0:
-            raise ValueError("--sample-hz must be > 0")
+    if sample:
         from .obs.sampler import SampleProfile
 
         profile = SampleProfile()
+    store = None
+    if getattr(args, "artifact_store", None):
+        from .store import ArtifactStore
 
-    with _build_query_engine(
-            args, content, as_json, tracer, journal,
-            sample=args.sample_hz if args.sample else 0.0,
-            profile=profile) as engine:
-        if profile is not None and args.engine == "seq":
-            # the sequential engine has no chunk workers to sample
-            # themselves; sample the evaluating thread from outside
-            from .obs.sampler import StackSampler
+        store = ArtifactStore(args.artifact_store, journal=jr)
+        set_artifact_store(store)
+    try:
+        with gc_spans(tracer) if tracer.enabled else nullcontext():
+            with tracer.span("xpath.compile", cat="phase"):
+                engine = _build_query_engine(
+                    args, content, as_json, tracer, jr, profile=profile,
+                    sample=args.sample_hz if sample else 0.0)
+            with engine:
+                tokens = prep = None
+                if as_json:
+                    with tracer.span("jsonstream.lex", cat="phase") as sp:
+                        tokens = (prepare_json(store, content) if store is not None
+                                  else tokenize_json(content))
+                        sp.args["tokens"] = len(tokens)
+                elif store is not None and args.engine != "seq":
+                    prep = prepare_xml(store, content, args.chunks, tracer=tracer)
+                if profile is not None and args.engine == "seq":
+                    # the sequential engine has no chunk workers to sample
+                    # themselves; sample the evaluating thread from outside
+                    from .obs.sampler import StackSampler
 
-            with StackSampler(profile=profile, interval=1.0 / args.sample_hz):
-                result = _execute(engine, args, content, tokens)
-        else:
-            result = _execute(engine, args, content, tokens)
-
-    mode = f"gap ({engine.mode})" if args.engine == "gap" else args.engine
-    wall = 0.0
-    if tracer.spans:
-        wall = max(s.t1 for s in tracer.spans) - min(s.t0 for s in tracer.spans)
-    print(f"# profile: {args.file} ({len(content)} bytes), engine {mode}, "
-          f"{args.chunks} chunks, backend {args.backend or 'serial'}")
-    print(f"# matches: {result.total_matches} across {len(args.queries)} query(ies); "
-          f"wall {wall * 1e3:.2f} ms")
-    print(format_timeline(tracer.spans))
-    if profile is not None:
-        _print_sample_profile(args, profile)
-
+                    with StackSampler(profile=profile, interval=1.0 / args.sample_hz):
+                        result = _execute(engine, args, content, tokens)
+                else:
+                    result = _execute(engine, args, content, tokens, prep=prep)
+    finally:
+        if store is not None:
+            set_artifact_store(None)
+    yield argparse.Namespace(
+        content=content, as_json=as_json, result=result, tracer=tracer,
+        journal=jr, profile=profile, store=store,
+        mode=f"gap ({engine.mode})" if args.engine == "gap" else args.engine,
+    )
     registry = None
     if args.metrics_out:
         registry = collect_run_metrics(
             result.stats, matches=result.matches, spans=tracer.spans
         )
-    _obs_emit(args, tracer, registry, journal)
+    _obs_emit(args, tracer, registry, jr)
+
+
+def _cmd_profile(args: argparse.Namespace) -> int:
+    if args.flame:
+        args.sample = True
+    if args.sample and args.sample_hz <= 0:
+        raise ValueError("--sample-hz must be > 0")
+    with _run_query(args, journal=False, sample=args.sample) as run:
+        spans = run.tracer.spans
+        wall = max(s.t1 for s in spans) - min(s.t0 for s in spans)
+        print(f"# profile: {args.file} ({len(run.content)} bytes), engine {run.mode}, "
+              f"{args.chunks} chunks, backend {args.backend or 'serial'}")
+        print(f"# matches: {run.result.total_matches} across "
+              f"{len(args.queries)} query(ies); wall {wall * 1e3:.2f} ms")
+        print(format_timeline(spans))
+        print(render_sections([Section("layers (self time)",
+                                        ("layer", "self ms", "share"),
+                                        layer_rows(spans))]))
+        if run.profile is not None:
+            _print_sample_profile(args, run.profile)
     return 0
 
 
 def _print_sample_profile(args: argparse.Namespace, profile) -> None:
-    """``repro profile --sample`` output: stage table, folded stacks, flame."""
-    from .bench.reporting import format_table
-
+    """``repro profile --sample`` output: layer table, folded stacks, flame."""
     print(f"# stack samples: {profile.total} at {args.sample_hz:g} Hz "
           f"({len(profile)} distinct stack(s))")
     if profile.total:
-        total = profile.total
-        stage_rows = [
-            [stage, count, f"{count / total:.0%}"]
-            for stage, count in sorted(
-                profile.stages().items(), key=lambda kv: (-kv[1], kv[0]))
-            if count
-        ]
-        print(format_table(["stage", "samples", "share"], stage_rows,
-                           title="samples by pipeline stage"))
-        top_rows = [[label, count] for label, count in profile.top(10)]
-        print(format_table(["frame", "samples"], top_rows,
-                           title="hottest frames (leaf)"))
+        print(render_sections(sample_sections(profile)))
         print("# collapsed stacks (flamegraph folded format)")
         print(profile.collapsed(), end="")
     if args.flame:
@@ -846,49 +788,27 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print("error: report needs a document and -q QUERY "
               "(or --from-journal FILE)", file=sys.stderr)
         return 2
-    tracer, journal = _obs_prepare(args, force_trace=True, force_journal=True)
-    content = _read(args.file)
-    as_json = _looks_like_json(content)
-    tokens = None
-    if as_json:
-        from .jsonstream import tokenize_json
-
-        with tracer.span("lex", cat="phase") as sp:
-            tokens = tokenize_json(content)
-            sp.args["tokens"] = len(tokens)
-
-    with _build_query_engine(args, content, as_json, tracer, journal) as engine:
-        result = _execute(engine, args, content, tokens)
-
-    mode = f"gap ({engine.mode})" if args.engine == "gap" else args.engine
-    report = build_report(
-        result.stats, journal, spans=tracer.spans, matches=result.matches,
-        title=f"repro run report — {args.file}",
-        meta={
-            "file": args.file,
-            "bytes": len(content),
-            "engine": mode,
-            "chunks": args.chunks,
-            "backend": args.backend or "serial",
-        },
-    )
-    rendered = (render_html(report) if args.report_format == "html"
-                else render_terminal(report))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-            if not rendered.endswith("\n"):
-                fh.write("\n")
-        print(f"# report written to {args.output}")
-    else:
-        print(rendered)
-
-    registry = None
-    if args.metrics_out:
-        registry = collect_run_metrics(
-            result.stats, matches=result.matches, spans=tracer.spans
+    with _run_query(args, journal=True) as run:
+        page = build_report(
+            run.result.stats, run.journal, spans=run.tracer.spans,
+            matches=run.result.matches,
+            title=f"repro run report — {args.file}",
+            meta={
+                "file": args.file,
+                "bytes": len(run.content),
+                "engine": run.mode,
+                "chunks": args.chunks,
+                "backend": args.backend or "serial",
+            },
         )
-    _obs_emit(args, tracer, registry, journal)
+        rendered = (render_html(page) if args.report_format == "html"
+                    else render_terminal(page))
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+            print(f"# report written to {args.output}")
+        else:
+            print(rendered)
     return 0
 
 
@@ -919,14 +839,6 @@ def _report_from_journal(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    tracer, journal = _obs_prepare(args, force_journal=True)
-    content = _read(args.file)
-    as_json = _looks_like_json(content)
-    tokens = None
-    if as_json:
-        from .jsonstream import tokenize_json
-
-        tokens = tokenize_json(content)
     # out-of-range chunk indexes exit 2 with a one-line diagnosis (a
     # script can tell "bad index" from engine errors, which exit 1)
     if not 0 <= args.chunk < args.chunks:
@@ -934,18 +846,14 @@ def _cmd_explain(args: argparse.Namespace) -> int:
               f"{args.chunks}-chunk run (valid: 0..{args.chunks - 1})",
               file=sys.stderr)
         return 2
-
-    with _build_query_engine(args, content, as_json, tracer, journal) as engine:
-        result = _execute(engine, args, content, tokens)
-
-    n_actual = len(result.stats.chunk_counters)
-    if args.chunk >= n_actual:
-        print(f"error: chunk {args.chunk} out of range — the document "
-              f"split into {n_actual} chunk(s) (valid: 0..{n_actual - 1})",
-              file=sys.stderr)
-        return 2
-    print(format_explain(explain_chunk(journal, args.chunk)))
-    _obs_emit(args, tracer, None, journal)
+    with _run_query(args, journal=True) as run:
+        n_actual = len(run.result.stats.chunk_counters)
+        if args.chunk >= n_actual:
+            print(f"error: chunk {args.chunk} out of range — the document "
+                  f"split into {n_actual} chunk(s) (valid: 0..{n_actual - 1})",
+                  file=sys.stderr)
+            return 2
+        print(format_explain(explain_chunk(run.journal, args.chunk)))
     return 0
 
 
@@ -1038,203 +946,47 @@ def _top_rates(curr: dict, prev: dict | None,
     return rates, reset
 
 
-def _render_top(varz: dict, prev: dict | None, dt: float, slow_n: int) -> str:
-    """One terminal frame of ``repro top`` (pure function of snapshots)."""
-    from .bench.reporting import banner, format_table
-
-    cfg = varz.get("config", {})
-    lines = [banner("repro top")]
-    lines.append(
-        f"uptime {varz.get('uptime_seconds', 0):.0f}s · "
-        f"backend {cfg.get('backend', '?')} · workers {cfg.get('workers', '?')} · "
-        f"tracing {'on' if cfg.get('request_tracing') else 'off'}"
-    )
-    lines.append(
-        f"queue {varz.get('queue_depth', 0)}/{cfg.get('max_queue', '?')} · "
-        f"in-flight {varz.get('in_flight', 0)} · "
-        f"documents {varz.get('documents', 0)} · "
-        f"engines {varz.get('engines', 0)} · "
-        f"batches {varz.get('batches_total', 0):.0f}"
-    )
-    rates, reset = _top_rates(varz, prev, dt)
-    if rates:
-        line = " · ".join(f"{k} {v:.1f}" for k, v in sorted(rates.items()))
-        if reset:
-            line += " · [reset]"
-        lines.append(line)
-    requests = varz.get("requests", {})
-    if requests:
-        lines.append(format_table(
-            ["status", "total"],
-            [[s, requests[s]] for s in sorted(requests)], title="requests"))
-    latency = varz.get("latency", {})
-
-    def _row(name: str, summary: dict) -> list:
-        def ms(key: str):
-            v = summary.get(key)
-            return None if v is None else v * 1e3
-        return [name, summary.get("count"), ms("p50"), ms("p95"), ms("p99")]
-
-    lat_rows = [_row("request", latency.get("request_seconds", {}))]
-    for stage, summary in latency.get("stages", {}).items():
-        lat_rows.append(_row(f"  {stage}", summary))
-    lat_rows.append(_row("merged pass", latency.get("batch_seconds", {})))
-    lines.append(format_table(["interval", "count", "p50 ms", "p95 ms", "p99 ms"],
-                              lat_rows, title="latency"))
-    slow = varz.get("slow_log", {})
-    entries = slow.get("entries", [])[-slow_n:]
-    if entries:
-        rows = [
-            [e.get("seq"), e.get("request"), e.get("doc"), e.get("total_ms"),
-             e.get("stages_ms", {}).get("queue_wait"),
-             e.get("stages_ms", {}).get("execute"),
-             e.get("batch_size")]
-            for e in entries
-        ]
-        lines.append(format_table(
-            ["seq", "request", "doc", "total ms", "queue ms", "exec ms", "size"],
-            rows,
-            title=f"slow requests (threshold "
-                  f"{slow.get('threshold_seconds', 0) * 1e3:.0f} ms, "
-                  f"{slow.get('recorded', 0)} recorded)"))
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_top(args: argparse.Namespace) -> int:
     import time
 
     from .service.client import QueryClient, ServiceError
 
     client = QueryClient(args.host, args.port)
+
+    def frame(varz: dict, prev: dict | None, dt: float) -> str:
+        """The ``/statusz`` sections plus the per-second rate line."""
+        meta = varz_meta(varz)
+        rates, reset = _top_rates(varz, prev, dt)
+        if rates:
+            meta += "\n" + " · ".join(f"{k} {v:.1f}" for k, v in sorted(rates.items()))
+            if reset:
+                meta += " · [reset]"
+        return render_terminal(Page("repro top", meta, varz_sections(varz)))
+
     try:
-        varz = client.varz(n=args.slow)
+        varz = client.varz(n=args.slow, history=VIEW_HISTORY)
     except (OSError, ServiceError) as exc:
         print(f"error: no service at {args.host}:{args.port}: {exc}",
               file=sys.stderr)
         return 1
     if args.once:
-        print(_render_top(varz, None, 0.0, args.slow), end="")
+        print(frame(varz, None, 0.0), end="")
         return 0
     prev, prev_t = None, 0.0
     frames = 0
     try:
         while True:
             now = time.monotonic()
-            frame = _render_top(varz, prev, now - prev_t if prev else 0.0,
-                                args.slow)
             # clear + home keeps the view in place like top(1)
-            sys.stdout.write("\x1b[2J\x1b[H" + frame)
+            sys.stdout.write("\x1b[2J\x1b[H"
+                             + frame(varz, prev, now - prev_t if prev else 0.0))
             sys.stdout.flush()
             frames += 1
             if args.count and frames >= args.count:
                 return 0
             prev, prev_t = varz, now
             time.sleep(args.interval)
-            varz = client.varz(n=args.slow)
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
-        print()
-        return 0
-    except (OSError, ServiceError) as exc:
-        print(f"\nerror: lost the service at {args.host}:{args.port}: {exc}",
-              file=sys.stderr)
-        return 1
-
-
-def _render_monitor(varz: dict, prev: dict | None, dt: float) -> str:
-    """One terminal frame of ``repro monitor`` (pure function of snapshots)."""
-    from .bench.reporting import banner, format_table
-    from .obs.report import sparkline
-
-    cfg = varz.get("config", {})
-    telemetry = varz.get("telemetry") or {}
-    collector = telemetry.get("collector", {})
-    lines = [banner("repro monitor")]
-    lines.append(
-        f"uptime {varz.get('uptime_seconds', 0):.0f}s · "
-        f"backend {cfg.get('backend', '?')} · "
-        f"collector {'on' if collector.get('enabled') else 'off'} "
-        f"(every {collector.get('interval', '?')}s · "
-        f"{collector.get('ticks', 0)} tick(s) · "
-        f"{collector.get('errors', 0)} error(s)) · "
-        f"counter resets {telemetry.get('resets', 0)}"
-    )
-    lines.append(
-        f"queue {varz.get('queue_depth', 0)}/{cfg.get('max_queue', '?')} · "
-        f"in-flight {varz.get('in_flight', 0)} · "
-        f"documents {varz.get('documents', 0)} · "
-        f"batches {varz.get('batches_total', 0):.0f}"
-    )
-    rates, reset = _top_rates(varz, prev, dt)
-    if rates:
-        line = " · ".join(f"{k} {v:.1f}" for k, v in sorted(rates.items()))
-        if reset:
-            line += " · [reset]"
-        lines.append(line)
-    alerts = varz.get("alerts")
-    if alerts:
-        firing = alerts.get("firing", [])
-        title = f"alerts (firing: {len(firing)}"
-        title += f" — {', '.join(firing)})" if firing else ")"
-        rows = [
-            [r.get("name"), r.get("state"), r.get("series"),
-             f"{r.get('op', '')}{r.get('threshold')}", r.get("value"),
-             r.get("fired_count"), r.get("resolved_count")]
-            for r in alerts.get("rules", [])
-        ]
-        lines.append(format_table(
-            ["rule", "state", "series", "condition", "value",
-             "fired", "resolved"], rows, title=title))
-    series = telemetry.get("series", {})
-    if series:
-        rows = []
-        for name in sorted(series):
-            entry = series[name]
-            values = [p[1] for p in entry.get("points", [])]
-            last = values[-1] if values else None
-            rows.append([
-                name, entry.get("kind"), len(values),
-                None if last is None else round(float(last), 3),
-                sparkline(values),
-            ])
-        lines.append(format_table(
-            ["series", "kind", "points", "last", "history"], rows,
-            title="telemetry"))
-    else:
-        lines.append("(no telemetry history yet — the collector is off or "
-                     "has not ticked; see repro serve --collect-interval)")
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_monitor(args: argparse.Namespace) -> int:
-    import time
-
-    from .service.client import QueryClient, ServiceError
-
-    client = QueryClient(args.host, args.port)
-    try:
-        varz = client.varz(history=args.history)
-    except (OSError, ServiceError) as exc:
-        print(f"error: no service at {args.host}:{args.port}: {exc}",
-              file=sys.stderr)
-        return 1
-    if args.once:
-        print(_render_monitor(varz, None, 0.0), end="")
-        return 0
-    prev, prev_t = None, 0.0
-    frames = 0
-    try:
-        while True:
-            now = time.monotonic()
-            frame = _render_monitor(varz, prev, now - prev_t if prev else 0.0)
-            # clear + home keeps the view in place like top(1)
-            sys.stdout.write("\x1b[2J\x1b[H" + frame)
-            sys.stdout.flush()
-            frames += 1
-            if args.count and frames >= args.count:
-                return 0
-            prev, prev_t = varz, now
-            time.sleep(args.interval)
-            varz = client.varz(history=args.history)
+            varz = client.varz(n=args.slow, history=VIEW_HISTORY)
     except KeyboardInterrupt:  # pragma: no cover - interactive stop
         print()
         return 0

@@ -236,8 +236,11 @@ class _EngineBase:
         """Total forward sub-queries merged into the automaton."""
         return len(self.registry.subqueries)
 
-    def _result(self, run: ParallelRunResult, decoder=None) -> QueryResult:
-        offsets = apply_filters(self.compiled, run.events, self.anchor_sids, decoder)
+    def _result(self, run: ParallelRunResult, decoder=None,
+                tracer: Tracer | None = None) -> QueryResult:
+        with (tracer if tracer is not None else self.tracer).span(
+                "xpath.filtering", cat="phase"):
+            offsets = apply_filters(self.compiled, run.events, self.anchor_sids, decoder)
         stats = RunStats(counters=run.counters, chunk_counters=run.chunk_counters)
         return QueryResult(queries=self.queries, offsets_by_id=offsets, stats=stats)
 
@@ -279,7 +282,7 @@ class SequentialEngine(_EngineBase):
     """Single-threaded on-the-fly evaluation (the speedup baseline)."""
 
     def run(self, text: str) -> QueryResult:
-        with self.tracer.span("sequential", cat="phase") as sp:
+        with self.tracer.span("core.kernel", cat="phase", mode="sequential") as sp:
             run = run_sequential_pipeline(text, self.automaton, self.anchor_sids)
             if self.tracer.enabled:
                 sp.args.update(tokens=run.counters.total_tokens, bytes=len(text))
@@ -484,7 +487,7 @@ class GapEngine(_EngineBase):
         """Extract partial grammar from a prior input (Algorithm 3)."""
         if self._complete:
             raise EngineError("learning is only meaningful without a complete grammar")
-        with self.tracer.span("learn", cat="phase") as sp:
+        with self.tracer.span("core.inference", cat="phase", learn=True) as sp:
             self.learner.observe(xml_text)
             if self.tracer.enabled:
                 sp.args.update(bytes=len(xml_text), documents=self.learner.documents_observed)
@@ -498,7 +501,7 @@ class GapEngine(_EngineBase):
     def table(self) -> FeasibleTable:
         """The feasible path table (built lazily, cached)."""
         if self._table is None:
-            with self.tracer.span("infer", cat="phase") as sp:
+            with self.tracer.span("core.inference", cat="phase") as sp:
                 if self._tree is not None:
                     self._table = infer_feasible_paths(
                         self.automaton, self._tree, complete=self._complete
@@ -560,7 +563,7 @@ class GapEngine(_EngineBase):
             self._pipeline(tracer, journal).run(
                 text, n_chunks or self.n_chunks,
                 chunks=chunks, chunk_tokens=chunk_tokens),
-            decoder=self._text_decoder(text),
+            decoder=self._text_decoder(text), tracer=tracer,
         )
         if learn:
             self.learn(text)
@@ -583,7 +586,7 @@ class GapEngine(_EngineBase):
         result = self._result(
             self._pipeline(tracer, journal).run_tokens(
                 tokens, n_chunks or self.n_chunks, edges=edges),
-            decoder=self._token_decoder(tokens),
+            decoder=self._token_decoder(tokens), tracer=tracer,
         )
         if learn:
             self.learn_tokens(tokens)
@@ -593,7 +596,7 @@ class GapEngine(_EngineBase):
         """Speculative-mode learning from a pre-tokenised prior input."""
         if self._complete:
             raise EngineError("learning is only meaningful without a complete grammar")
-        with self.tracer.span("learn", cat="phase") as sp:
+        with self.tracer.span("core.inference", cat="phase", learn=True) as sp:
             self.learner.observe_tokens(tokens)
             if self.tracer.enabled:
                 sp.args.update(tokens=len(tokens), documents=self.learner.documents_observed)

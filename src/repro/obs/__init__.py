@@ -2,12 +2,16 @@
 
 The paper's whole argument is quantitative (Tables 5/6, Figures 8-10
 are profiles of starting paths, switches and misspeculation cost), so
-this package gives every run a measurable shape:
+this package gives every run a measurable shape, and every surface
+names its time with one vocabulary:
 
-* :mod:`repro.obs.tracer` — context-manager **spans** with wall-clock
-  durations and counter snapshots (``split``, ``lex``, ``chunk[i]``,
-  ``join``, ``reprocess``, ``learn``, ``infer``), collected by a
-  :class:`Tracer` and disabled at zero cost by the default
+* :mod:`repro.obs.layers` — the ordered **layer table**
+  (:data:`LAYERS`: ``xpath.compile`` … ``service.service.respond``)
+  with the module prefixes each layer owns, and exclusive (self) time
+  over a span tree;
+* :mod:`repro.obs.tracer` — context-manager **spans**, each named by a
+  layer, with wall-clock durations and counter snapshots, collected by
+  a :class:`Tracer` and disabled at zero cost by the default
   :class:`NullTracer`;
 * :mod:`repro.obs.metrics` — a counter/gauge/histogram **registry**
   with Prometheus text exposition and JSON export;
@@ -18,12 +22,13 @@ this package gives every run a measurable shape:
   structured event journal of the path lifecycle (spawn / kill /
   converge / switch), speculation and resilience events, off by
   default via the zero-cost :data:`NULL_JOURNAL`;
-* :mod:`repro.obs.report` — ``repro report`` / ``repro explain``:
-  terminal and self-contained HTML run reports built from spans +
-  journal + stats, plus the ``/statusz`` operator dashboard renderer;
+* :mod:`repro.obs.report` — **pages** (a title, a meta line, sections
+  of tables) and their one text and one HTML renderer: the run report,
+  ``repro explain``, the ``/varz`` operator view behind ``/statusz``
+  and ``repro top``, and the flame view;
 * :mod:`repro.obs.reqtrace` — **per-request stage traces** for the
-  query service (queue wait / batch assembly / execute / respond),
-  disabled at zero cost by :data:`NULL_REQUEST_TRACE`;
+  query service (the four request layers), disabled at zero cost by
+  :data:`NULL_REQUEST_TRACE`;
 * :mod:`repro.obs.slowlog` — the threshold-triggered, ring-buffered
   **slow-request log** behind ``/varz`` and ``/statusz``;
 * :mod:`repro.obs.logsetup` — stdlib :mod:`logging` wiring for the
@@ -38,8 +43,8 @@ this package gives every run a measurable shape:
   ``/alertz`` and the ``alert`` journal kind;
 * :mod:`repro.obs.sampler` — the continuous **stack-sampling
   profiler** (``sys._current_frames()`` at ~50 Hz) aggregating into
-  deterministic collapsed-stack profiles and the ``/profilez`` flame
-  view.
+  deterministic collapsed-stack profiles, attributed to layers, and
+  the ``/profilez`` flame view.
 
 Quick start::
 
@@ -61,6 +66,7 @@ from .alerts import (
     parse_alert_rules,
 )
 from .journal import NULL_JOURNAL, Event, Journal, NullJournal
+from .layers import LAYERS, REQUEST_LAYERS, layer_seconds, self_times
 from .logsetup import configure_logging, get_logger
 from .sampler import SampleProfile, StackSampler
 from .timeseries import Collector, TimeSeries, TimeSeriesStore
@@ -79,7 +85,8 @@ from .export import (
     write_chrome_trace,
 )
 from .report import (
-    RunReport,
+    Page,
+    Section,
     build_report,
     explain_chunk,
     format_explain,
@@ -89,15 +96,11 @@ from .report import (
     render_statusz,
     render_terminal,
     sparkline,
+    varz_sections,
 )
-from .reqtrace import (
-    NULL_REQUEST_TRACE,
-    STAGES,
-    NullRequestTrace,
-    RequestTrace,
-)
+from .reqtrace import NULL_REQUEST_TRACE, NullRequestTrace, RequestTrace
 from .slowlog import SlowEntry, SlowLog
-from .tracer import NULL_TRACER, NullTracer, Span, Tracer
+from .tracer import NULL_TRACER, NullTracer, Span, Tracer, gc_spans
 
 __all__ = [
     "AlertManager",
@@ -110,6 +113,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "Journal",
+    "LAYERS",
     "MetricsRegistry",
     "NULL_JOURNAL",
     "NULL_REQUEST_TRACE",
@@ -117,10 +121,11 @@ __all__ = [
     "NullJournal",
     "NullRequestTrace",
     "NullTracer",
+    "Page",
+    "REQUEST_LAYERS",
     "RequestTrace",
-    "RunReport",
-    "STAGES",
     "SampleProfile",
+    "Section",
     "SlowEntry",
     "SlowLog",
     "Span",
@@ -137,14 +142,18 @@ __all__ = [
     "format_explain",
     "format_request",
     "format_timeline",
+    "gc_spans",
     "get_logger",
+    "layer_seconds",
     "parse_alert_rule",
     "parse_alert_rules",
     "render_flame",
     "render_html",
     "render_statusz",
     "render_terminal",
+    "self_times",
     "sparkline",
     "table_registry",
+    "varz_sections",
     "write_chrome_trace",
 ]

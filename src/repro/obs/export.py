@@ -7,7 +7,7 @@ microseconds relative to the earliest span, one lane (``tid``) per
 chunk worker plus lane 0 for the driver phases.
 
 :func:`format_timeline` renders the same spans as the aligned text
-table ``repro profile`` prints: every phase and chunk span in start
+table ``repro profile`` prints: every span in start
 order, with the counter snapshots (tokens, switches, starting paths)
 the workers attached.
 """
@@ -59,10 +59,11 @@ def write_chrome_trace(spans: Sequence[Span], path: str, pid: int = 1) -> None:
 def chunk_timeline(spans: Sequence[Span]) -> tuple[list[str], list[list[object]]]:
     """Spans → (headers, rows) for the per-chunk timeline table.
 
-    Rows are ordered by start time; nested spans (a worker's ``lex``
-    inside its ``chunk[i]``) are indented by depth.  The counter
-    columns come from the args snapshots the instrumentation attached
-    (absent values render as ``-``).
+    Rows are ordered by start time; nested spans (a worker's
+    ``xmlstream.lex`` inside its ``core.kernel``) are indented by depth,
+    and a chunk's spans carry its index (``core.kernel #3``).  The
+    counter columns come from the args snapshots the instrumentation
+    attached (absent values render as ``-``).
     """
     headers = ["span", "start ms", "dur ms", "tokens", "switches", "paths"]
     if not spans:
@@ -71,8 +72,9 @@ def chunk_timeline(spans: Sequence[Span]) -> tuple[list[str], list[list[object]]
     rows: list[list[object]] = []
     for s in sorted(spans, key=lambda s: (s.t0, -s.duration)):
         args = s.args
+        label = s.name if "chunk" not in args else f"{s.name} #{args['chunk']}"
         rows.append([
-            "  " * s.depth + s.name,
+            "  " * s.depth + label,
             (s.t0 - base) * 1e3,
             s.duration * 1e3,
             args.get("tokens"),

@@ -32,6 +32,8 @@ import threading
 from bisect import bisect_left
 from collections.abc import Sequence
 
+from .layers import layer_seconds
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -47,6 +49,9 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0,
     2.5, 5.0, 10.0,
 )
+
+#: help text of the one per-layer time family (runs and requests)
+LAYER_SECONDS_HELP = "Exclusive wall-clock time per layer (repro.obs.LAYERS)"
 
 _METRIC_NAME = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_NAME = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -413,22 +418,20 @@ def collect_run_metrics(
             reg.counter("repro_matches_total", "Matches found, per query",
                         query=query).inc(len(offsets))
     for span in spans:
-        if span.cat == "chunk":
-            if span.name.startswith("chunk["):
-                reg.histogram("repro_chunk_seconds",
-                              "Wall-clock duration of one chunk's parallel-phase work"
-                              ).observe(span.duration)
+        if span.cat == "chunk" and "chunk" in span.args:
+            reg.histogram("repro_chunk_seconds",
+                          "Wall-clock duration of one chunk's parallel-phase work"
+                          ).observe(span.duration)
         elif span.cat == "resilience":
-            # retry[i] / fallback[i] spans aggregate per kind, not per
-            # chunk — chunk indexes would be unbounded label cardinality
-            kind = span.name.split("[", 1)[0]
+            # recovery spans aggregate per kind, not per chunk — chunk
+            # indexes would be unbounded label cardinality
             reg.counter("repro_resilience_seconds_total",
                         "Wall-clock time spent in recovery, by kind",
-                        kind=kind).inc(span.duration)
-        else:
-            reg.counter("repro_phase_seconds_total",
-                        "Wall-clock time spent per pipeline phase",
-                        phase=span.name).inc(span.duration)
+                        kind=span.args["recovery"]).inc(span.duration)
+    if spans:
+        for layer, secs in layer_seconds(spans).items():
+            reg.histogram("repro_layer_seconds", LAYER_SECONDS_HELP,
+                          layer=layer).observe(secs)
     return reg
 
 

@@ -1,24 +1,31 @@
-"""Run reports and chunk explanations over the flight-recorder stream.
+"""Pages: run reports, chunk explanations, ``/statusz`` and the flame view.
 
 Turns one run's observability artefacts — tracing spans
 (:mod:`repro.obs.tracer`), the structured event journal
-(:mod:`repro.obs.journal`) and the run statistics
-(:mod:`repro.core.stats`) — into three human-facing products:
+(:mod:`repro.obs.journal`), the run statistics
+(:mod:`repro.core.stats`), a service ``/varz`` snapshot or a sampled
+profile — into human-facing pages.  A :class:`Page` is a title, a meta
+line and a list of :class:`Section` tables; one text renderer
+(:func:`render_terminal`) and one HTML renderer (:func:`render_html`)
+draw every page:
 
-* :func:`build_report` + :func:`render_terminal` — the aligned-text run
-  report behind ``repro report`` (chunk timeline, per-chunk path
-  lifecycle, the Table 5/6 profile);
-* :func:`render_html` — the same report as a **self-contained,
-  deterministic** single HTML file: inline CSS only, no scripts, no
-  network assets, and byte-identical output for identical input (the
-  renderer is a pure function of the :class:`RunReport`);
+* :func:`build_report` — the run report behind ``repro report`` (chunk
+  timeline, per-layer self time, per-chunk path lifecycle, the Table
+  5/6 profile);
+* :func:`varz_sections` — the operator view of one ``/varz`` snapshot,
+  served as ``/statusz`` (:func:`render_statusz`) and printed by
+  ``repro top``;
+* :func:`render_flame` — a sampled profile as a flamegraph page;
 * :func:`explain_chunk` + :func:`format_explain` — ``repro explain``:
   replay one chunk's journal tag-by-tag and show where paths were
   spawned, killed, converged and switched.
 
-The HTML palette follows the repo's chart conventions: chart-chrome
-inks for all text, one categorical series hue for the bars (a single
-series needs no legend), light and dark values swapped by
+Every HTML page is **self-contained and deterministic**: inline CSS
+only, no scripts, no network assets, and byte-identical output for
+identical input (the renderers are pure functions of their input).
+The palette follows the repo's chart conventions: chart-chrome inks
+for all text, one categorical series hue for the bars (a single series
+needs no legend), light and dark values swapped by
 ``prefers-color-scheme`` with an explicit ``data-theme`` override.
 """
 
@@ -29,19 +36,28 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .journal import Event, Journal
+from .layers import REQUEST_LAYERS, layer_seconds, stage_key
+from .sampler import SampleProfile, layer_of_label
 
 __all__ = [
+    "VIEW_HISTORY",
     "ChunkExplanation",
-    "RunReport",
+    "Page",
+    "Section",
     "build_report",
     "explain_chunk",
     "format_explain",
     "format_request",
-    "render_terminal",
-    "render_html",
-    "render_statusz",
+    "layer_rows",
     "render_flame",
+    "render_html",
+    "render_sections",
+    "render_statusz",
+    "render_terminal",
+    "sample_sections",
     "sparkline",
+    "varz_meta",
+    "varz_sections",
 ]
 
 
@@ -169,121 +185,60 @@ def format_explain(exp: ChunkExplanation) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the run report
+# pages and their two renderers
 
 
-@dataclass(slots=True)
-class RunReport:
-    """Everything the terminal and HTML renderers consume.
+@dataclass(frozen=True, slots=True)
+class Section:
+    """One titled table of a page; ``note`` is a line above the table.
 
-    A plain data holder: both renderers are pure functions of this, so
-    rendering the same report twice is byte-identical.
+    ``html`` is markup the HTML renderer places before the table (the
+    timeline bars, the flame); the text renderer skips it.
     """
 
     title: str
-    #: ordered run facts shown in the header (file, engine, chunks, …)
-    meta: dict[str, object] = field(default_factory=dict)
-    #: per-chunk timeline bars: (label, start_ms, dur_ms, tokens, switches, paths)
-    timeline: list[list[object]] = field(default_factory=list)
-    #: per-chunk lifecycle: (chunk, start paths, spawned, killed,
-    #: converged, switches, misspeculated)
-    lifecycle: list[list[object]] = field(default_factory=list)
-    #: Table 5/6 profile: (metric, value)
-    profile: list[list[object]] = field(default_factory=list)
-    #: journal event totals: (kind, count)
-    event_counts: list[list[object]] = field(default_factory=list)
-    #: per-query match counts: (query, matches)
-    matches: list[list[object]] = field(default_factory=list)
-
-    TIMELINE_HEADERS = ("chunk", "start ms", "dur ms", "tokens", "switches", "paths")
-    LIFECYCLE_HEADERS = ("chunk", "start paths", "spawned", "killed",
-                         "converged", "switches", "misspec")
-    PROFILE_HEADERS = ("metric", "value")
+    headers: Sequence[str] = ()
+    rows: Sequence[Sequence[object]] = ()
+    note: str = ""
+    html: str = ""
 
 
-def build_report(
-    stats,
-    journal: Journal,
-    spans: Sequence = (),
-    matches: dict[str, list[int]] | None = None,
-    title: str = "repro run report",
-    meta: dict[str, object] | None = None,
-) -> RunReport:
-    """Assemble a :class:`RunReport` from one run's artefacts.
+@dataclass(slots=True)
+class Page:
+    """A title, a meta line and sections; ``footer`` is HTML-only."""
 
-    ``stats`` is a :class:`~repro.core.stats.RunStats`; ``spans`` the
-    tracer's span list (the ``chunk[i]`` spans become timeline bars);
-    ``journal`` the run's flight recorder.
-    """
-    report = RunReport(title=title, meta=dict(meta or {}))
-
-    chunk_spans = [s for s in spans if s.cat == "chunk" and s.name.startswith("chunk[")]
-    if chunk_spans:
-        base = min(s.t0 for s in chunk_spans)
-        for s in sorted(chunk_spans, key=lambda s: s.name):
-            report.timeline.append([
-                s.name,
-                (s.t0 - base) * 1e3,
-                s.duration * 1e3,
-                s.args.get("tokens"),
-                s.args.get("switches"),
-                s.args.get("starting_paths"),
-            ])
-
-    chunks = sorted({ev.chunk for ev in journal.events if ev.chunk >= 0})
-    for ci in chunks:
-        exp = explain_chunk(journal, ci)
-        report.lifecycle.append([
-            ci, exp.starting_paths, exp.spawned, exp.killed,
-            exp.converged, exp.switches, "yes" if exp.misspeculated else "-",
-        ])
-
-    report.profile = [
-        ["chunks", stats.n_chunks],
-        ["avg starting paths (Table 5)", stats.avg_starting_paths],
-        ["speculation accuracy (Table 6)", stats.speculation_accuracy],
-        ["reprocessing cost (Table 6)", stats.reprocessing_cost],
-        ["switches", stats.counters.switches],
-        ["divergences", stats.counters.divergences],
-        ["paths eliminated", stats.counters.paths_eliminated],
-        ["paths converged", stats.counters.paths_converged],
-        ["misspeculations", stats.counters.misspeculations],
-        ["reprocessed tokens", stats.counters.reprocessed_tokens],
-    ]
-    report.event_counts = [[k, v] for k, v in sorted(journal.counts().items())]
-    if journal.dropped:
-        report.event_counts.append(["(dropped past limit)", journal.dropped])
-    if matches is not None:
-        report.matches = [[q, len(offs)] for q, offs in matches.items()]
-    return report
+    title: str
+    meta: str = ""
+    sections: list[Section] = field(default_factory=list)
+    footer: str = ""
 
 
-def render_terminal(report: RunReport) -> str:
-    """The aligned-text form of the report (what ``repro report`` prints)."""
+def render_sections(sections: Sequence[Section]) -> str:
+    """The sections as aligned text tables (what the CLI prints)."""
     from ..bench.reporting import banner, format_table  # lazy: import cycle
 
-    out = [banner(report.title)]
-    for key, value in report.meta.items():
-        out.append(f"{key}: {value}")
-    if report.matches:
-        out.append(format_table(["query", "matches"], report.matches,
-                                title="matches"))
-    if report.timeline:
-        out.append(format_table(list(RunReport.TIMELINE_HEADERS), report.timeline,
-                                title="chunk timeline"))
-    if report.lifecycle:
-        out.append(format_table(list(RunReport.LIFECYCLE_HEADERS), report.lifecycle,
-                                title="path lifecycle (per chunk)"))
-    out.append(format_table(list(RunReport.PROFILE_HEADERS), report.profile,
-                            title="profile (Tables 5/6)"))
-    if report.event_counts:
-        out.append(format_table(["event", "count"], report.event_counts,
-                                title="journal events"))
+    out: list[str] = []
+    for sec in sections:
+        if not sec.headers and not sec.note:
+            continue
+        out.append(banner(sec.title))
+        if sec.note:
+            out.append(sec.note)
+        if sec.headers:
+            out.append(format_table(sec.headers, sec.rows))
+    return "\n".join(out)
+
+
+def render_terminal(page: Page) -> str:
+    """The aligned-text form of a page (what ``repro report`` prints)."""
+    from ..bench.reporting import banner  # lazy: import cycle
+
+    out = [banner(page.title)]
+    if page.meta:
+        out.append(page.meta)
+    out.append(render_sections(page.sections))
     return "\n".join(out) + "\n"
 
-
-# ---------------------------------------------------------------------------
-# HTML rendering — deterministic, self-contained, no network assets
 
 _CSS = """\
 .viz-root {
@@ -294,7 +249,6 @@ _CSS = """\
   --text-muted: #898781;
   --gridline: #e1e0d9;
   --baseline: #c3c2b7;
-  --border: rgba(11,11,11,0.10);
   --series-1: #2a78d6;
 }
 @media (prefers-color-scheme: dark) {
@@ -306,7 +260,6 @@ _CSS = """\
     --text-muted: #898781;
     --gridline: #2c2c2a;
     --baseline: #383835;
-    --border: rgba(255,255,255,0.10);
     --series-1: #3987e5;
   }
 }
@@ -318,7 +271,6 @@ _CSS = """\
   --text-muted: #898781;
   --gridline: #2c2c2a;
   --baseline: #383835;
-  --border: rgba(255,255,255,0.10);
   --series-1: #3987e5;
 }
 .viz-root {
@@ -380,6 +332,26 @@ _CSS = """\
   font-variant-numeric: tabular-nums;
 }
 .viz-root .footer { color: var(--text-muted); font-size: 12px; margin-top: 24px; }
+.viz-root .flame { position: relative; font-size: 11px; }
+.viz-root .flame-box {
+  position: absolute;
+  height: 16px;
+  line-height: 16px;
+  overflow: hidden;
+  white-space: nowrap;
+  box-sizing: border-box;
+  border-right: 1px solid var(--surface-1);
+  border-bottom: 1px solid var(--surface-1);
+  padding: 0 3px;
+  color: #0b0b0b;
+  background: var(--gridline);
+}
+.viz-root .flame-xpath { background: #d4c27a; }
+.viz-root .flame-core { background: #e8a87f; }
+.viz-root .flame-xmlstream, .viz-root .flame-jsonstream { background: #7fb9e8; }
+.viz-root .flame-parallel, .viz-root .flame-transducer { background: #9fd49a; }
+.viz-root .flame-stream, .viz-root .flame-store { background: #8fd0c9; }
+.viz-root .flame-service { background: #c9a6dd; }
 """
 
 
@@ -406,16 +378,131 @@ def _html_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str
     return f"<table><thead><tr>{head}</tr></thead><tbody>{body}</tbody></table>"
 
 
+def render_html(page: Page) -> str:
+    """A page as one self-contained HTML document.
+
+    Pure function of ``page``: no timestamps, no random ids, no
+    scripts, no external assets — identical input renders
+    byte-identical output.
+    """
+    parts: list[str] = [
+        "<!DOCTYPE html>",
+        '<html lang="en"><head><meta charset="utf-8">',
+        f"<title>{_esc(page.title)}</title>",
+        f"<style>\n{_CSS}</style>",
+        '</head><body class="viz-root">',
+        f"<h1>{_esc(page.title)}</h1>",
+    ]
+    if page.meta:
+        parts.append(f'<p class="meta">{_esc(page.meta)}</p>')
+    for sec in page.sections:
+        parts.append(f"<h2>{_esc(sec.title[:1].upper() + sec.title[1:])}</h2>")
+        if sec.note:
+            parts.append(f'<p class="meta">{_esc(sec.note)}</p>')
+        if sec.html:
+            parts.append(sec.html)
+        if sec.headers:
+            parts.append(_html_table(sec.headers, sec.rows))
+    if page.footer:
+        parts.append(f'<p class="footer">{page.footer}</p>')
+    parts.append("</body></html>")
+    return "\n".join(parts) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the run report
+
+
+def layer_rows(spans: Sequence) -> list[list[object]]:
+    """``[layer, self ms, share of wall]`` rows; wall is the spans' extent."""
+    if not spans:
+        return []
+    wall = max(s.t1 for s in spans) - min(s.t0 for s in spans)
+    return [[layer, secs * 1e3, secs / wall if wall > 0 else None]
+            for layer, secs in layer_seconds(spans).items()]
+
+
+def build_report(
+    stats,
+    journal: Journal,
+    spans: Sequence = (),
+    matches: dict[str, list[int]] | None = None,
+    title: str = "repro run report",
+    meta: dict[str, object] | None = None,
+) -> Page:
+    """The run report page of one run's artefacts.
+
+    ``stats`` is a :class:`~repro.core.stats.RunStats`; ``spans`` the
+    tracer's span list (the per-chunk kernel spans become timeline
+    bars, every span feeds the layer table); ``journal`` the run's
+    flight recorder.
+    """
+    sections: list[Section] = []
+    if matches:
+        sections.append(Section("matches", ("query", "matches"),
+                                [[q, len(offs)] for q, offs in matches.items()]))
+    chunk_spans = sorted((s for s in spans
+                          if s.name == "core.kernel" and "chunk" in s.args),
+                         key=lambda s: s.args["chunk"])
+    if chunk_spans:
+        base = min(s.t0 for s in chunk_spans)
+        timeline = [[s.args["chunk"], (s.t0 - base) * 1e3, s.duration * 1e3,
+                     s.args.get("tokens"), s.args.get("switches"),
+                     s.args.get("starting_paths")] for s in chunk_spans]
+        sections.append(Section(
+            "chunk timeline",
+            ("chunk", "start ms", "dur ms", "tokens", "switches", "paths"),
+            timeline, html=_timeline_bars(timeline)))
+    if spans:
+        sections.append(Section("layers (self time)", ("layer", "self ms", "share"),
+                                layer_rows(spans)))
+    lifecycle = []
+    for ci in sorted({ev.chunk for ev in journal.events if ev.chunk >= 0}):
+        exp = explain_chunk(journal, ci)
+        lifecycle.append([ci, exp.starting_paths, exp.spawned, exp.killed,
+                          exp.converged, exp.switches,
+                          "yes" if exp.misspeculated else "-"])
+    if lifecycle:
+        sections.append(Section(
+            "path lifecycle (per chunk)",
+            ("chunk", "start paths", "spawned", "killed", "converged",
+             "switches", "misspec"),
+            lifecycle))
+    c = stats.counters
+    sections.append(Section("profile (Tables 5/6)", ("metric", "value"), [
+        ["chunks", stats.n_chunks],
+        ["avg starting paths (Table 5)", stats.avg_starting_paths],
+        ["speculation accuracy (Table 6)", stats.speculation_accuracy],
+        ["reprocessing cost (Table 6)", stats.reprocessing_cost],
+        ["switches", c.switches],
+        ["divergences", c.divergences],
+        ["paths eliminated", c.paths_eliminated],
+        ["paths converged", c.paths_converged],
+        ["misspeculations", c.misspeculations],
+        ["reprocessed tokens", c.reprocessed_tokens],
+    ]))
+    events = [[k, v] for k, v in sorted(journal.counts().items())]
+    if journal.dropped:
+        events.append(["(dropped past limit)", journal.dropped])
+    if events:
+        sections.append(Section("journal events", ("event", "count"), events))
+    return Page(
+        title, " · ".join(f"{k}: {v}" for k, v in (meta or {}).items()), sections,
+        footer="Generated by <code>repro report</code> — self-contained, "
+               "no external assets.",
+    )
+
+
 def _timeline_bars(timeline: Sequence[Sequence[object]]) -> str:
     """Horizontal bar lanes for the chunk timeline (single series)."""
     total = max((row[1] + row[2] for row in timeline), default=0.0) or 1.0
     lanes: list[str] = []
-    for label, start_ms, dur_ms, *_rest in timeline:
+    for chunk, start_ms, dur_ms, *_rest in timeline:
         left = 100.0 * start_ms / total
         width = max(100.0 * dur_ms / total, 0.1)
         lanes.append(
             '<div class="lane">'
-            f'<span class="lane-label">{_esc(label)}</span>'
+            f'<span class="lane-label">chunk {_esc(chunk)}</span>'
             '<span class="lane-track">'
             f'<span class="lane-bar" style="left:{left:.2f}%;width:{width:.2f}%"></span>'
             "</span>"
@@ -423,45 +510,6 @@ def _timeline_bars(timeline: Sequence[Sequence[object]]) -> str:
             "</div>"
         )
     return '<div class="timeline">' + "".join(lanes) + "</div>"
-
-
-def render_html(report: RunReport) -> str:
-    """The report as one self-contained HTML document.
-
-    Pure function of ``report``: no timestamps, no random ids, no
-    scripts, no external assets — identical input renders
-    byte-identical output.
-    """
-    parts: list[str] = [
-        "<!DOCTYPE html>",
-        '<html lang="en"><head><meta charset="utf-8">',
-        f"<title>{_esc(report.title)}</title>",
-        f"<style>\n{_CSS}</style>",
-        '</head><body class="viz-root">',
-        f"<h1>{_esc(report.title)}</h1>",
-    ]
-    if report.meta:
-        meta = " · ".join(f"{_esc(k)}: {_esc(v)}" for k, v in report.meta.items())
-        parts.append(f'<p class="meta">{meta}</p>')
-    if report.matches:
-        parts.append("<h2>Matches</h2>")
-        parts.append(_html_table(["query", "matches"], report.matches))
-    if report.timeline:
-        parts.append("<h2>Chunk timeline</h2>")
-        parts.append(_timeline_bars(report.timeline))
-        parts.append(_html_table(list(RunReport.TIMELINE_HEADERS), report.timeline))
-    if report.lifecycle:
-        parts.append("<h2>Path lifecycle (per chunk)</h2>")
-        parts.append(_html_table(list(RunReport.LIFECYCLE_HEADERS), report.lifecycle))
-    parts.append("<h2>Profile (Tables 5/6)</h2>")
-    parts.append(_html_table(list(RunReport.PROFILE_HEADERS), report.profile))
-    if report.event_counts:
-        parts.append("<h2>Journal events</h2>")
-        parts.append(_html_table(["event", "count"], report.event_counts))
-    parts.append('<p class="footer">Generated by <code>repro report</code> — '
-                 "self-contained, no external assets.</p>")
-    parts.append("</body></html>")
-    return "\n".join(parts) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +579,7 @@ def _request_event_detail(ev: Event) -> str:
 
 
 # ---------------------------------------------------------------------------
-# /statusz — the live operator dashboard (pure function of one varz dict)
+# the operator view of one /varz snapshot (/statusz and repro top)
 
 
 def _ms(value: object) -> object:
@@ -546,181 +594,159 @@ def _rate(hits: float, misses: float) -> object:
     return hits / total if total else None
 
 
-def render_statusz(varz: dict) -> str:
-    """The ``/statusz`` dashboard as one self-contained HTML document.
+def _latency_row(name: str, summary: dict) -> list[object]:
+    return [name, summary.get("count"), _ms(summary.get("p50")),
+            _ms(summary.get("p95")), _ms(summary.get("p99"))]
 
-    Same contract as :func:`render_html`: a pure function of its input
-    (the service's :meth:`~repro.service.service.QueryService.varz`
-    snapshot) — inline CSS only, no scripts, no network assets, and
-    byte-identical output for identical input.  All freshness lives in
-    the data, none in the renderer.
-    """
+
+def varz_meta(varz: dict) -> str:
+    """The one-line service summary above the ``/varz`` sections."""
     cfg = varz.get("config", {})
-    latency = varz.get("latency", {})
-    slow = varz.get("slow_log", {})
-    parts: list[str] = [
-        "<!DOCTYPE html>",
-        '<html lang="en"><head><meta charset="utf-8">',
-        "<title>repro service status</title>",
-        f"<style>\n{_CSS}</style>",
-        '</head><body class="viz-root">',
-        "<h1>repro service status</h1>",
+    collector = (varz.get("telemetry") or {}).get("collector", {})
+    bits = [
+        f"uptime {_fmt_cell(varz.get('uptime_seconds'))} s",
+        f"backend {cfg.get('backend', '?')}",
+        f"workers {cfg.get('workers', '?')}",
+        f"tracing {'on' if cfg.get('request_tracing') else 'off'}",
+        f"queue {varz.get('queue_depth', 0)}/{cfg.get('max_queue', '?')}",
     ]
-    meta_bits = [
-        f"uptime: {_fmt_cell(varz.get('uptime_seconds'))} s",
-        f"backend: {_esc(cfg.get('backend', '?'))}",
-        f"workers: {_esc(cfg.get('workers', '?'))}",
-        f"tracing: {'on' if cfg.get('request_tracing') else 'off'}",
-    ]
-    parts.append(f'<p class="meta">{" · ".join(meta_bits)}</p>')
+    if collector:
+        bits.append(
+            f"collector {'on' if collector.get('enabled') else 'off'} "
+            f"(every {collector.get('interval', '?')} s, "
+            f"{collector.get('errors', 0)} error(s))")
+    return " · ".join(bits)
 
-    parts.append("<h2>Service</h2>")
-    parts.append(_html_table(
-        ["queue depth", "in flight", "documents", "warm engines",
-         "batches", "journal events"],
-        [[varz.get("queue_depth"), varz.get("in_flight"),
-          varz.get("documents"), varz.get("engines"),
-          varz.get("batches_total"),
+
+def varz_sections(varz: dict) -> list[Section]:
+    """The operator view of one ``/varz`` snapshot, as page sections."""
+    latency = varz.get("latency", {})
+    sections = [Section(
+        "service",
+        ("queue depth", "in flight", "documents", "warm engines", "batches",
+         "journal events"),
+        [[varz.get("queue_depth"), varz.get("in_flight"), varz.get("documents"),
+          varz.get("engines"), varz.get("batches_total"),
           varz.get("journal", {}).get("events")]],
-    ))
+    )]
 
     requests = varz.get("requests", {})
     if requests:
-        parts.append("<h2>Requests by status</h2>")
-        parts.append(_html_table(
-            ["status", "total"],
-            [[status, requests[status]] for status in sorted(requests)],
-        ))
+        sections.append(Section("requests by status", ("status", "total"),
+                                [[s, requests[s]] for s in sorted(requests)]))
 
-    parts.append("<h2>Latency (ms)</h2>")
-    lat_rows: list[list[object]] = []
-    req_lat = latency.get("request_seconds", {})
-    lat_rows.append(["request (end-to-end)", req_lat.get("count"),
-                     _ms(req_lat.get("p50")), _ms(req_lat.get("p95")),
-                     _ms(req_lat.get("p99"))])
-    for stage, summary in latency.get("stages", {}).items():
-        lat_rows.append([f"stage: {stage}", summary.get("count"),
-                         _ms(summary.get("p50")), _ms(summary.get("p95")),
-                         _ms(summary.get("p99"))])
-    batch_lat = latency.get("batch_seconds", {})
-    lat_rows.append(["merged pass", batch_lat.get("count"),
-                     _ms(batch_lat.get("p50")), _ms(batch_lat.get("p95")),
-                     _ms(batch_lat.get("p99"))])
-    parts.append(_html_table(["interval", "count", "p50", "p95", "p99"], lat_rows))
+    stages = latency.get("stages", {})
+    sections.append(Section(
+        "latency (ms)", ("interval", "count", "p50", "p95", "p99"),
+        [_latency_row("request (end-to-end)", latency.get("request_seconds", {})),
+         *(_latency_row(layer, stages[stage_key(layer)])
+           for layer in REQUEST_LAYERS if stage_key(layer) in stages),
+         _latency_row("merged pass", latency.get("batch_seconds", {}))],
+    ))
 
     batch_size = varz.get("batch_size", {})
-    parts.append("<h2>Batch occupancy</h2>")
-    parts.append(_html_table(
-        ["passes", "p50", "p95", "p99"],
+    sections.append(Section(
+        "batch occupancy", ("passes", "p50", "p95", "p99"),
         [[batch_size.get("count"), batch_size.get("p50"),
           batch_size.get("p95"), batch_size.get("p99")]],
     ))
 
     engine_cache = varz.get("engine_cache", {})
     compile_cache = varz.get("compile_cache", {})
-    parts.append("<h2>Caches</h2>")
-    parts.append(_html_table(
-        ["cache", "hits", "misses", "hit rate"],
-        [
-            ["warm engines", engine_cache.get("hit", 0),
-             engine_cache.get("miss", 0),
-             _rate(engine_cache.get("hit", 0), engine_cache.get("miss", 0))],
-            ["dense tables", compile_cache.get("hits", 0),
-             compile_cache.get("misses", 0),
-             _rate(compile_cache.get("hits", 0), compile_cache.get("misses", 0))],
-        ],
-    ))
+    sections.append(Section("caches", ("cache", "hits", "misses", "hit rate"), [
+        ["warm engines", engine_cache.get("hit", 0), engine_cache.get("miss", 0),
+         _rate(engine_cache.get("hit", 0), engine_cache.get("miss", 0))],
+        ["dense tables", compile_cache.get("hits", 0), compile_cache.get("misses", 0),
+         _rate(compile_cache.get("hits", 0), compile_cache.get("misses", 0))],
+    ]))
 
-    parts.append("<h2>Slow requests</h2>")
-    parts.append(
-        f'<p class="meta">threshold: '
-        f"{_fmt_cell(_ms(slow.get('threshold_seconds')))} ms · "
-        f"recorded: {_esc(slow.get('recorded', 0))} · "
-        f"evicted: {_esc(slow.get('evicted', 0))}</p>"
-    )
+    slow = varz.get("slow_log", {})
     entries = slow.get("entries", [])
+    note = (f"threshold: {_fmt_cell(_ms(slow.get('threshold_seconds')))} ms · "
+            f"recorded: {slow.get('recorded', 0)} · "
+            f"evicted: {slow.get('evicted', 0)}")
     if entries:
-        rows = []
-        for e in entries:
-            stages_ms = e.get("stages_ms", {})
-            rows.append([
-                e.get("seq"), e.get("request"), e.get("doc"),
-                e.get("total_ms"),
-                stages_ms.get("queue_wait"), stages_ms.get("batch_assembly"),
-                stages_ms.get("execute"), stages_ms.get("respond"),
-                e.get("batch_seq"), e.get("batch_size"),
-                e.get("deadline_fraction"),
-            ])
-        parts.append(_html_table(
-            ["seq", "request", "doc", "total ms", "queue ms", "assembly ms",
-             "exec ms", "respond ms", "batch", "size", "deadline frac"],
-            rows,
+        sections.append(Section(
+            "slow requests",
+            ("seq", "request", "doc", "total ms",
+             *(f"{stage_key(layer)} ms" for layer in REQUEST_LAYERS),
+             "batch", "size", "deadline frac"),
+            [[e.get("seq"), e.get("request"), e.get("doc"), e.get("total_ms"),
+              *(e.get("stages_ms", {}).get(stage_key(layer))
+                for layer in REQUEST_LAYERS),
+              e.get("batch_seq"), e.get("batch_size"), e.get("deadline_fraction")]
+             for e in entries],
+            note=note,
         ))
     else:
-        parts.append('<p class="meta">none over threshold</p>')
+        sections.append(Section("slow requests", note=note + " · none over threshold"))
 
     alerts = varz.get("alerts")
     if alerts:
-        parts.append("<h2>Alerts</h2>")
         firing = alerts.get("firing", [])
-        parts.append(
-            f'<p class="meta">firing: {_esc(len(firing))}'
-            + (f" ({_esc(', '.join(firing))})" if firing else "")
-            + "</p>"
-        )
-        rule_rows = [
-            [r.get("name"), r.get("state"), r.get("series"),
-             f"{r.get('op', '')}{_fmt_cell(r.get('threshold'))}",
-             r.get("value"), r.get("fired_count"), r.get("resolved_count")]
-            for r in alerts.get("rules", [])
-        ]
-        if rule_rows:
-            parts.append(_html_table(
-                ["rule", "state", "series", "condition", "value",
-                 "fired", "resolved"],
-                rule_rows,
-            ))
+        sections.append(Section(
+            "alerts",
+            ("rule", "state", "series", "condition", "value", "fired", "resolved"),
+            [[r.get("name"), r.get("state"), r.get("series"),
+              f"{r.get('op', '')}{_fmt_cell(r.get('threshold'))}",
+              r.get("value"), r.get("fired_count"), r.get("resolved_count")]
+             for r in alerts.get("rules", [])],
+            note=f"firing: {len(firing)}"
+                 + (f" ({', '.join(firing)})" if firing else ""),
+        ))
 
-    telemetry = varz.get("telemetry")
-    if telemetry and telemetry.get("series"):
-        parts.append("<h2>Telemetry</h2>")
-        parts.append(
-            f'<p class="meta">collector ticks: '
-            f"{_esc(telemetry.get('ticks', 0))} · counter resets: "
-            f"{_esc(telemetry.get('resets', 0))}</p>"
-        )
-        series = telemetry["series"]
-        tele_rows = []
+    telemetry = varz.get("telemetry") or {}
+    series = telemetry.get("series")
+    note = (f"collector ticks: {telemetry.get('ticks', 0)} · "
+            f"counter resets: {telemetry.get('resets', 0)}")
+    if series:
+        rows = []
         for name in sorted(series):
             entry = series[name]
             values = [p[1] for p in entry.get("points", [])]
-            tele_rows.append([
-                name, entry.get("kind"), len(values),
-                values[-1] if values else None, sparkline(values),
-            ])
-        parts.append(_html_table(
-            ["series", "kind", "points", "last", "history"], tele_rows))
+            rows.append([name, entry.get("kind"), len(values),
+                         values[-1] if values else None, sparkline(values)])
+        sections.append(Section(
+            "telemetry", ("series", "kind", "points", "last", "history"), rows,
+            note=note))
+    else:
+        sections.append(Section(
+            "telemetry", note=note + " · no history yet (the collector is off "
+                                     "or has not ticked)"))
+    return sections
 
-    parts.append('<p class="footer">Served at <code>/statusz</code> — '
-                 "self-contained, no external assets; data from "
-                 "<code>/varz</code>.</p>")
-    parts.append("</body></html>")
-    return "\n".join(parts) + "\n"
+
+def render_statusz(varz: dict) -> str:
+    """The ``/statusz`` dashboard: :func:`varz_sections` as one HTML page.
+
+    A pure function of the service's
+    :meth:`~repro.service.service.QueryService.varz` snapshot — all
+    freshness lives in the data, none in the renderer.
+    """
+    return render_html(Page(
+        "repro service status", varz_meta(varz), varz_sections(varz),
+        footer="Served at <code>/statusz</code> — self-contained, no external "
+               "assets; data from <code>/varz</code>.",
+    ))
 
 
 # ---------------------------------------------------------------------------
-# sparklines + the flame view (repro monitor / /profilez?format=flame)
+# sparklines + the flame view (repro top / /profilez?format=flame)
 
 #: eight block glyphs, lowest to highest
 _SPARK_BARS = "▁▂▃▄▅▆▇█"
 
+#: telemetry points per series the operator view asks ``/varz`` for
+#: (``/statusz``, ``repro top``): one sparkline's width
+VIEW_HISTORY = 30
 
-def sparkline(values: Sequence[object], width: int = 30) -> str:
+
+def sparkline(values: Sequence[object], width: int = VIEW_HISTORY) -> str:
     """A unicode sparkline of the last ``width`` numeric values.
 
     Min/max scaled per call; a flat series renders the lowest bar.
-    Pure and deterministic — used by ``repro monitor`` panels and the
-    ``/statusz`` telemetry table alike.
+    Pure and deterministic — the telemetry section of ``/statusz`` and
+    ``repro top``.
     """
     nums = [float(v) for v in values if isinstance(v, (int, float))]
     if not nums:
@@ -735,31 +761,6 @@ def sparkline(values: Sequence[object], width: int = 30) -> str:
         _SPARK_BARS[min(top, int((v - lo) / span * len(_SPARK_BARS)))]
         for v in nums
     )
-
-
-_FLAME_CSS = """\
-.viz-root .flame { position: relative; font-size: 11px; }
-.viz-root .flame-box {
-  position: absolute;
-  height: 16px;
-  line-height: 16px;
-  overflow: hidden;
-  white-space: nowrap;
-  box-sizing: border-box;
-  border-right: 1px solid var(--surface-1);
-  border-bottom: 1px solid var(--surface-1);
-  padding: 0 3px;
-  color: #0b0b0b;
-  background: var(--gridline);
-}
-.viz-root .flame-lex { background: #7fb9e8; }
-.viz-root .flame-kernel { background: #e8a87f; }
-.viz-root .flame-transduce { background: #9fd49a; }
-.viz-root .flame-compile { background: #d4c27a; }
-.viz-root .flame-service { background: #c9a6dd; }
-.viz-root .flame-store { background: #8fd0c9; }
-.viz-root .flame-other { background: #cfcec6; }
-"""
 
 
 def _flame_tree(counts: dict[str, int]) -> dict:
@@ -781,11 +782,10 @@ def _flame_tree(counts: dict[str, int]) -> dict:
 
 def _flame_boxes(node: dict, left: float, width: float, depth: int,
                  total: int, out: list[str], max_depth: list[int]) -> None:
-    from .sampler import stage_of_label  # lazy: sampler imports nothing back
-
     max_depth[0] = max(max_depth[0], depth)
-    stage = stage_of_label(node["label"]) if depth > 0 else None
-    cls = f"flame-box flame-{stage}" if stage else "flame-box"
+    layer = layer_of_label(node["label"]) if depth > 0 else None
+    # one hue per top-level package of the owning layer
+    cls = f"flame-box flame-{layer.partition('.')[0]}" if layer else "flame-box"
     share = 100.0 * node["count"] / total
     out.append(
         f'<div class="{cls}" '
@@ -802,56 +802,45 @@ def _flame_boxes(node: dict, left: float, width: float, depth: int,
         child_left += child_width
 
 
+def sample_sections(profile: SampleProfile) -> list[Section]:
+    """Samples per layer and the hottest leaf frames of one profile."""
+    total = profile.total
+    return [
+        Section("samples by layer", ("layer", "samples", "share"),
+                [[layer, n, n / total] for layer, n in profile.layers().items()]),
+        Section("hottest frames (leaf)", ("frame", "samples"),
+                [list(kv) for kv in profile.top(10)]),
+    ]
+
+
 def render_flame(counts: dict[str, int], title: str = "repro flame view",
                  meta: dict[str, object] | None = None) -> str:
     """A collapsed-stack profile as one self-contained HTML flamegraph.
 
-    Same contract as :func:`render_html`: pure function of its input
-    (``"frame;frame" -> samples``, a
-    :meth:`~repro.obs.sampler.SampleProfile.to_dict`), inline CSS only,
-    no scripts, no external assets, byte-identical for identical input
-    (children are laid out in sorted label order).  Boxes are colored
-    by pipeline stage.
+    ``counts`` is ``"frame;frame" -> samples`` (a
+    :meth:`~repro.obs.sampler.SampleProfile.to_dict`); children are laid
+    out in sorted label order, so identical input renders byte-identical
+    output.  Boxes are colored by the package of the layer that owns
+    their frame.
     """
-    from .sampler import STAGES, SampleProfile
-
     profile = SampleProfile()
     if counts:
         profile.merge(counts)
-    parts: list[str] = [
-        "<!DOCTYPE html>",
-        '<html lang="en"><head><meta charset="utf-8">',
-        f"<title>{_esc(title)}</title>",
-        f"<style>\n{_CSS}{_FLAME_CSS}</style>",
-        '</head><body class="viz-root">',
-        f"<h1>{_esc(title)}</h1>",
-    ]
-    meta_bits = [f"samples: {profile.total}", f"stacks: {len(profile)}"]
-    for key, value in (meta or {}).items():
-        meta_bits.append(f"{_esc(key)}: {_esc(value)}")
-    parts.append(f'<p class="meta">{" · ".join(meta_bits)}</p>')
+    bits = [f"samples: {profile.total}", f"stacks: {len(profile)}"]
+    bits += [f"{k}: {v}" for k, v in (meta or {}).items()]
     if profile.total:
-        stages = profile.stages()
-        parts.append("<h2>By pipeline stage</h2>")
-        parts.append(_html_table(
-            ["stage", "samples", "share"],
-            [[stage, stages[stage], stages[stage] / profile.total]
-             for stage in STAGES if stages[stage]],
-        ))
-        parts.append("<h2>Hottest frames</h2>")
-        parts.append(_html_table(
-            ["frame", "samples"], [list(kv) for kv in profile.top(10)]))
-        parts.append("<h2>Flame</h2>")
         boxes: list[str] = []
         max_depth = [0]
         _flame_boxes(_flame_tree(profile.to_dict()), 0.0, 100.0, 0,
                      profile.total, boxes, max_depth)
         height = (max_depth[0] + 1) * 16
-        parts.append(f'<div class="flame" style="height:{height}px">'
-                     + "".join(boxes) + "</div>")
+        sections = [*sample_sections(profile), Section(
+            "flame", html=f'<div class="flame" style="height:{height}px">'
+                          + "".join(boxes) + "</div>")]
     else:
-        parts.append('<p class="meta">no samples captured</p>')
-    parts.append('<p class="footer">Collapsed-stack sampling profile — '
-                 "self-contained, no external assets.</p>")
-    parts.append("</body></html>")
-    return "\n".join(parts) + "\n"
+        sections = [Section("flame", note="no samples captured")]
+    return render_html(Page(
+        title, " · ".join(bits), sections,
+        footer="Collapsed-stack sampling profile — self-contained, no "
+               "external assets.",
+    ))

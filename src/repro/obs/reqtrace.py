@@ -9,20 +9,22 @@ the request-scoped record of that journey: monotonic marks at each
 stage boundary, stitched to the owning batch's engine spans at
 execution time.
 
-The canonical stage sequence (see ``docs/SERVICE.md``)::
+The four stages are the request layers of :mod:`repro.obs.layers`
+(``REQUEST_LAYERS``), keyed in JSON by their last name part (see
+``docs/SERVICE.md``)::
 
     admit ──▶ queue_wait ──▶ batch_assembly ──▶ execute ──▶ respond
     (enqueued)   (dequeued)      (exec_start)   (exec_end)  (responded)
 
-* ``queue_wait`` — admitted, sitting in the bounded queue until a
-  worker is free to take it;
-* ``batch_assembly`` — dequeued, while the worker drains whatever is
-  already queued (no window: nothing waits for companions) and groups
-  the batch by document; a later group of the same batch also waits
-  here for the groups the worker runs before it;
-* ``execute`` — the merged-automaton pass the request shared,
-  including the warm-engine fetch (or build on a cache miss);
-* ``respond`` — demultiplexing and future delivery.
+* ``service.batching.queue_wait`` — admitted, sitting in the bounded
+  queue until a worker is free to take it;
+* ``service.batching.batch_assembly`` — dequeued, while the worker
+  drains whatever is already queued (no window: nothing waits for
+  companions) and groups the batch by document; a later group of the
+  same batch also waits here for the groups the worker runs before it;
+* ``service.service.execute`` — the merged-automaton pass the request
+  shared, including the warm-engine fetch (or build on a cache miss);
+* ``service.service.respond`` — demultiplexing and future delivery.
 
 The stages partition the service-side interval, so they **sum to the
 end-to-end latency exactly** (the tests pin this); the client
@@ -40,12 +42,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-__all__ = ["RequestTrace", "NullRequestTrace", "NULL_REQUEST_TRACE", "STAGES"]
+from .layers import REQUEST_LAYERS, stage_key
+
+__all__ = ["RequestTrace", "NullRequestTrace", "NULL_REQUEST_TRACE"]
 
 _clock = time.monotonic
 
-#: the stage names, in lifecycle order (queryable surface + docs pin these)
-STAGES = ("queue_wait", "batch_assembly", "execute", "respond")
+#: the JSON key of each request layer, in lifecycle order
+_KEYS = tuple(stage_key(layer) for layer in REQUEST_LAYERS)
 
 
 @dataclass(slots=True)
@@ -54,7 +58,7 @@ class RequestTrace:
 
     All timestamps come from :func:`time.monotonic` (the scheduler's
     deadline clock), so stage durations compose with the request's
-    deadline budget.  ``chunk_spans`` holds ``[name, start_ms, dur_ms]``
+    deadline budget.  ``chunk_spans`` holds ``[chunk, start_ms, dur_ms]``
     rows copied from the owning batch's engine tracer — the stitch
     point between request-level and chunk-level observability.
     """
@@ -68,7 +72,7 @@ class RequestTrace:
     responded: float = 0.0
     #: id of the merged pass that served this request (-1 = never ran)
     batch_seq: int = -1
-    #: ``[name, start_ms_into_exec, dur_ms]`` rows from the batch tracer
+    #: ``[chunk, start_ms_into_exec, dur_ms]`` rows from the batch tracer
     chunk_spans: list = field(default_factory=list)
 
     def mark(self, stage: str, now: float | None = None) -> None:
@@ -83,23 +87,16 @@ class RequestTrace:
         return max(0.0, self.responded - self.enqueued)
 
     def stage_seconds(self) -> dict[str, float]:
-        """The span breakdown; stages sum exactly to :attr:`total`.
+        """Seconds per request layer; the stages sum exactly to :attr:`total`.
 
         A request that died early (expired, rejected at dispatch)
         reports zero for the stages it never reached: each boundary
         falls back to the previous one when it was never marked.
         """
-        t0 = self.enqueued
-        t1 = self.dequeued or t0
-        t2 = self.exec_start or t1
-        t3 = self.exec_end or t2
-        t4 = self.responded or t3
-        return {
-            "queue_wait": max(0.0, t1 - t0),
-            "batch_assembly": max(0.0, t2 - t1),
-            "execute": max(0.0, t3 - t2),
-            "respond": max(0.0, t4 - t3),
-        }
+        marks = [self.enqueued]
+        for t in (self.dequeued, self.exec_start, self.exec_end, self.responded):
+            marks.append(t or marks[-1])
+        return {key: max(0.0, b - a) for key, a, b in zip(_KEYS, marks, marks[1:])}
 
     def deadline_fraction(self, deadline: float | None) -> float | None:
         """Fraction of the deadline budget the request consumed.

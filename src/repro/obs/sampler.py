@@ -7,13 +7,12 @@ each stack into a :class:`SampleProfile` — a dict of collapsed stacks
 to sample counts.  Because the cost lives in the sampler thread (a
 frame walk per tick), the *profiled* code pays nothing beyond normal
 GIL arbitration, which is what lets the service leave it on in
-production (the CI overhead gate pins the bill).
+production.
 
 Attribution: frame labels are ``module:function`` with repro-internal
 files shortened to their dotted module path, and every sample is also
-bucketed into a **pipeline stage** (``lex`` / ``kernel`` /
-``transduce`` / ``compile`` / ``service`` / ``store`` / ``other``) by
-the deepest repro frame on the stack — the per-stage table ``repro
+charged to the **layer** (:mod:`repro.obs.layers`) that owns the
+deepest repro frame on the stack — the per-layer table ``repro
 profile --sample`` prints.
 
 Output is **deterministic** for a given set of samples: collapsed
@@ -32,29 +31,15 @@ import threading
 import time
 from collections.abc import Mapping
 
-__all__ = ["SampleProfile", "StackSampler", "STAGES", "stage_of_label"]
+from .layers import UNATTRIBUTED, in_table_order, layer_of_module
+
+__all__ = ["SampleProfile", "StackSampler", "layer_of_label"]
 
 #: default sampling interval (≈50 Hz)
 DEFAULT_INTERVAL = 0.02
 
 #: stack-depth bound per sample (deeper frames are dropped at the root)
 MAX_DEPTH = 64
-
-#: the attribution buckets, deepest-repro-frame wins
-STAGES = ("lex", "kernel", "transduce", "compile", "service", "store", "other")
-
-#: repro module-path prefix → stage (first match wins, most specific first)
-_STAGE_PREFIXES = (
-    ("repro.xmlstream", "lex"),
-    ("repro.jsonstream", "lex"),
-    ("repro.core.kernel", "kernel"),
-    ("repro.xpath.subseq", "kernel"),
-    ("repro.transducer", "transduce"),
-    ("repro.xpath.compile_tables", "compile"),
-    ("repro.xpath", "compile"),
-    ("repro.service", "service"),
-    ("repro.store", "store"),
-)
 
 _SEP = "/repro/"
 
@@ -78,15 +63,12 @@ def _frame_label(frame) -> str:
     return f"{_module_of(code.co_filename)}:{code.co_name}"
 
 
-def stage_of_label(label: str) -> str | None:
-    """The pipeline stage one frame label belongs to (None = not repro)."""
+def layer_of_label(label: str) -> str | None:
+    """The layer one frame label belongs to (None = not a repro frame)."""
     module = label.partition(":")[0]
-    if not module.startswith("repro"):
+    if module != "repro" and not module.startswith("repro."):
         return None
-    for prefix, stage in _STAGE_PREFIXES:
-        if module.startswith(prefix):
-            return stage
-    return "other"
+    return layer_of_module(module) or UNATTRIBUTED
 
 
 def collapse_frame(frame) -> tuple[str, ...]:
@@ -155,19 +137,24 @@ class SampleProfile:
             "\n" if items else ""
         )
 
-    def stages(self) -> dict[str, int]:
-        """Samples per pipeline stage (deepest repro frame attributes)."""
-        out = {stage: 0 for stage in STAGES}
+    def layers(self) -> dict[str, int]:
+        """Samples per layer, in table order, the deepest repro frame's.
+
+        A sample with no repro frame, or whose frame no layer owns,
+        counts as ``unattributed`` (last).
+        """
         with self._lock:
             items = list(self._counts.items())
+        counts: dict[str, int] = {}
         for stack, count in items:
-            stage = None
+            layer = UNATTRIBUTED
             for label in reversed(stack):  # deepest repro frame wins
-                stage = stage_of_label(label)
-                if stage is not None:
+                owner = layer_of_label(label)
+                if owner is not None:
+                    layer = owner
                     break
-            out[stage or "other"] += count
-        return out
+            counts[layer] = counts.get(layer, 0) + count
+        return in_table_order(counts)
 
     def top(self, n: int = 10) -> list[tuple[str, int]]:
         """The ``n`` hottest leaf frames ``(label, samples)``, ties by name."""

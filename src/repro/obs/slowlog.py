@@ -52,7 +52,7 @@ class SlowEntry:
     deadline_fraction: float | None = None
     batch_seq: int = -1
     batch_size: int = 0
-    #: ``[name, start_ms, dur_ms]`` chunk spans of the owning batch
+    #: ``[chunk, start_ms, dur_ms]`` kernel spans of the owning batch
     chunk_spans: list = field(default_factory=list)
     #: wall-clock (``time.time``) at capture, for operator display
     wall_ts: float = 0.0

@@ -2,7 +2,7 @@
 
 The service's point-in-time surfaces (``/metrics``, ``/varz``) answer
 *what is happening now*; this module adds the time dimension behind
-``/varz``'s ``telemetry`` section, ``repro monitor`` and the alert
+``/varz``'s ``telemetry`` section, ``repro top`` and the alert
 engine (:mod:`repro.obs.alerts`):
 
 * :class:`TimeSeries` — one named series of ``(mono, wall, value)``

@@ -2,11 +2,15 @@
 
 A :class:`Span` is one named interval of wall-clock time plus a free
 ``args`` dict for counter snapshots; a :class:`Tracer` collects them.
-The instrumented code uses one idiom everywhere::
+The instrumented code uses one idiom everywhere, and every span name
+is a layer of :data:`repro.obs.layers.LAYERS`::
 
-    with tracer.span("join", cat="phase") as sp:
+    with tracer.span("transducer.mapping", cat="phase") as sp:
         ...                        # the timed work
         sp.args["misspeculations"] = totals.misspeculations
+
+Which chunk, retry or fallback a span belongs to travels in ``args``
+(``chunk=i``), never in its name.
 
 The default tracer on every engine is the :data:`NULL_TRACER`
 singleton, whose ``span`` call is a handful of attribute lookups that
@@ -25,16 +29,32 @@ timeline.
 
 ``tid`` is the span's *lane* for timeline rendering: 0 is the driver,
 ``1 + chunk_index`` is the worker that processed that chunk.
+
+:func:`gc_spans` adds the garbage collector as the ``runtime.gc``
+layer for the duration of one traced run.
 """
 
 from __future__ import annotations
 
+import gc
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER"]
+__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "gc_spans"]
 
 _clock = time.perf_counter
+
+#: per thread, the tracers with a span open on it (innermost last)
+_open = threading.local()
+
+
+def _open_tracers() -> list:
+    stack = getattr(_open, "tracers", None)
+    if stack is None:
+        stack = _open.tracers = []
+    return stack
 
 
 @dataclass(slots=True)
@@ -66,12 +86,14 @@ class _SpanHandle:
 
     def __enter__(self) -> Span:
         self._tracer._depth += 1
+        _open_tracers().append(self._tracer)
         self.span.t0 = _clock()
         return self.span
 
     def __exit__(self, *exc: object) -> None:
         self.span.t1 = _clock()
         self._tracer._depth -= 1
+        _open_tracers().pop()
         self._tracer.spans.append(self.span)
 
 
@@ -107,8 +129,8 @@ class Tracer:
         return sum(s.duration for s in self.spans if s.name == name)
 
     def chunk_spans(self) -> list[Span]:
-        """The per-chunk spans, in chunk order."""
-        out = [s for s in self.spans if s.cat == "chunk" and s.name.startswith("chunk[")]
+        """The per-chunk kernel spans, in chunk order."""
+        out = [s for s in self.spans if s.name == "core.kernel" and "chunk" in s.args]
         out.sort(key=lambda s: (s.tid, s.t0))
         return out
 
@@ -167,3 +189,37 @@ class NullTracer:
 
 #: the process-wide disabled tracer (engines default to this)
 NULL_TRACER = NullTracer()
+
+
+@contextmanager
+def gc_spans(tracer: Tracer):
+    """Record each collection inside the block as a ``runtime.gc`` span.
+
+    The span lands on the tracer whose span is innermost on the
+    collecting thread (``tracer`` when none is open there), one level
+    below that span, so the pause is charged to ``runtime.gc`` and not
+    to the layer it interrupted.  Collections in process-pool workers
+    are not seen.  Callers pass an enabled tracer: the disabled path
+    must not pay for a ``gc.callbacks`` hook.
+    """
+    starts: dict[int, float] = {}
+
+    def hook(phase: str, info: dict) -> None:
+        ident = threading.get_ident()
+        if phase == "start":
+            starts[ident] = _clock()
+            return
+        t0 = starts.pop(ident, None)
+        if t0 is None:
+            return
+        stack = _open_tracers()
+        owner = stack[-1] if stack else tracer
+        owner.spans.append(Span("runtime.gc", t0, _clock(), tid=owner.tid,
+                                depth=owner._depth,
+                                args={"generation": info["generation"]}))
+
+    gc.callbacks.append(hook)
+    try:
+        yield
+    finally:
+        gc.callbacks.remove(hook)

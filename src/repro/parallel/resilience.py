@@ -160,10 +160,11 @@ def supervised_map(
                 sleep(delay)
         handles = []
         if attempt > 0 and tracer.enabled:
-            # one retry[i] lane per re-attempted chunk; they run
+            # one retry span per re-attempted chunk; they run
             # concurrently inside the round, so equal extents are honest
             for i in pending:
-                h = tracer.span(f"retry[{i}]", cat="resilience")
+                h = tracer.span("parallel.backend", cat="resilience",
+                                recovery="retry", chunk=i)
                 sp = h.__enter__()
                 sp.args.update(attempt=attempt, cause=str(last_error.get(i, "")))
                 handles.append(h)
@@ -214,7 +215,8 @@ def supervised_map(
         if fallback is None:
             raise ResilienceError(slot, attempt, cause) from (
                 cause if isinstance(cause, BaseException) else None)
-        with tracer.span(f"fallback[{slot}]", cat="resilience") as sp:
+        with tracer.span("parallel.backend", cat="resilience",
+                         recovery="fallback", chunk=slot) as sp:
             sp.args.update(attempts=attempt, cause=str(cause))
             try:
                 value = fallback(items[slot])

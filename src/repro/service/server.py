@@ -16,7 +16,7 @@ service's bounded queue, not the socket layer):
                       log; ``?n=``/``?since=`` bound the slow-log
                       entries, ``?history=`` includes that many
                       telemetry points per series) — what ``repro
-                      top`` and ``repro monitor`` poll
+                      top`` polls
 ``GET  /statusz``     the same snapshot as a self-contained HTML
                       dashboard (no scripts, no external assets)
 ``GET  /alertz``      SLO/alert rule states, firing set and recent

@@ -49,8 +49,8 @@ from typing import TYPE_CHECKING
 from ..core.engine import GapEngine
 from ..obs.alerts import AlertManager, parse_alert_rules
 from ..obs.journal import Journal
-from ..obs.metrics import MetricsRegistry
-from ..obs.reqtrace import STAGES
+from ..obs.metrics import LAYER_SECONDS_HELP, MetricsRegistry
+from ..obs.layers import REQUEST_LAYERS, stage_key
 from ..obs.sampler import SampleProfile, StackSampler
 from ..obs.slowlog import SlowEntry, SlowLog
 from ..obs.timeseries import Collector, TimeSeriesStore
@@ -213,13 +213,11 @@ class QueryService:
             "repro_service_request_seconds",
             "Request latency from admission to response",
         )
+        # one histogram per request layer, keyed like the trace's stages
         self._stage_hists = {
-            stage: self.metrics.histogram(
-                "repro_service_stage_seconds",
-                "Request latency decomposed by lifecycle stage",
-                stage=stage,
-            )
-            for stage in STAGES
+            stage_key(layer): self.metrics.histogram(
+                "repro_layer_seconds", LAYER_SECONDS_HELP, layer=layer)
+            for layer in REQUEST_LAYERS
         }
         # continuous-observability plane: telemetry history + alerts +
         # the sampling profiler.  History persists under the artifact
@@ -449,9 +447,9 @@ class QueryService:
             if chunk_spans:
                 base = min(s.t0 for s in chunk_spans)
                 chunk_rows = [
-                    [s.name, round((s.t0 - base) * 1e3, 3),
+                    [s.args["chunk"], round((s.t0 - base) * 1e3, 3),
                      round((s.t1 - s.t0) * 1e3, 3)]
-                    for s in sorted(chunk_spans, key=lambda s: s.name)
+                    for s in sorted(chunk_spans, key=lambda s: s.args["chunk"])
                 ]
 
         matches = result.matches
@@ -758,8 +756,10 @@ class QueryService:
         two surfaces can never disagree; ``repro top`` polls it and
         derives rates from successive snapshots.  ``history`` bounds
         the points per telemetry series in the ``telemetry`` section
-        (0 keeps only its tick/reset meta — ``repro monitor`` asks for
-        ranges via ``/varz?history=N``).
+        (0 keeps only its tick/reset meta — ``repro top`` asks for
+        ranges via ``/varz?history=N``).  ``latency.stages`` is keyed
+        by each request layer's last name part (``queue_wait``, …);
+        ``perfbench/run.py`` reads those keys.
         """
         sched = self._scheduler.snapshot()
         streams = self.streams.stats()
@@ -838,6 +838,6 @@ class QueryService:
 
     def statusz_html(self) -> str:
         """The ``/statusz`` operator dashboard (rendered from :meth:`varz`)."""
-        from ..obs.report import render_statusz
+        from ..obs.report import VIEW_HISTORY, render_statusz
 
-        return render_statusz(self.varz(history=30))
+        return render_statusz(self.varz(history=VIEW_HISTORY))

@@ -92,13 +92,13 @@ def prepare_xml(
 
     Identical results to ``split_chunks`` + per-chunk ``lex_range``;
     with a warm ``store`` both computations are skipped entirely (and
-    no ``split``/``lex`` spans are recorded).  ``store=None`` degrades
+    no ``xmlstream.split``/``xmlstream.lex`` spans are recorded).  ``store=None`` degrades
     to the plain computation.
     """
     key = content_key(text, n_chunks) if store is not None else ""
     chunks = _stored_chunks(store, key, text) if store is not None else None
     if chunks is None:
-        with tracer.span("split", cat="phase") as sp:
+        with tracer.span("xmlstream.split", cat="phase") as sp:
             chunks = split_chunks(text, n_chunks)
             sp.args["n_chunks"] = len(chunks)
         if store is not None:
@@ -110,7 +110,7 @@ def prepare_xml(
         if store is not None else None
     )
     if chunk_tokens is None:
-        with tracer.span("lex", cat="phase") as sp:
+        with tracer.span("xmlstream.lex", cat="phase") as sp:
             chunk_tokens = tuple(
                 tuple(lex_range(text, c.begin, c.end)) for c in chunks
             )

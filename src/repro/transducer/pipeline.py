@@ -168,11 +168,11 @@ def _run_one_chunk_body(ctx: _Ctx, chunk: Chunk, attempt: int = 0) -> ChunkResul
     # and the span machinery would charge the traced path a phantom
     # cost the untraced path never pays)
     tracer = Tracer(tid=chunk.index + 1)
-    with tracer.span(f"chunk[{chunk.index}]", cat="chunk") as sp:
+    with tracer.span("core.kernel", cat="chunk", chunk=chunk.index) as sp:
         if ctx.pretokens is not None:
             tokens = ctx.pretokens[chunk.index]
         else:
-            with tracer.span("lex", cat="chunk") as lex_sp:
+            with tracer.span("xmlstream.lex", cat="chunk") as lex_sp:
                 tokens = list(lex_range(ctx.text, chunk.begin, chunk.end))
                 lex_sp.args["tokens"] = len(tokens)
         result = runner.run_chunk(
@@ -287,9 +287,10 @@ class ParallelPipeline:
         # compile once per pipeline through the structural cache
         from ..core.kernel import tables_for_policy
 
-        self._tables = tables_for_policy(
-            automaton, policy, anchor_sids, journal=self.journal
-        )
+        with self.tracer.span("xpath.compile", cat="phase"):
+            self._tables = tables_for_policy(
+                automaton, policy, anchor_sids, journal=self.journal
+            )
         # structural-repetition memoization (opt-in; observationally
         # identical to memo-off — see :mod:`repro.xpath.subseq`).  Off
         # by default: its planning costs more than the kernel time it
@@ -385,7 +386,7 @@ class ParallelPipeline:
                 begin = offsets[i0]
                 end = offsets[i1] if i1 < len(tokens) else end_sentinel
                 start = frozenset((self.automaton.initial,)) if ci == 0 else None
-                with tracer.span(f"chunk[{ci}]", cat="chunk") as sp:
+                with tracer.span("core.kernel", cat="chunk", chunk=ci) as sp:
                     r = runner.run_chunk(
                         tokens[i0:i1], ci, begin, end, start_states=start, journal=journal
                     )
@@ -403,7 +404,7 @@ class ParallelPipeline:
             totals.merge(r.counters)
 
         def reprocess(begin: int, end: int, state: int, stack: list[int], skip_end: bool):
-            with tracer.span("reprocess", cat="phase") as sp:
+            with tracer.span("transducer.mapping", cat="phase", reprocess=True) as sp:
                 lo = bisect_left(offsets, begin)
                 hi = bisect_left(offsets, end)
                 sub = tokens[lo:hi]
@@ -421,7 +422,7 @@ class ParallelPipeline:
             return res.state, res.stack, res.events, sub_counters.stack_tokens
 
         strict = not self.policy.speculative
-        with tracer.span("join", cat="phase") as sp:
+        with tracer.span("transducer.mapping", cat="phase") as sp:
             state, _stack, events = join_results(
                 (self.automaton.initial, [], []), results, reprocess, totals,
                 strict=strict, journal=journal,
@@ -462,7 +463,7 @@ class ParallelPipeline:
                     f"chunk_tokens/chunks length mismatch "
                     f"({len(chunk_tokens)} != {len(chunks)})"
                 )
-        with tracer.span("split", cat="phase") as sp:
+        with tracer.span("xmlstream.split", cat="phase") as sp:
             if chunks is None:
                 chunks = split_chunks(text, n_chunks)
             sp.args["n_chunks"] = len(chunks)
@@ -472,7 +473,7 @@ class ParallelPipeline:
                    pretokens=chunk_tokens, memo=self.memo,
                    sample=self.sample)
         report: ResilienceReport | None = None
-        with tracer.span("parallel", cat="phase"):
+        with tracer.span("parallel.backend", cat="phase"):
             if self.resilience is not None:
                 fallback_ctx = replace(ctx, faults=NO_FAULTS)
                 results, report = supervised_map(
@@ -505,7 +506,7 @@ class ParallelPipeline:
             totals.fallbacks += report.fallbacks
 
         def reprocess(begin: int, end: int, state: int, stack: list[int], skip_end: bool):
-            with tracer.span("reprocess", cat="phase") as sp:
+            with tracer.span("transducer.mapping", cat="phase", reprocess=True) as sp:
                 sub_counters = WorkCounters()
                 tokens = lex_range(text, begin, end)
                 if skip_end:
@@ -528,7 +529,7 @@ class ParallelPipeline:
         # then recovered by targeted reprocessing (the speculative
         # machinery) rather than failing the whole run
         strict = not self.policy.speculative and self.resilience is None
-        with tracer.span("join", cat="phase") as sp:
+        with tracer.span("transducer.mapping", cat="phase") as sp:
             state, _stack, events = join_results(
                 (self.automaton.initial, [], []), results, reprocess, totals,
                 strict=strict, journal=journal,

@@ -81,8 +81,8 @@ class TestQueryCommand:
         rc = main(["query", feed_file, "-q", "//id", "--trace"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "# trace (seconds by phase)" in out
-        assert "join:" in out
+        assert "# trace (self seconds by layer)" in out
+        assert "transducer.mapping:" in out
 
     def test_thread_backend_flag(self, feed_file, capsys):
         rc = main(["query", feed_file, "-q", "//id", "--backend", "thread"])
@@ -165,7 +165,9 @@ class TestProfileCommand:
         assert "# matches: 1 across 1 query(ies)" in out
         # the timeline table: phases plus one row per chunk
         assert "span" in out and "dur ms" in out
-        for row in ("split", "parallel", "join", "chunk[0]", "chunk[1]", "chunk[2]"):
+        for row in ("xmlstream.split", "parallel.backend", "transducer.mapping",
+                    "core.kernel #0", "core.kernel #1", "core.kernel #2",
+                    "layers (self time)", "self ms"):
             assert row in out, row
 
     def test_trace_out_writes_chrome_json(self, feed_file, tmp_path, capsys):
@@ -177,7 +179,8 @@ class TestProfileCommand:
         data = json.loads(trace.read_text())
         events = data["traceEvents"]
         assert {e["ph"] for e in events} == {"M", "X"}
-        assert any(e["name"].startswith("chunk[") for e in events)
+        assert any(e["name"] == "core.kernel" and "chunk" in e["args"]
+                   for e in events)
 
     def test_metrics_out_prometheus_and_json(self, feed_file, tmp_path, capsys):
         prom = tmp_path / "m.prom"
@@ -202,13 +205,13 @@ class TestProfileCommand:
         rc = main(["profile", str(p), "-q", "//id", "-n", "2"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "lex" in out and "chunk[0]" in out
+        assert "jsonstream.lex" in out and "core.kernel #0" in out
 
     def test_profile_seq_engine(self, feed_file, capsys):
         rc = main(["profile", feed_file, "-q", "//id", "-e", "seq"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "sequential" in out
+        assert "core.kernel" in out and "xmlstream.lex" not in out
 
 
 class TestJsonQueries:

@@ -25,6 +25,7 @@ from repro.obs import (
     get_logger,
 )
 from repro.obs.journal import DEFAULT_LIMIT, EVENT_KINDS, NULL_JOURNAL, Event
+from repro.obs.layers import LAYER_MODULES
 from repro.obs.metrics import table_registry
 from repro.obs.tracer import NULL_TRACER
 from repro.parallel import SerialBackend, ThreadBackend
@@ -72,11 +73,11 @@ class TestTracer:
     def test_chunk_spans_sorted_by_lane(self):
         tracer = Tracer()
         tracer.extend([
-            Span("chunk[1]", t0=2.0, t1=3.0, cat="chunk", tid=2),
-            Span("join", t0=4.0, t1=5.0, cat="phase", tid=0),
-            Span("chunk[0]", t0=1.0, t1=2.5, cat="chunk", tid=1),
+            Span("core.kernel", t0=2.0, t1=3.0, cat="chunk", tid=2, args={"chunk": 1}),
+            Span("transducer.mapping", t0=4.0, t1=5.0, cat="phase", tid=0),
+            Span("core.kernel", t0=1.0, t1=2.5, cat="chunk", tid=1, args={"chunk": 0}),
         ])
-        assert [s.name for s in tracer.chunk_spans()] == ["chunk[0]", "chunk[1]"]
+        assert [s.args["chunk"] for s in tracer.chunk_spans()] == [0, 1]
 
     def test_spans_pickle(self):
         span = Span("chunk[3]", t0=1.0, t1=2.0, cat="chunk", tid=4,
@@ -127,9 +128,10 @@ class TestTracedEngines:
         engine = GapEngine(self.QUERIES, grammar=FEED_DTD, tracer=tracer)
         engine.run(FEED_XML, n_chunks=3)
         names = {s.name for s in tracer.spans}
-        assert {"infer", "split", "parallel", "join"} <= names
+        assert {"core.inference", "xmlstream.split", "parallel.backend",
+                "transducer.mapping", "xpath.filtering"} <= names
         chunks = tracer.chunk_spans()
-        assert [s.name for s in chunks] == ["chunk[0]", "chunk[1]", "chunk[2]"]
+        assert [s.args["chunk"] for s in chunks] == [0, 1, 2]
         # workers snapshot their counters onto the chunk spans
         assert all("tokens" in s.args for s in chunks)
         assert sum(s.args["tokens"] for s in chunks) == \
@@ -139,7 +141,8 @@ class TestTracedEngines:
         tracer = Tracer()
         engine = SequentialEngine(["//id"], tracer=tracer)
         engine.run(FEED_XML)
-        (span,) = tracer.by_name("sequential")
+        (span,) = tracer.by_name("core.kernel")
+        assert span.args["mode"] == "sequential"
         assert span.args["bytes"] == len(FEED_XML)
         assert span.args["tokens"] > 0
 
@@ -147,7 +150,8 @@ class TestTracedEngines:
         tracer = Tracer()
         engine = GapEngine(["//id"], tracer=tracer)
         engine.learn(FEED_XML)
-        (span,) = tracer.by_name("learn")
+        (span,) = tracer.by_name("core.inference")
+        assert span.args["learn"] is True
         assert span.args["documents"] == 1
 
     @pytest.mark.parametrize("backend_cls", [SerialBackend, ThreadBackend])
@@ -162,7 +166,7 @@ class TestTracedEngines:
         # each chunk ran on its own lane (1 + chunk index)
         assert [s.tid for s in chunks] == [1, 2, 3]
         # workers nest a lex span inside each chunk span
-        assert len(tracer.by_name("lex")) == 3
+        assert len(tracer.by_name("xmlstream.lex")) == 3
 
     @pytest.mark.slow
     def test_worker_spans_survive_process_pickling(self):
@@ -172,7 +176,7 @@ class TestTracedEngines:
                                backend=backend, tracer=tracer)
             res = engine.run(FEED_XML, n_chunks=3)
         chunks = tracer.chunk_spans()
-        assert [s.name for s in chunks] == ["chunk[0]", "chunk[1]", "chunk[2]"]
+        assert [s.args["chunk"] for s in chunks] == [0, 1, 2]
         assert all(s.duration > 0 for s in chunks)
         assert res.total_matches > 0
 
@@ -283,7 +287,8 @@ class TestMetrics:
         hist = samples[("repro_chunk_seconds", ())]
         assert hist.count == 3
         text = reg.to_prometheus()
-        assert 'repro_phase_seconds_total{phase="join"}' in text
+        assert 'repro_layer_seconds_count{layer="transducer.mapping"} 1' in text
+        assert "repro_phase_seconds_total" not in text
 
     def test_table_registry(self):
         reg = table_registry("tab5", ["workload", "pp", "gap"],
@@ -298,9 +303,9 @@ class TestMetrics:
 class TestChromeTrace:
     def _spans(self):
         return [
-            Span("split", t0=10.0, t1=10.5, cat="phase", tid=0),
-            Span("chunk[0]", t0=10.5, t1=11.0, cat="chunk", tid=1,
-                 args={"tokens": 42}),
+            Span("xmlstream.split", t0=10.0, t1=10.5, cat="phase", tid=0),
+            Span("core.kernel", t0=10.5, t1=11.0, cat="chunk", tid=1,
+                 args={"chunk": 0, "tokens": 42}),
         ]
 
     def test_schema(self):
@@ -317,10 +322,10 @@ class TestChromeTrace:
             assert isinstance(e["dur"], (int, float))
         by_name = {e["name"]: e for e in slices}
         # timestamps are microseconds relative to the earliest span
-        assert by_name["split"]["ts"] == 0
-        assert by_name["split"]["dur"] == pytest.approx(0.5e6)
-        assert by_name["chunk[0]"]["ts"] == pytest.approx(0.5e6)
-        assert by_name["chunk[0]"]["args"] == {"tokens": 42}
+        assert by_name["xmlstream.split"]["ts"] == 0
+        assert by_name["xmlstream.split"]["dur"] == pytest.approx(0.5e6)
+        assert by_name["core.kernel"]["ts"] == pytest.approx(0.5e6)
+        assert by_name["core.kernel"]["args"] == {"chunk": 0, "tokens": 42}
 
     def test_empty_spans(self):
         assert chrome_trace([]) == {"traceEvents": [], "displayTimeUnit": "ms"}
@@ -328,18 +333,18 @@ class TestChromeTrace:
     def test_timeline_table(self):
         headers, rows = chunk_timeline(self._spans())
         assert headers[0] == "span"
-        assert [r[0] for r in rows] == ["split", "chunk[0]"]
+        assert [r[0] for r in rows] == ["xmlstream.split", "core.kernel #0"]
         assert rows[1][3] == 42  # tokens column
         text = format_timeline(self._spans())
-        assert "chunk[0]" in text and "tokens" in text
+        assert "core.kernel #0" in text and "tokens" in text
 
     def test_timeline_indents_nested_spans(self):
         spans = [
-            Span("chunk[0]", t0=0.0, t1=1.0, cat="chunk", tid=1),
-            Span("lex", t0=0.1, t1=0.4, cat="phase", tid=1, depth=1),
+            Span("core.kernel", t0=0.0, t1=1.0, cat="chunk", tid=1),
+            Span("xmlstream.lex", t0=0.1, t1=0.4, cat="phase", tid=1, depth=1),
         ]
         _, rows = chunk_timeline(spans)
-        assert rows[1][0] == "  lex"
+        assert rows[1][0] == "  xmlstream.lex"
 
 
 class TestLogging:
@@ -527,3 +532,174 @@ class TestJournaledEngines:
         # byte-identical modulo the wall-clock ts field
         assert journal.to_jsonl(timestamps=False) == \
             thread_journal.to_jsonl(timestamps=False)
+
+
+# ---------------------------------------------------------------------------
+# the layer table: one vocabulary across spans, sampler and benchmark
+# ---------------------------------------------------------------------------
+
+
+def _perfbench_layers() -> tuple[str, ...]:
+    """``perfbench/spans.py``'s ``LAYERS``, loaded without importing perfbench."""
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LAYERS
+
+
+def _trace_names(tmp_path, argv: list[str]) -> set[str]:
+    """Span names of one ``repro profile`` run, read from its Chrome trace."""
+    import contextlib
+    import io
+
+    from repro.cli import main
+
+    out = tmp_path / "trace.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["profile", *argv, "--trace-out", str(out)]) == 0
+    events = json.loads(out.read_text())["traceEvents"]
+    return {e["name"] for e in events if e["ph"] == "X"}
+
+
+class TestLayers:
+    def test_perfbench_layers_are_an_ordered_subsequence(self):
+        from repro.obs import LAYERS
+
+        bench = _perfbench_layers()
+        positions = [LAYERS.index(layer) for layer in bench]
+        assert positions == sorted(positions)
+
+    def test_request_layers_end_the_table(self):
+        from repro.obs import LAYERS, REQUEST_LAYERS
+
+        assert REQUEST_LAYERS == ("service.batching.queue_wait",
+                                  "service.batching.batch_assembly",
+                                  "service.service.execute",
+                                  "service.service.respond")
+        assert LAYERS[-4:] == REQUEST_LAYERS
+        assert len(set(LAYERS)) == len(LAYERS)
+
+    @pytest.mark.parametrize("argv", [
+        ["-e", "gap", "-n", "3"],
+        ["-e", "pp", "-n", "3"],
+        ["-e", "seq"],
+        ["-e", "gap", "-n", "3", "--inject-faults", "chunk:1:raise",
+         "--chunk-timeout", "5"],
+    ], ids=["gap", "pp", "seq", "supervised"])
+    def test_every_xml_span_is_a_layer(self, tmp_path, argv):
+        from repro.obs import LAYERS
+
+        doc = tmp_path / "feed.xml"
+        doc.write_text(FEED_DTD + FEED_XML)
+        names = _trace_names(tmp_path, [str(doc), "-q", "//id", *argv])
+        assert names <= set(LAYERS), names - set(LAYERS)
+        assert {"xpath.compile", "core.kernel", "xpath.filtering"} <= names
+
+    def test_every_json_and_speculative_span_is_a_layer(self, tmp_path):
+        from repro.obs import LAYERS
+
+        doc = tmp_path / "data.json"
+        doc.write_text('{"items": [{"id": 1}, {"id": 2}, {"id": 3}]}')
+        prior = tmp_path / "prior.json"
+        prior.write_text('{"items": [{"id": 9}]}')
+        names = _trace_names(tmp_path, [str(doc), "-q", "//id", "-n", "2",
+                                        "--learn", str(prior)])
+        assert names <= set(LAYERS), names - set(LAYERS)
+        assert {"jsonstream.lex", "core.inference"} <= names
+
+    def test_profile_layer_self_times_partition_the_wall(self, tmp_path, capsys):
+        """Per-layer self times sum to the run's wall time within 1%."""
+        from repro.cli import main
+        from repro.datasets import dataset_by_name
+
+        doc = tmp_path / "xmark.xml"
+        doc.write_text(dataset_by_name("xmark").generate(scale=40.0, seed=0))
+        assert main(["profile", str(doc), "-q", "//item/name", "-n", "8"]) == 0
+        out = capsys.readouterr().out
+        wall = float(re.search(r"wall ([\d.]+) ms", out).group(1))
+        table = out.split("layers (self time)")[1].splitlines()[4:]
+        rows = {line.split()[0]: float(line.split()[1]) for line in table if line.strip()}
+        assert {"xmlstream.lex", "core.kernel", "xmlstream.split"} <= set(rows)
+        assert sum(rows.values()) == pytest.approx(wall, rel=0.01)
+
+    def test_self_time_subtracts_children_across_lanes(self):
+        from repro.obs import layer_seconds
+
+        spans = [
+            Span("parallel.backend", t0=0.0, t1=10.0, tid=0),
+            Span("core.kernel", t0=1.0, t1=4.0, tid=1, args={"chunk": 0}),
+            Span("xmlstream.lex", t0=1.0, t1=2.0, tid=1, depth=1),
+            Span("core.kernel", t0=3.0, t1=8.0, tid=2, args={"chunk": 1}),
+            Span("runtime.gc", t0=5.0, t1=6.0, tid=2, depth=1),
+        ]
+        # overlapping chunk lanes: the backend is charged the union's
+        # complement, each lane its own exclusive time
+        assert layer_seconds(spans) == {
+            "xmlstream.lex": 1.0, "parallel.backend": 3.0,
+            "core.kernel": 6.0, "runtime.gc": 1.0,
+        }
+
+    def test_gc_spans_only_while_tracing(self):
+        import gc
+
+        from repro.obs import gc_spans
+
+        tracer = Tracer()
+        before = len(gc.callbacks)
+        with gc_spans(tracer):
+            assert len(gc.callbacks) == before + 1
+            with tracer.span("core.kernel"):
+                gc.collect()
+        assert len(gc.callbacks) == before
+        (pause,) = tracer.by_name("runtime.gc")
+        (kernel,) = tracer.by_name("core.kernel")
+        assert pause.depth == kernel.depth + 1
+        assert kernel.t0 <= pause.t0 <= pause.t1 <= kernel.t1
+
+    def test_untraced_cli_run_registers_no_gc_hook(self, tmp_path, monkeypatch,
+                                                   capsys):
+        import gc
+
+        from repro.cli import main
+
+        feed_file = str(tmp_path / "feed.xml")
+        with open(feed_file, "w", encoding="utf-8") as fh:
+            fh.write(FEED_DTD + FEED_XML)
+        seen = []
+        monkeypatch.setattr(gc, "callbacks", _Recording(seen))
+        assert main(["query", feed_file, "-q", "//id"]) == 0
+        assert seen == []
+        assert main(["profile", feed_file, "-q", "//id"]) == 0
+        assert len(seen) == 1
+        capsys.readouterr()
+
+
+class _Recording(list):
+    """A ``gc.callbacks`` stand-in that records registrations."""
+
+    def __init__(self, seen: list) -> None:
+        super().__init__()
+        self._seen = seen
+
+    def append(self, hook) -> None:
+        self._seen.append(hook)
+        super().append(hook)
+
+
+class TestSamplerAttribution:
+    @pytest.mark.parametrize("layer,prefix", [
+        (layer, prefix)
+        for layer, prefixes in LAYER_MODULES.items()
+        for prefix in prefixes
+    ])
+    def test_each_module_prefix_attributes_to_its_layer(self, layer, prefix):
+        from repro.obs.sampler import SampleProfile, layer_of_label
+
+        assert layer_of_label(f"{prefix}:f") == layer
+        profile = SampleProfile()
+        profile.record(("repro.cli:main", f"{prefix}:f", "threading:wait"), n=2)
+        assert profile.layers() == {layer: 2}

@@ -8,6 +8,8 @@ from repro import GapEngine
 from repro.grammar import parse_dtd
 from repro.obs import (
     Journal,
+    Page,
+    Section,
     Tracer,
     build_report,
     chunk_timeline,
@@ -16,7 +18,6 @@ from repro.obs import (
     render_html,
     render_terminal,
 )
-from repro.obs.report import RunReport
 from repro.xpath.compile_tables import clear_compile_cache
 
 from tests.conftest import FEED_DTD, FEED_XML, RUNNING_DTD, RUNNING_QUERY, RUNNING_XML
@@ -28,6 +29,12 @@ def _journaled_run(queries, dtd, xml, n_chunks, tracer=None):
     engine = GapEngine(queries, grammar=parse_dtd(dtd), tracer=tracer,
                        journal=journal)
     return engine.run(xml, n_chunks=n_chunks), journal
+
+
+def _rows(page: Page, title: str):
+    """The rows of the page section called ``title``."""
+    (section,) = [s for s in page.sections if s.title == title]
+    return section.rows
 
 
 class TestExplain:
@@ -88,22 +95,26 @@ class TestRunReport:
                             meta={"file": "feed.xml", "chunks": 3})
 
     def test_sections_populated(self, report):
-        assert [row[0] for row in report.timeline] == \
-            ["chunk[0]", "chunk[1]", "chunk[2]"]
-        assert [row[0] for row in report.lifecycle] == [0, 1, 2]
-        assert dict(report.profile)["chunks"] == 3
-        assert ("cache_miss", 1) in [tuple(r) for r in report.event_counts]
-        assert dict(report.matches)["//title"] == 2
+        assert [row[0] for row in _rows(report, "chunk timeline")] == [0, 1, 2]
+        assert [row[0] for row in _rows(report, "path lifecycle (per chunk)")] == \
+            [0, 1, 2]
+        assert dict(_rows(report, "profile (Tables 5/6)"))["chunks"] == 3
+        assert ("cache_miss", 1) in [tuple(r) for r in _rows(report, "journal events")]
+        assert dict(_rows(report, "matches"))["//title"] == 2
+        layers = [row[0] for row in _rows(report, "layers (self time)")]
+        assert {"xmlstream.split", "core.kernel", "transducer.mapping"} <= set(layers)
 
     def test_lifecycle_starting_paths_column(self, report):
-        for row in report.lifecycle:
+        for row in _rows(report, "path lifecycle (per chunk)"):
             assert row[1] >= 1  # start paths
             assert row[6] == "-"  # no misspeculation with a full grammar
 
     def test_terminal_rendering(self, report):
         text = render_terminal(report)
         assert "test report" in text
+        assert "file: feed.xml · chunks: 3" in text
         assert "chunk timeline" in text
+        assert "layers (self time)" in text
         assert "path lifecycle (per chunk)" in text
         assert "profile (Tables 5/6)" in text
         assert "avg starting paths (Table 5)" in text
@@ -128,7 +139,8 @@ class TestRunReport:
         assert "prefers-color-scheme" in page
 
     def test_html_escapes_queries(self):
-        report = RunReport(title="<t>&", matches=[['//a[b="<x>"]', 1]])
+        report = Page(title="<t>&", sections=[
+            Section("matches", ("query", "matches"), [['//a[b="<x>"]', 1]])])
         page = render_html(report)
         assert "&lt;t&gt;&amp;" in page
         assert "&lt;x&gt;" in page and "<x>" not in page.replace("&lt;x&gt;", "")
@@ -137,8 +149,9 @@ class TestRunReport:
         res, journal = _journaled_run([RUNNING_QUERY], RUNNING_DTD,
                                       RUNNING_XML, 2)
         report = build_report(res.stats, journal)
-        assert report.timeline == [] and report.matches == []
-        assert len(report.lifecycle) == 2
+        titles = [s.title for s in report.sections]
+        assert "chunk timeline" not in titles and "matches" not in titles
+        assert len(_rows(report, "path lifecycle (per chunk)")) == 2
         assert "profile (Tables 5/6)" in render_terminal(report)
         assert render_html(report) == render_html(report)
 
@@ -150,6 +163,7 @@ class TestDenseProfileTimeline:
         tracer = Tracer()
         _journaled_run(["//title"], FEED_DTD, FEED_XML, 3, tracer=tracer)
         chunks = tracer.chunk_spans()
-        assert [s.name for s in chunks] == ["chunk[0]", "chunk[1]", "chunk[2]"]
+        assert [s.args["chunk"] for s in chunks] == [0, 1, 2]
+        assert {s.name for s in chunks} == {"core.kernel"}
         _, rows = chunk_timeline(tracer.spans)
-        assert any(r[0].strip().startswith("chunk[") for r in rows)
+        assert any(r[0].strip() == "core.kernel #0" for r in rows)

@@ -31,7 +31,8 @@ import pytest
 
 from repro.obs.metrics import Histogram
 from repro.obs.report import format_request, render_statusz
-from repro.obs.reqtrace import NULL_REQUEST_TRACE, STAGES, RequestTrace
+from repro.obs.layers import REQUEST_LAYERS, stage_key
+from repro.obs.reqtrace import NULL_REQUEST_TRACE, RequestTrace
 from repro.obs.slowlog import SlowEntry, SlowLog
 from repro.service import QueryClient, QueryService, ServiceConfig, ServiceError, serve
 
@@ -150,7 +151,8 @@ class TestRequestTrace:
         tr.mark("exec_end", 13.0)
         tr.mark("responded", 13.125)
         stages = tr.stage_seconds()
-        assert list(stages) == list(STAGES)
+        assert list(stages) == [stage_key(layer) for layer in REQUEST_LAYERS]
+        assert list(stages) == ["queue_wait", "batch_assembly", "execute", "respond"]
         assert sum(stages.values()) == tr.total == pytest.approx(3.125)
         assert stages["queue_wait"] == pytest.approx(0.5)
         assert stages["execute"] == pytest.approx(1.75)
@@ -224,7 +226,7 @@ class TestServiceTracing:
             assert entry.req_id == 0
             assert sum(entry.stages_ms.values()) == pytest.approx(
                 entry.total_ms, abs=1e-6)
-            assert set(entry.stages_ms) == set(STAGES)
+            assert set(entry.stages_ms) == {stage_key(layer) for layer in REQUEST_LAYERS}
             assert entry.chunk_spans, "chunk spans stitched under the batch"
 
     def test_trace_journal_event_matches_slow_log(self):
@@ -334,8 +336,8 @@ class TestStatusz:
     def test_renders_the_surface(self):
         html = render_statusz(self._varz())
         for expected in ("queue depth", "in flight", "Latency (ms)",
-                         "stage: queue_wait", "Batch occupancy",
-                         "warm engines", "Slow requests"):
+                         "service.batching.queue_wait", "Batch occupancy",
+                         "warm engines", "Slow requests", "Telemetry"):
             assert expected in html, expected
 
 
@@ -409,7 +411,9 @@ class TestOperatorEndpoints:
                        str(client.port), "--once"])
         out = buf.getvalue()
         assert rc == 0
-        for expected in ("repro top", "queue 0", "latency", "queue_wait"):
+        for expected in ("repro top", "queue 0", "latency (ms)",
+                         "service.batching.queue_wait", "slow requests",
+                         "telemetry"):
             assert expected in out, expected
 
     def test_repro_top_no_service(self):

@@ -230,8 +230,10 @@ class TestSupervisedMap:
         tracer = Tracer()
         supervised_map(SerialBackend(), None, _flaky, [1, 2], POLICY,
                        tracer=tracer, sleep=lambda _s: None)
-        names = [s.name for s in tracer.spans if s.cat == "resilience"]
-        assert sorted(names) == ["retry[0]", "retry[1]"]
+        spans = [s for s in tracer.spans if s.cat == "resilience"]
+        assert {s.name for s in spans} == {"parallel.backend"}
+        assert sorted((s.args["recovery"], s.args["chunk"]) for s in spans) == \
+            [("retry", 0), ("retry", 1)]
 
 
 # ---------------------------------------------------------------------------

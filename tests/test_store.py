@@ -15,7 +15,7 @@ Pins the contracts of :mod:`repro.store`:
   (readers see a complete payload or nothing, never a torn file), and
   a fresh process with a warm store reproduces a cold process's
   matches and counters exactly while skipping lex and compile work
-  entirely (no ``lex`` spans, ``compiles == 0``, store hits > 0);
+  entirely (no ``xmlstream.lex`` spans, ``compiles == 0``, store hits > 0);
 * **admission errors** — :class:`RegistryFull` reports capacity and
   the rejected document's content hash, through HTTP 429 included.
 """
@@ -493,11 +493,11 @@ def _differential(tmp_path, backend: str) -> None:
     # the cold process did the work; the warm one provably skipped it
     assert cold["compile"]["compiles"] >= 1
     assert cold["store"]["writes"] >= 3
-    assert "lex" in cold["spans"] and "split" in cold["spans"]
+    assert "xmlstream.lex" in cold["spans"] and "xmlstream.split" in cold["spans"]
     assert warm["compile"]["compiles"] == 0
     assert warm["store"]["hits"] >= 3
     assert warm["store"]["invalid"] == 0
-    assert "lex" not in warm["spans"]
+    assert "xmlstream.lex" not in warm["spans"]
 
 
 class TestWarmStartDifferential:

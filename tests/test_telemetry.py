@@ -19,7 +19,7 @@ values, so there are no sleeps and no flakes:
 * **service wiring** — one manual collector tick flows into ``/varz``
   telemetry, the alert journal kind, the ``repro_alerts_firing``
   gauge, ``profile_capture`` and the HTTP operator plane
-  (``/alertz``, ``/profilez``, ``repro monitor --once``).
+  (``/alertz``, ``/profilez``, ``repro top --once``).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.obs.alerts import (
     parse_alert_rules,
 )
 from repro.obs.report import render_flame, sparkline
-from repro.obs.sampler import SampleProfile, StackSampler, stage_of_label
+from repro.obs.sampler import SampleProfile, StackSampler, layer_of_label
 from repro.obs.timeseries import Collector, TimeSeries, TimeSeriesStore
 from repro.service import QueryClient, QueryService, ServiceConfig, ServiceError, serve
 
@@ -376,14 +376,16 @@ class TestSampler:
         assert p2.collapsed() == "a:f;b:g 6\n"
 
     def test_stage_attribution_uses_deepest_repro_frame(self):
-        assert stage_of_label("repro.xmlstream.lexer:lex_range") == "lex"
-        assert stage_of_label("repro.core.kernel:run_chunk") == "kernel"
-        assert stage_of_label("repro.cli:main") == "other"
-        assert stage_of_label("threading:join") is None
+        assert layer_of_label("repro.xmlstream.lexer:lex_range") == "xmlstream.lex"
+        assert layer_of_label("repro.core.kernel:run_chunk") == "core.kernel"
+        assert layer_of_label("repro.cli:main") == "unattributed"
+        assert layer_of_label("threading:join") is None
         profile = SampleProfile()
         profile.record(("repro.core.kernel:run_chunk", "threading:join"), n=4)
-        stages = profile.stages()
-        assert stages["kernel"] == 4  # the non-repro leaf does not win
+        profile.record(("threading:run",), n=1)
+        # the non-repro leaf does not win; a stack with no repro frame
+        # is unattributed
+        assert profile.layers() == {"core.kernel": 4, "unattributed": 1}
 
     def test_top_ranks_leaves_with_name_ties(self):
         profile = SampleProfile()
@@ -458,7 +460,8 @@ class TestRenderers:
         for banned in ("<script", "<link", "src=", "url(", "@import",
                        "http://", "https://"):
             assert banned not in lowered, banned
-        assert "run_chunk" in html and "flame-kernel" in html
+        assert "run_chunk" in html and "flame-core" in html
+        assert "core.kernel" in html and "xmlstream.lex" in html
 
     def test_flame_view_empty(self):
         html = render_flame({})
@@ -633,7 +636,7 @@ class TestHTTPPlane:
                 pass
             thread.join(timeout=10.0)
 
-    def test_repro_monitor_once(self, obs_http):
+    def test_repro_top_shows_alerts_and_telemetry(self, obs_http):
         import io
         from contextlib import redirect_stdout
 
@@ -644,15 +647,11 @@ class TestHTTPPlane:
         self._wait_for_tick(obs_http)
         buf = io.StringIO()
         with redirect_stdout(buf):
-            rc = main(["monitor", "--host", obs_http.host, "--port",
+            rc = main(["top", "--host", obs_http.host, "--port",
                        str(obs_http.port), "--once"])
         out = buf.getvalue()
         assert rc == 0
-        for expected in ("repro monitor", "collector on", "wired", "firing",
+        for expected in ("repro top", "collector on", "wired", "firing",
                          "telemetry", "queue_depth"):
             assert expected in out, expected
-
-    def test_repro_monitor_no_service(self):
-        from repro.cli import main
-
-        assert main(["monitor", "--port", "1", "--once"]) == 1
+        assert "▁" in out or "█" in out  # a telemetry sparkline
