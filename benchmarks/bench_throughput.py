@@ -40,7 +40,7 @@ def half_chunk(corpus):
     """The second half of the corpus as one chunk, lexed once."""
     text = corpus[0]
     begin = text.index("<", len(text) // 2)
-    return tuple(lex_range(text, begin, len(text))), begin, len(text)
+    return lex_range(text, begin, len(text)), begin, len(text)
 
 
 def _mean_seconds(benchmark) -> float | None:
@@ -50,7 +50,7 @@ def _mean_seconds(benchmark) -> float | None:
 
 def test_lexer_throughput(corpus, benchmark):
     text, _a, _t = corpus
-    n_tokens = benchmark(lambda: sum(1 for _ in lex(text)))
+    n_tokens = benchmark(lambda: len(lex_range(text, 0, len(text))))
     mean = _mean_seconds(benchmark)
     if mean is not None:
         print(f"\nlexer: {len(text) / 1e6 / mean:.1f} MB/s, {n_tokens} tokens")

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from ..obs.textfmt import banner, format_table
+
 __all__ = [
     "format_table",
     "print_table",
@@ -18,32 +20,6 @@ __all__ = [
     "series_table",
     "banner",
 ]
-
-
-def banner(title: str) -> str:
-    line = "=" * max(len(title), 8)
-    return f"\n{line}\n{title}\n{line}"
-
-
-def format_table(
-    headers: Sequence[str],
-    rows: Sequence[Sequence[object]],
-    title: str | None = None,
-) -> str:
-    """Render an aligned table; floats get 2 decimals, None prints '-'."""
-    cells = [[_fmt(v) for v in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in cells:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    out: list[str] = []
-    if title:
-        out.append(banner(title))
-    out.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)))
-    out.append("  ".join("-" * w for w in widths))
-    for row in cells:
-        out.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(out)
 
 
 def print_table(
@@ -83,13 +59,3 @@ def print_series(
     title: str | None = None,
 ) -> None:
     print(format_series(x_label, xs, series, title))
-
-
-def _fmt(v: object) -> str:
-    if v is None:
-        return "-"
-    if isinstance(v, float):
-        if v != 0 and abs(v) < 0.01:
-            return f"{v:.5f}"
-        return f"{v:.2f}"
-    return str(v)

@@ -51,7 +51,7 @@ from ..xpath.automaton import build_automaton
 from ..xpath.filtering import apply_filters
 from ..xpath.rewrite import compile_queries
 from ..xmlstream.incremental import IncrementalLexer
-from ..xmlstream.lexer import lex_range
+from ..xmlstream.lexer import lex
 from .gap_transducer import GapPolicy
 from .inference import FeasibleTable, infer_feasible_paths
 from .speculative import GrammarLearner, empty_speculative_table
@@ -551,7 +551,7 @@ class GapEngine(_EngineBase):
         Only meaningful in speculative mode.
 
         ``chunks``/``chunk_tokens`` reuse a precomputed split (and
-        optionally pre-lexed per-chunk token tuples) — see
+        optionally pre-lexed per-chunk token columns) — see
         :meth:`repro.transducer.pipeline.ParallelPipeline.run`.
 
         ``tracer``/``journal`` override the engine's defaults *for
@@ -620,7 +620,7 @@ def element_at(text: str, offset: int, max_text: int = 200) -> tuple[str, str]:
     Re-lexes from the offset; text content is the concatenated direct
     character data, truncated to ``max_text`` characters.
     """
-    tokens = lex_range(text, offset, len(text))
+    tokens = lex(text, offset)
     first = next(tokens, None)
     if first is None or not first.is_start:
         raise ValueError(f"no element starts at byte {offset}")

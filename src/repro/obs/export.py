@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 
+from .textfmt import format_table
 from .tracer import Span
 
 __all__ = ["chrome_trace", "write_chrome_trace", "chunk_timeline", "format_timeline"]
@@ -86,7 +87,5 @@ def chunk_timeline(spans: Sequence[Span]) -> tuple[list[str], list[list[object]]
 
 def format_timeline(spans: Sequence[Span], title: str | None = None) -> str:
     """Render the per-chunk timeline as an aligned text table."""
-    from ..bench.reporting import format_table  # lazy: avoids an import cycle
-
     headers, rows = chunk_timeline(spans)
     return format_table(headers, rows, title=title)

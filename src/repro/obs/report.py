@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from .journal import Event, Journal
 from .layers import REQUEST_LAYERS, layer_seconds, stage_key
 from .sampler import SampleProfile, layer_of_label
+from .textfmt import banner, format_cell, format_table
 
 __all__ = [
     "VIEW_HISTORY",
@@ -166,8 +167,6 @@ def explain_chunk(journal: Journal, chunk: int) -> ChunkExplanation:
 
 def format_explain(exp: ChunkExplanation) -> str:
     """Render one chunk's explanation as aligned text."""
-    from ..bench.reporting import format_table  # lazy: avoids an import cycle
-
     lines = [
         f"chunk {exp.chunk}: started {exp.starting_paths} path(s), "
         f"spawned {exp.spawned}, killed {exp.killed}, "
@@ -215,8 +214,6 @@ class Page:
 
 def render_sections(sections: Sequence[Section]) -> str:
     """The sections as aligned text tables (what the CLI prints)."""
-    from ..bench.reporting import banner, format_table  # lazy: import cycle
-
     out: list[str] = []
     for sec in sections:
         if not sec.headers and not sec.note:
@@ -231,8 +228,6 @@ def render_sections(sections: Sequence[Section]) -> str:
 
 def render_terminal(page: Page) -> str:
     """The aligned-text form of a page (what ``repro report`` prints)."""
-    from ..bench.reporting import banner  # lazy: import cycle
-
     out = [banner(page.title)]
     if page.meta:
         out.append(page.meta)
@@ -359,20 +354,10 @@ def _esc(value: object) -> str:
     return _html.escape(str(value), quote=True)
 
 
-def _fmt_cell(value: object) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        if value != 0 and abs(value) < 0.01:
-            return f"{value:.5f}"
-        return f"{value:.2f}"
-    return str(value)
-
-
 def _html_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     head = "".join(f"<th>{_esc(h)}</th>" for h in headers)
     body = "".join(
-        "<tr>" + "".join(f"<td>{_esc(_fmt_cell(c))}</td>" for c in row) + "</tr>"
+        "<tr>" + "".join(f"<td>{_esc(format_cell(c))}</td>" for c in row) + "</tr>"
         for row in rows
     )
     return f"<table><thead><tr>{head}</tr></thead><tbody>{body}</tbody></table>"
@@ -526,7 +511,6 @@ def format_request(journal: Journal, request_id: int) -> str:
     reconstructs from the journal alone (``repro report
     --from-journal … --request N``).
     """
-    from ..bench.reporting import format_table  # lazy: avoids an import cycle
 
     mine = [ev for ev in journal.events if ev.args.get("request") == request_id]
     if not mine:
@@ -604,7 +588,7 @@ def varz_meta(varz: dict) -> str:
     cfg = varz.get("config", {})
     collector = (varz.get("telemetry") or {}).get("collector", {})
     bits = [
-        f"uptime {_fmt_cell(varz.get('uptime_seconds'))} s",
+        f"uptime {format_cell(varz.get('uptime_seconds'))} s",
         f"backend {cfg.get('backend', '?')}",
         f"workers {cfg.get('workers', '?')}",
         f"tracing {'on' if cfg.get('request_tracing') else 'off'}",
@@ -662,7 +646,7 @@ def varz_sections(varz: dict) -> list[Section]:
 
     slow = varz.get("slow_log", {})
     entries = slow.get("entries", [])
-    note = (f"threshold: {_fmt_cell(_ms(slow.get('threshold_seconds')))} ms · "
+    note = (f"threshold: {format_cell(_ms(slow.get('threshold_seconds')))} ms · "
             f"recorded: {slow.get('recorded', 0)} · "
             f"evicted: {slow.get('evicted', 0)}")
     if entries:
@@ -688,7 +672,7 @@ def varz_sections(varz: dict) -> list[Section]:
             "alerts",
             ("rule", "state", "series", "condition", "value", "fired", "resolved"),
             [[r.get("name"), r.get("state"), r.get("series"),
-              f"{r.get('op', '')}{_fmt_cell(r.get('threshold'))}",
+              f"{r.get('op', '')}{format_cell(r.get('threshold'))}",
               r.get("value"), r.get("fired_count"), r.get("resolved_count")]
              for r in alerts.get("rules", [])],
             note=f"firing: {len(firing)}"

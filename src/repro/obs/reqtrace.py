@@ -112,13 +112,17 @@ class RequestTrace:
             return float("inf")
         return self.total / budget
 
-    def to_dict(self) -> dict:
-        """JSON-ready breakdown (slow log rows, ``/varz``, journal)."""
+    def to_dict(self, stages: dict[str, float] | None = None) -> dict:
+        """JSON-ready breakdown (slow log rows, ``/varz``, journal).
+
+        ``stages`` is this trace's :meth:`stage_seconds`, when the
+        caller has already computed it.
+        """
+        if stages is None:
+            stages = self.stage_seconds()
         out: dict = {
             "total_ms": round(self.total * 1e3, 3),
-            "stages_ms": {
-                k: round(v * 1e3, 3) for k, v in self.stage_seconds().items()
-            },
+            "stages_ms": {k: round(v * 1e3, 3) for k, v in stages.items()},
         }
         if self.batch_seq >= 0:
             out["batch_seq"] = self.batch_seq
@@ -149,7 +153,7 @@ class NullRequestTrace:
     def deadline_fraction(self, deadline: float | None) -> float | None:
         return None
 
-    def to_dict(self) -> dict:
+    def to_dict(self, stages: dict[str, float] | None = None) -> dict:
         return {}
 
 

@@ -12,8 +12,9 @@ for the lifetime of the service:
   engines in speculative mode;
 * **split** — the tag-aligned chunk list (:func:`split_chunks`) for
   the service's configured width;
-* **lex** — one pre-lexed token tuple per chunk (XML) or the full
-  token list (JSON), so no request ever tokenises the document again.
+* **lex** — one pre-lexed :class:`~repro.xmlstream.tokens.TokenColumns`
+  per chunk (XML) or one for the whole document (JSON), so no request
+  ever tokenises the document again.
 
 Feasible-table and dense-table preparation is cached one level up:
 engines are cached per ``(document, merged query set)`` by the service
@@ -39,6 +40,7 @@ from ..grammar.model import Grammar
 from ..grammar.xsd_parser import is_xsd, parse_xsd
 from ..xmlstream.chunking import Chunk, split_chunks
 from ..xmlstream.lexer import lex_range
+from ..xmlstream.tokens import TokenColumns, as_columns
 
 __all__ = [
     "DocumentRecord",
@@ -101,10 +103,10 @@ class DocumentRecord:
     n_chunks: int
     #: tag-aligned split (XML only; empty for JSON)
     chunks: list[Chunk] = field(default_factory=list)
-    #: one pre-lexed token tuple per chunk (XML, when pre-lexing is on)
+    #: one pre-lexed TokenColumns per chunk (XML, when pre-lexing is on)
     chunk_tokens: tuple | None = None
-    #: the full token list (JSON only)
-    tokens: list | None = None
+    #: the whole document's TokenColumns (JSON only)
+    tokens: TokenColumns | None = None
 
     @property
     def n_bytes(self) -> int:
@@ -226,7 +228,7 @@ class DocumentRegistry:
             else:
                 from ..jsonstream import tokenize_json
 
-                tokens = tokenize_json(text)
+                tokens = as_columns(tokenize_json(text))
             return DocumentRecord(
                 doc_id=doc_id, name=name or doc_id, kind="json", text=text,
                 grammar=grammar, n_chunks=n_chunks, tokens=tokens,
@@ -244,7 +246,7 @@ class DocumentRegistry:
             chunk_tokens = None
             if self.pre_lex:
                 chunk_tokens = tuple(
-                    tuple(lex_range(text, c.begin, c.end)) for c in chunks
+                    lex_range(text, c.begin, c.end) for c in chunks
                 )
         return DocumentRecord(
             doc_id=doc_id, name=name or doc_id, kind="xml", text=text,

@@ -109,8 +109,7 @@ class ServiceConfig:
     engine_cache_size: int = 32
     pre_lex: bool = True
     journal_limit: int = 65536
-    #: per-request stage tracing (off = NullRequestTrace fast path;
-    #: the CI overhead gate pins the instrumented/disabled delta)
+    #: per-request stage tracing (off = NullRequestTrace fast path)
     request_tracing: bool = True
     #: end-to-end latency (seconds) beyond which a request's full span
     #: breakdown is captured in the slow-request log
@@ -477,6 +476,9 @@ class QueryService:
                 "stats": stats,
             })
             req.trace.mark("responded")
+        # per-request layer seconds, computed once for the histograms
+        # and the slow log
+        stages = [req.trace.stage_seconds() for req in live] if tracing else []
         with self._obs_lock:
             self._count_request("ok", len(live))
             self.metrics.counter(
@@ -486,10 +488,9 @@ class QueryService:
             self._h_batch_seconds.observe(exec_s)
             for req in live:
                 self._h_request_seconds.observe(max(0.0, responded - req.enqueued))
-            if tracing:
-                for req in live:
-                    for stage, secs in req.trace.stage_seconds().items():
-                        self._stage_hists[stage].observe(secs)
+            for req_stages in stages:
+                for stage, secs in req_stages.items():
+                    self._stage_hists[stage].observe(secs)
             if self.journal.enabled:
                 self.journal.record(
                     "batch", doc=doc_id, size=len(live), batch_seq=batch_seq,
@@ -503,26 +504,24 @@ class QueryService:
                         batch_seq=batch_seq,
                         matches=sum(len(matches.get(q, ())) for q in req.queries),
                     )
-                if tracing:
-                    for req in live:
-                        # to_dict carries batch_seq + the chunk spans
-                        self.journal.record(
-                            "trace", doc=doc_id, request=req.req_id,
-                            **req.trace.to_dict(),
-                        )
-        if tracing:
-            for req in live:
-                trace = req.trace
-                self._consider_slow(doc_id, req, trace, batch_seq,
-                                    len(live), chunk_rows)
+                for req, req_stages in zip(live, stages):
+                    # to_dict carries batch_seq + the chunk spans
+                    self.journal.record(
+                        "trace", doc=doc_id, request=req.req_id,
+                        **req.trace.to_dict(req_stages),
+                    )
+        for req, req_stages in zip(live, stages):
+            self._consider_slow(doc_id, req, req_stages, batch_seq,
+                                len(live), chunk_rows)
         # futures resolve last: once a client wakes it immediately
         # competes for the interpreter, so finishing the bookkeeping
         # first keeps the observability work off that contended window
         for req, response in zip(live, responses):
             req.future.set_result(response)
 
-    def _consider_slow(self, doc_id, req, trace, batch_seq, batch_size,
+    def _consider_slow(self, doc_id, req, stages, batch_seq, batch_size,
                        chunk_rows) -> None:
+        trace = req.trace
         self.slow_log.consider(
             trace.total,
             lambda seq, wall_ts: SlowEntry(
@@ -531,9 +530,7 @@ class QueryService:
                 doc_id=doc_id,
                 queries=req.queries,
                 total_ms=trace.total * 1e3,
-                stages_ms={
-                    k: v * 1e3 for k, v in trace.stage_seconds().items()
-                },
+                stages_ms={k: v * 1e3 for k, v in stages.items()},
                 deadline_fraction=trace.deadline_fraction(req.deadline),
                 batch_seq=batch_seq,
                 batch_size=batch_size,

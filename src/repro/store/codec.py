@@ -8,8 +8,9 @@ encoded here, by hand, into a small deterministic binary form:
 * :class:`~repro.core.inference.FeasibleTable` — the grammar-inferred
   feasible-path table in its object form;
 * chunk splits (:class:`~repro.xmlstream.chunking.Chunk` lists) and
-  pre-lexed token caches (per-chunk token tuples for XML, flat token
-  lists for JSON).
+  pre-lexed token caches (one :class:`~repro.xmlstream.tokens.TokenColumns`
+  per chunk for XML, one for a whole JSON document), stored as the
+  columns and string table they are and loaded back as arrays.
 
 Why not pickle: artifacts are read back by *future* processes running
 *future* code, so the format must fail loudly and cheaply on shape
@@ -17,7 +18,7 @@ drift — every decoder bound-checks every read and raises
 :class:`CodecError` on anything unexpected, which the store layer
 translates into a clean cache miss.  The encoding is also far more
 compact than a pickled object graph: token names are interned through
-a string table (XML markup is overwhelmingly repetitive), numeric
+a per-chunk string table (XML markup is overwhelmingly repetitive), numeric
 columns are stored as flat ``array`` buffers, and derivable fields
 (``accept_flags``, ``start_sets``, ``all_states``) are rebuilt on
 decode instead of stored.
@@ -38,10 +39,11 @@ import json
 import struct
 import sys
 from array import array
+from itertools import accumulate
 
 from ..core.inference import FeasibleTable
 from ..xmlstream.chunking import Chunk
-from ..xmlstream.tokens import Token, TokenKind
+from ..xmlstream.tokens import TokenColumns, as_columns
 from ..xpath.compile_tables import KernelTables
 
 __all__ = [
@@ -75,7 +77,7 @@ SCHEMAS = {
     "tables": 1,     # KernelTables (compile-cache write-through)
     "feasible": 1,   # FeasibleTable (object form)
     "split": 1,      # chunk lists (document registry)
-    "tokens": 1,     # pre-lexed token caches (document registry)
+    "tokens": 2,     # pre-lexed token columns (document registry)
     "subseq": 1,     # interned-subsequence memo snapshots (dense kernel)
     "checkpoint": 1, # stream checkpoints (restart/resume state)
 }
@@ -86,10 +88,6 @@ _U8 = struct.Struct("<B")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _I64 = struct.Struct("<q")
-
-#: TokenKind by wire value — indexing this is ~5x cheaper per token
-#: than calling the enum constructor in the decode loop
-_TOKEN_KINDS = (TokenKind.START, TokenKind.END, TokenKind.TEXT)
 
 
 class _Writer:
@@ -413,78 +411,70 @@ def decode_chunks(payload: bytes) -> list[Chunk]:
 # ---------------------------------------------------------------------------
 
 #: token-cache payload modes
-_MODE_CHUNKED = 0  # XML: one token tuple per chunk
-_MODE_FLAT = 1     # JSON: a single flat token list
+_MODE_CHUNKED = 0  # XML: one TokenColumns per chunk
+_MODE_FLAT = 1     # JSON: a single TokenColumns
 
 
-def _encode_token_run(w: _Writer, tokens, table: dict[str, int],
-                      strings: list[str]) -> None:
-    """One token sequence as three parallel columns.
+def _encode_token_run(w: _Writer, tokens) -> None:
+    """One token sequence: its string table, then its three columns.
 
-    Names go through a shared string table — tag names (and much text)
-    repeat massively across a document, so each token stores a u32
-    reference instead of the string.
+    The table is written as one UTF-8 blob plus an array of the
+    strings' lengths in code points, and each column as the array it
+    already is, so neither direction touches a row in Python.
     """
-    kinds = bytearray()
-    offsets = array("q")
-    refs = array("I")
-    for tok in tokens:
-        kinds.append(int(tok.kind))
-        offsets.append(tok.offset)
-        ref = table.get(tok.name)
-        if ref is None:
-            ref = table[tok.name] = len(strings)
-            strings.append(tok.name)
-        refs.append(ref)
-    w.u32(len(kinds))
-    w.blob(bytes(kinds))
-    w.int_array(offsets)
-    w.int_array(refs)
+    cols = as_columns(tokens)
+    w.int_array(array("q", map(len, cols.names)))
+    w.string("".join(cols.names))
+    w.u32(len(cols))
+    w.blob(bytes(cols.kinds))
+    w.int_array(cols.name_ids)
+    w.int_array(cols.offsets)
 
 
-def _decode_token_run(r: _Reader, strings: list[str]) -> list[Token]:
+def _column(r: _Reader, typecode: str) -> array:
+    arr = r.int_array()
+    if arr.typecode != typecode:
+        raise CodecError(f"column typecode {arr.typecode!r}, expected {typecode!r}")
+    return arr
+
+
+def _decode_token_run(r: _Reader) -> TokenColumns:
+    lengths = _column(r, "q")
+    joined = r.string()
+    if sum(lengths) != len(joined) or (lengths and min(lengths) < 0):
+        raise CodecError("string table lengths disagree with its text")
+    ends = list(accumulate(lengths))
+    names = [joined[e - n:e] for n, e in zip(lengths, ends)]
     n = r.u32()
-    kinds = r.blob()
-    offsets = r.int_array()
-    refs = r.int_array()
-    if not (len(kinds) == len(offsets) == len(refs) == n):
+    kinds = bytearray(r.blob())
+    name_ids = _column(r, "i")
+    offsets = _column(r, "q")
+    if not (len(kinds) == len(offsets) == len(name_ids) == n):
         raise CodecError("token columns disagree on length")
-    kind_of = _TOKEN_KINDS
-    try:
-        return [
-            Token(kind_of[k], strings[i], o)
-            for k, o, i in zip(kinds, offsets, refs)
-        ]
-    except IndexError:
-        raise CodecError("token kind or string reference out of range") from None
+    if n and (max(kinds) > 2 or min(name_ids) < 0
+              or max(name_ids) >= len(names)):
+        raise CodecError("token kind or string reference out of range")
+    return TokenColumns(kinds, name_ids, offsets, names)
 
 
 def _encode_token_payload(mode: int, runs) -> bytes:
-    strings: list[str] = []
-    table: dict[str, int] = {}
-    body = _Writer()
-    body.u32(len(runs))
-    for run in runs:
-        _encode_token_run(body, run, table, strings)
     w = _Writer()
     w.u8(mode)
-    w.u32(len(strings))
-    for s in strings:
-        w.string(s)
-    w.buf += body.buf
+    w.u32(len(runs))
+    for run in runs:
+        _encode_token_run(w, run)
     return w.done()
 
 
-def _decode_token_payload(payload: bytes, mode: int) -> list[list[Token]]:
+def _decode_token_payload(payload: bytes, mode: int) -> list[TokenColumns]:
     r = _Reader(payload)
     got = r.u8()
     if got != mode:
         raise CodecError(f"token payload mode {got}, expected {mode}")
-    n_strings = r.u32()
-    if n_strings > len(payload):
-        raise CodecError(f"implausible string table size {n_strings}")
-    strings = [r.string() for _ in range(n_strings)]
-    runs = [_decode_token_run(r, strings) for _ in range(r.u32())]
+    n_runs = r.u32()
+    if n_runs > len(payload):
+        raise CodecError(f"implausible run count {n_runs}")
+    runs = [_decode_token_run(r) for _ in range(n_runs)]
     r.expect_end()
     return runs
 
@@ -589,21 +579,20 @@ def decode_memo_table(payload: bytes) -> tuple[list[tuple], dict]:
 
 
 def encode_chunk_tokens(chunk_tokens) -> bytes:
-    """Per-chunk pre-lexed token tuples (the XML registry cache)."""
+    """Per-chunk pre-lexed token columns (the XML registry cache)."""
     return _encode_token_payload(_MODE_CHUNKED, list(chunk_tokens))
 
 
-def decode_chunk_tokens(payload: bytes) -> tuple[tuple[Token, ...], ...]:
-    runs = _decode_token_payload(payload, _MODE_CHUNKED)
-    return tuple(tuple(run) for run in runs)
+def decode_chunk_tokens(payload: bytes) -> tuple[TokenColumns, ...]:
+    return tuple(_decode_token_payload(payload, _MODE_CHUNKED))
 
 
-def encode_tokens(tokens: list[Token]) -> bytes:
-    """A flat token list (the JSON registry cache)."""
+def encode_tokens(tokens) -> bytes:
+    """A flat token sequence (the JSON registry cache)."""
     return _encode_token_payload(_MODE_FLAT, [tokens])
 
 
-def decode_tokens(payload: bytes) -> list[Token]:
+def decode_tokens(payload: bytes) -> TokenColumns:
     runs = _decode_token_payload(payload, _MODE_FLAT)
     if len(runs) != 1:
         raise CodecError(f"flat token payload holds {len(runs)} runs")

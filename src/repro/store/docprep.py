@@ -27,6 +27,7 @@ from hashlib import sha256
 from ..obs.tracer import NULL_TRACER
 from ..xmlstream.chunking import Chunk, split_chunks
 from ..xmlstream.lexer import lex_range
+from ..xmlstream.tokens import TokenColumns, as_columns
 from . import codec
 from .artifacts import ArtifactStore
 
@@ -88,7 +89,7 @@ def prepare_xml(
     pre_lex: bool = True,
     tracer=NULL_TRACER,
 ) -> tuple[list[Chunk], tuple | None]:
-    """Chunk list and (optionally) per-chunk token tuples for ``text``.
+    """Chunk list and (optionally) per-chunk token columns for ``text``.
 
     Identical results to ``split_chunks`` + per-chunk ``lex_range``;
     with a warm ``store`` both computations are skipped entirely (and
@@ -111,17 +112,15 @@ def prepare_xml(
     )
     if chunk_tokens is None:
         with tracer.span("xmlstream.lex", cat="phase") as sp:
-            chunk_tokens = tuple(
-                tuple(lex_range(text, c.begin, c.end)) for c in chunks
-            )
+            chunk_tokens = tuple(lex_range(text, c.begin, c.end) for c in chunks)
             sp.args["tokens"] = sum(len(t) for t in chunk_tokens)
         if store is not None:
             store.put("tokens", key, codec.encode_chunk_tokens(chunk_tokens))
     return chunks, chunk_tokens
 
 
-def prepare_json(store: ArtifactStore | None, text: str) -> list:
-    """The flat token list for a JSON document (width-independent)."""
+def prepare_json(store: ArtifactStore | None, text: str) -> TokenColumns:
+    """The flat token columns of a JSON document (width-independent)."""
     from ..jsonstream import tokenize_json
 
     key = content_key(text, 0) if store is not None else ""
@@ -132,7 +131,7 @@ def prepare_json(store: ArtifactStore | None, text: str) -> list:
                 return codec.decode_tokens(payload)
             except codec.CodecError as exc:
                 store.invalidate("tokens", key, f"decode:{exc}")
-    tokens = tokenize_json(text)
+    tokens = as_columns(tokenize_json(text))
     if store is not None:
         store.put("tokens", key, codec.encode_tokens(tokens))
     return tokens

@@ -10,7 +10,15 @@ DTD validator (:mod:`~repro.xmlstream.validate`).
 from .chunking import Chunk, split_at_offsets, split_chunks
 from .incremental import IncrementalLexer
 from .lexer import LexError, iter_tag_offsets, lex, lex_range
-from .tokens import Token, TokenKind, end_tag, start_tag, text_token
+from .tokens import (
+    Token,
+    TokenColumns,
+    TokenKind,
+    as_columns,
+    end_tag,
+    start_tag,
+    text_token,
+)
 from .tree import TreeNode, parse_tree
 from .validate import ValidationError, Validator, check_well_formed, compile_content_model
 
@@ -19,10 +27,12 @@ __all__ = [
     "IncrementalLexer",
     "LexError",
     "Token",
+    "TokenColumns",
     "TokenKind",
     "TreeNode",
     "ValidationError",
     "Validator",
+    "as_columns",
     "check_well_formed",
     "compile_content_model",
     "end_tag",

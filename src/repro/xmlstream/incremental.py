@@ -12,9 +12,11 @@ It drives the same scanning loop as :func:`~repro.xmlstream.lexer.lex_range`
 (:func:`~repro.xmlstream.lexer._scan`): each :meth:`~IncrementalLexer.feed`
 scans the held tail plus the new piece and stops at the first
 unfinished construct; :meth:`~IncrementalLexer.close` scans what is
-left as the end of the document.  Offsets remain *global* (as if the
-pieces were concatenated), so matches reported over a stream are
-directly comparable with batch runs.
+left as the end of the document.  Both return the completed tokens as
+:class:`~repro.xmlstream.tokens.TokenColumns` with a string table of
+their own.  Offsets remain *global* (as if the pieces were
+concatenated), so matches reported over a stream are directly
+comparable with batch runs.
 
 Usage::
 
@@ -29,7 +31,7 @@ Usage::
 from __future__ import annotations
 
 from .lexer import _scan
-from .tokens import Token
+from .tokens import TokenColumns
 
 __all__ = ["IncrementalLexer"]
 
@@ -47,22 +49,22 @@ class IncrementalLexer:
         """Bytes currently held back (bounded by the largest token)."""
         return len(self._buf)
 
-    def feed(self, piece: str) -> list[Token]:
+    def feed(self, piece: str) -> TokenColumns:
         """Consume a piece; return every token completed by it."""
         if self._closed:
             raise ValueError("feed() after close()")
         buf = self._buf + piece
-        out: list[Token] = []
+        out = TokenColumns()
         stop = _scan(buf, 0, len(buf), self._base, False, out)
         self._buf = buf[stop:]
         self._base += stop
         return out
 
-    def close(self) -> list[Token]:
+    def close(self) -> TokenColumns:
         """Flush trailing text; raise if a construct is left unfinished."""
         self._closed = True
         buf, self._buf = self._buf, ""
-        out: list[Token] = []
+        out = TokenColumns()
         _scan(buf, 0, len(buf), self._base, True, out)
         return out
 

@@ -167,3 +167,25 @@ class TestDenseProfileTimeline:
         assert {s.name for s in chunks} == {"core.kernel"}
         _, rows = chunk_timeline(tracer.spans)
         assert any(r[0].strip() == "core.kernel #0" for r in rows)
+
+
+class TestCellFormat:
+    VALUES = [None, 0.0, 0.001, 1.5, 7, -3]
+
+    def test_text_and_html_print_the_same_cells(self):
+        import re
+
+        page = Page("cells", sections=[Section(
+            "values", headers=[f"c{i}" for i in range(len(self.VALUES))],
+            rows=[self.VALUES])])
+        html_cells = re.findall(r"<td>(.*?)</td>", render_html(page))
+        text_row = render_terminal(page).splitlines()[-1].split()
+        assert html_cells == text_row == ["-", "0.00", "0.00100", "1.50", "7", "-3"]
+
+    def test_one_formatter_behind_every_table(self):
+        from repro.bench import reporting
+        from repro.obs import report, textfmt
+
+        assert report.format_table is textfmt.format_table
+        assert reporting.format_table is textfmt.format_table
+        assert not hasattr(report, "_fmt_cell") and not hasattr(reporting, "_fmt")

@@ -229,6 +229,23 @@ class TestServiceTracing:
             assert set(entry.stages_ms) == {stage_key(layer) for layer in REQUEST_LAYERS}
             assert entry.chunk_spans, "chunk spans stitched under the batch"
 
+    def test_stage_seconds_computed_once_per_request(self, monkeypatch):
+        # the layer histograms and the slow log share one computation
+        calls = []
+        real = RequestTrace.stage_seconds
+
+        def counting(trace):
+            calls.append(trace)
+            return real(trace)
+
+        monkeypatch.setattr(RequestTrace, "stage_seconds", counting)
+        with QueryService(small_config(slow_threshold=0.0)) as svc:
+            doc = svc.register(FEED_XML, grammar=FEED_DTD)
+            svc.query(doc.doc_id, ["//id"])
+            [entry] = svc.slow_log.snapshot()
+        assert len(calls) == 1
+        assert set(entry.stages_ms) == {stage_key(layer) for layer in REQUEST_LAYERS}
+
     def test_trace_journal_event_matches_slow_log(self):
         with QueryService(small_config(slow_threshold=0.0)) as svc:
             doc = svc.register(FEED_XML, grammar=FEED_DTD)
