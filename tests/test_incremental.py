@@ -89,8 +89,8 @@ class TestByteSplitFuzz:
         for i in range(len(doc) + 1):
             lexer = IncrementalLexer()
             toks = lexer.feed(doc[:i])
-            toks += lexer.feed(doc[i:])
-            toks += lexer.close()
+            toks.extend(lexer.feed(doc[i:]))
+            toks.extend(lexer.close())
             assert toks == batch, f"split at byte {i}"
 
     def test_every_byte_position_generated(self, small_documents):
@@ -101,8 +101,8 @@ class TestByteSplitFuzz:
         for i in range(len(doc) + 1):
             lexer = IncrementalLexer()
             toks = lexer.feed(doc[:i])
-            toks += lexer.feed(doc[i:])
-            toks += lexer.close()
+            toks.extend(lexer.feed(doc[i:]))
+            toks.extend(lexer.close())
             assert toks == batch, f"split at byte {i}"
 
     @settings(max_examples=40, deadline=None,
@@ -197,8 +197,8 @@ class TestStateRoundtrip:
             lexer = IncrementalLexer()
             out = lexer.feed(doc[:i])
             resumed = IncrementalLexer.restore(lexer.state())
-            out += resumed.feed(doc[i:])
-            out += resumed.close()
+            out.extend(resumed.feed(doc[i:]))
+            out.extend(resumed.close())
             assert out == batch, f"snapshot at byte {i}"
 
     def test_state_is_json_safe(self):
