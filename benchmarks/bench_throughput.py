@@ -4,7 +4,8 @@ Not a paper artifact — engineering numbers for the substrates, so
 regressions in the hot loops show up in `--benchmark-compare` runs:
 
 * lexer MB/s over a DBLP corpus;
-* sequential PDT tokens/s (the speedup baseline's inner loop);
+* sequential PDT tokens/s (the speedup baseline's inner loop,
+  ``DenseRunner.run_from``);
 * the chunk kernel under the GAP policy (single-path stack mode) vs
   under the PP policy (multi-path tree mode) on the same chunk — the
   per-token cost gap that runtime data-structure switching exploits,
@@ -19,8 +20,8 @@ from repro.bench import generate_document
 from repro.core import DenseRunner, GapPolicy, infer_feasible_paths, tables_for_policy
 from repro.datasets import dataset_by_name
 from repro.grammar import build_syntax_tree
-from repro.transducer import BaselinePolicy, run_sequential
-from repro.xmlstream import lex, lex_range
+from repro.transducer import BaselinePolicy, WorkCounters
+from repro.xmlstream import lex_range
 from repro.xpath import build_automaton, parse_xpath
 
 SCALE = 20.0
@@ -58,8 +59,9 @@ def test_lexer_throughput(corpus, benchmark):
 
 def test_sequential_pdt_throughput(corpus, benchmark):
     text, automaton, _t = corpus
-    tokens = list(lex(text))
-    benchmark(lambda: run_sequential(automaton, tokens))
+    tokens = lex_range(text, 0, len(text))
+    runner = kernel_for(automaton, BaselinePolicy(automaton))
+    benchmark(lambda: runner.run_from(tokens, automaton.initial, [], WorkCounters()))
     mean = _mean_seconds(benchmark)
     if mean is not None:
         print(f"\nsequential PDT: {len(tokens) / mean / 1e6:.2f} Mtokens/s")

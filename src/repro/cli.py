@@ -708,8 +708,7 @@ def _run_query(args: argparse.Namespace, *, journal: bool = False,
                 tokens = prep = None
                 if as_json:
                     with tracer.span("jsonstream.lex", cat="phase") as sp:
-                        tokens = (prepare_json(store, content) if store is not None
-                                  else tokenize_json(content))
+                        tokens = prepare_json(store, content)
                         sp.args["tokens"] = len(tokens)
                 elif store is not None and args.engine != "seq":
                     prep = prepare_xml(store, content, args.chunks, tracer=tracer)

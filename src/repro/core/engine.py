@@ -17,19 +17,21 @@ Typical use::
     engine = GapEngine(["/dblp/article/author", "//inproceedings//title"],
                        grammar=dtd_text)          # non-speculative
     result = engine.run(xml_text, n_chunks=20)
-    result.matches["/dblp/article/author"]        # list of byte offsets
+    result.matches["/dblp/article/author"]        # list of offsets
 
     engine = GapEngine(["/feed/entry/id"])        # no grammar: speculative
     engine.learn(yesterdays_feed)                 # Algorithm 3
     result = engine.run(todays_feed, n_chunks=20)
 
-Matches are byte offsets of the matched elements' start tags;
+Matches are the offsets (in code points) of the matched elements' start
+tags;
 :func:`element_at` turns an offset back into tag name and text content
 when the caller wants values rather than positions.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from ..grammar.dtd_parser import parse_dtd
@@ -41,10 +43,12 @@ from ..obs.tracer import NULL_TRACER, Tracer
 from ..parallel.backend import Backend, get_backend
 from ..parallel.faults import FaultPlane, parse_fault_spec
 from ..parallel.resilience import RetryPolicy
+from ..transducer.counters import WorkCounters
 from ..transducer.pipeline import (
     ParallelPipeline,
     ParallelRunResult,
     run_sequential_pipeline,
+    run_sequential_windows,
 )
 from ..transducer.policies import BaselinePolicy, ELIMINATE_PAPER
 from ..xpath.automaton import build_automaton
@@ -52,6 +56,7 @@ from ..xpath.filtering import apply_filters
 from ..xpath.rewrite import compile_queries
 from ..xmlstream.incremental import IncrementalLexer
 from ..xmlstream.lexer import lex
+from ..xmlstream.tokens import TokenColumns, TokenKind
 from .gap_transducer import GapPolicy
 from .inference import FeasibleTable, infer_feasible_paths
 from .speculative import GrammarLearner, empty_speculative_table
@@ -250,29 +255,36 @@ class _EngineBase:
         return lambda offset: element_at(text, offset)[1]
 
     @staticmethod
-    def _token_decoder(tokens: list):
-        """Offset → element text, for value predicates over token lists."""
-        from bisect import bisect_left
+    def _token_decoder(tokens: TokenColumns):
+        """Offset → element text, for value predicates over token columns.
 
-        offsets = [t.offset for t in tokens]
+        Reads the columns only when a value predicate asks: a run
+        without one pays nothing per token.
+        """
+        if not isinstance(tokens, TokenColumns):
+            raise TypeError(
+                "run_tokens takes TokenColumns (as tokenize_json returns "
+                f"them), not {type(tokens).__name__}")
 
         def decode(offset: int) -> str:
+            kinds, offsets = tokens.kinds, tokens.offsets
+            n = len(kinds)
             i = bisect_left(offsets, offset)
-            while i < len(tokens) and not (tokens[i].is_start and tokens[i].offset == offset):
+            while i < n and not (kinds[i] == TokenKind.START and offsets[i] == offset):
                 i += 1
-            if i >= len(tokens):
+            if i >= n:
                 raise ValueError(f"no element starts at offset {offset}")
             depth = 0
             parts: list[str] = []
-            for tok in tokens[i:]:
-                if tok.is_start:
+            for k in range(i, n):
+                if kinds[k] == TokenKind.START:
                     depth += 1
-                elif tok.is_end:
+                elif kinds[k] == TokenKind.END:
                     depth -= 1
                     if depth == 0:
                         break
                 elif depth == 1:
-                    parts.append(tok.name)
+                    parts.append(tokens.names[tokens.name_ids[k]])
             return "".join(parts)
 
         return decode
@@ -288,21 +300,15 @@ class SequentialEngine(_EngineBase):
                 sp.args.update(tokens=run.counters.total_tokens, bytes=len(text))
         return self._result(run, decoder=self._text_decoder(text))
 
-    def run_tokens(self, tokens: list) -> QueryResult:
-        """Evaluate over a pre-tokenised stream (e.g. JSON tokens)."""
-        from ..transducer.counters import WorkCounters
-        from ..transducer.machine import run_sequential
-        from ..transducer.pipeline import ParallelRunResult
-
+    def run_tokens(self, tokens: TokenColumns) -> QueryResult:
+        """Evaluate over pre-tokenised columns (e.g. JSON tokens)."""
+        decoder = self._token_decoder(tokens)
         counters = WorkCounters(chunks=1, starting_paths=1)
         if tokens:
-            counters.bytes_lexed = tokens[-1].offset + 1 - tokens[0].offset
-        res = run_sequential(self.automaton, tokens, self.anchor_sids, counters=counters)
-        run = ParallelRunResult(
-            events=res.events, final_state=res.state,
-            counters=counters, chunk_counters=[counters],
-        )
-        return self._result(run, decoder=self._token_decoder(tokens))
+            counters.bytes_lexed = tokens.offsets[-1] + 1 - tokens.offsets[0]
+        run = run_sequential_windows(self.automaton, self.anchor_sids,
+                                     [tokens], counters)
+        return self._result(run, decoder=decoder)
 
     def run_stream(self, pieces) -> QueryResult:
         """Single-pass evaluation over a document arriving in pieces.
@@ -317,29 +323,20 @@ class SequentialEngine(_EngineBase):
         candidates' text after the pass ends, so for those the stream
         is buffered (memory ∝ document size, like :meth:`run`).
         """
-        from ..transducer.counters import WorkCounters
-        from ..transducer.machine import run_sequential
-        from ..transducer.pipeline import ParallelRunResult
-
         lexer = IncrementalLexer()
         counters = WorkCounters(chunks=1, starting_paths=1)
         buffer: list[str] | None = [] if self.has_value_predicates else None
 
-        def tokens():
+        def batches():
             for piece in pieces:
                 counters.bytes_lexed += len(piece)
                 if buffer is not None:
                     buffer.append(piece)
-                yield from lexer.feed(piece)
-            yield from lexer.close()
+                yield lexer.feed(piece)
+            yield lexer.close()
 
-        res = run_sequential(self.automaton, tokens(), self.anchor_sids, counters=counters)
-        run = ParallelRunResult(
-            events=res.events,
-            final_state=res.state,
-            counters=counters,
-            chunk_counters=[counters],
-        )
+        run = run_sequential_windows(self.automaton, self.anchor_sids,
+                                     batches(), counters)
         decoder = self._text_decoder("".join(buffer)) if buffer is not None else None
         return self._result(run, decoder=decoder)
 
@@ -387,11 +384,13 @@ class PPTransducerEngine(_EngineBase):
             decoder=self._text_decoder(text),
         )
 
-    def run_tokens(self, tokens: list, n_chunks: int | None = None) -> QueryResult:
-        """Parallel evaluation over a pre-tokenised stream (e.g. JSON)."""
+    def run_tokens(self, tokens: TokenColumns,
+                   n_chunks: int | None = None) -> QueryResult:
+        """Parallel evaluation over pre-tokenised columns (e.g. JSON)."""
+        decoder = self._token_decoder(tokens)
         return self._result(
             self._pipeline.run_tokens(tokens, n_chunks or self.n_chunks),
-            decoder=self._token_decoder(tokens),
+            decoder=decoder,
         )
 
 
@@ -571,22 +570,23 @@ class GapEngine(_EngineBase):
 
     def run_tokens(
         self,
-        tokens: list,
+        tokens: TokenColumns,
         n_chunks: int | None = None,
         learn: bool = False,
         tracer: Tracer | None = None,
         journal: Journal | None = None,
         edges: list[int] | None = None,
     ) -> QueryResult:
-        """Parallel GAP evaluation over a pre-tokenised stream (e.g. JSON).
+        """Parallel GAP evaluation over pre-tokenised columns (e.g. JSON).
 
         ``edges`` replays explicit chunk boundaries (token indices) —
         see :meth:`ParallelPipeline.run_tokens`.
         """
+        decoder = self._token_decoder(tokens)
         result = self._result(
             self._pipeline(tracer, journal).run_tokens(
                 tokens, n_chunks or self.n_chunks, edges=edges),
-            decoder=self._token_decoder(tokens), tracer=tracer,
+            decoder=decoder, tracer=tracer,
         )
         if learn:
             self.learn_tokens(tokens)
@@ -618,12 +618,14 @@ def element_at(text: str, offset: int, max_text: int = 200) -> tuple[str, str]:
     """Decode the element at a match offset into ``(tag, text content)``.
 
     Re-lexes from the offset; text content is the concatenated direct
-    character data, truncated to ``max_text`` characters.
+    character data, truncated to ``max_text`` characters.  The lazy
+    :func:`~repro.xmlstream.lexer.lex` views suffice: reading stops at
+    the element's end, one small window later.
     """
     tokens = lex(text, offset)
     first = next(tokens, None)
     if first is None or not first.is_start:
-        raise ValueError(f"no element starts at byte {offset}")
+        raise ValueError(f"no element starts at offset {offset}")
     depth = 1
     parts: list[str] = []
     for tok in tokens:

@@ -37,7 +37,10 @@ Two execution regimes, switched per token:
   of Section 4.3).  The loop keeps the state, the stack and the
   transition base as Python locals and touches no policy object at
   all; it exits to the multi-path code on stack underflow (the next
-  divergence) without consuming the underflowing token.
+  divergence) without consuming the underflowing token.  The same
+  loop, entered from a known ``(state, stack)`` by
+  :meth:`DenseRunner.run_from`, is the library's sequential transducer
+  (Definition 1): the sequential baseline and the join's reprocessing.
 
 Work accounting: every token adds either one stack-mode step or one
 tree-mode step weighted by the number of live groups.  These counters
@@ -63,7 +66,7 @@ from ..obs.journal import NULL_JOURNAL
 from ..obs.logsetup import get_logger
 from ..transducer.counters import WorkCounters
 from ..transducer.doubletree import PathGroup, merge_groups, segment_entries
-from ..transducer.mapping import ChunkResult, Cohort, Segment
+from ..transducer.mapping import ChunkResult, Cohort, Segment, StackUnderflow
 from ..transducer.policies import (
     ELIMINATE_ALWAYS,
     ELIMINATE_NEVER,
@@ -73,7 +76,7 @@ from ..transducer.policies import (
 from ..xmlstream.tokens import Token, TokenColumns, TokenKind, as_columns
 from ..xpath.automaton import QueryAutomaton
 from ..xpath.compile_tables import KernelTables, compiled_tables
-from ..xpath.events import close, hit
+from ..xpath.events import MatchEvent, close, hit
 from .engine import EngineError
 from .gap_transducer import GapPolicy
 
@@ -181,10 +184,12 @@ class DenseRunner:
         """Process one chunk; return its segmented mappings and counters.
 
         ``tokens`` are the chunk's :class:`~repro.xmlstream.tokens.TokenColumns`
-        as the lexer, the registry and the stream produce them; any
+        as the lexer, the registry and the stream produce them.  Any
         other token iterable is converted once by
-        :func:`~repro.xmlstream.tokens.as_columns`.  The loops below read
-        the columns and build no :class:`Token` view (the opt-in memo
+        :func:`~repro.xmlstream.tokens.as_columns`: the benchmark's
+        traced lexer wrappers (``perfbench/spans.py``) still hand the
+        kernel lists and iterators of views.  The loops below read the
+        columns and build no :class:`Token` view (the opt-in memo
         variant excepted).
 
         ``start_states`` overrides the policy's scenario-1 inference —
@@ -232,14 +237,7 @@ class DenseRunner:
         name_ids = cols.name_ids
         offsets = cols.offsets
         names = cols.names
-        sym_of = T.sym_ids.get
-        other_sym = T.other_sym
-        if len(names) <= n_tok:
-            symmap = [sym_of(name, other_sym) for name in names]
-        else:
-            # a slice of a longer sequence's table (token-mode chunks,
-            # the stream's seal buffer): map only the ids it uses
-            symmap = {k: sym_of(names[k], other_sym) for k in set(name_ids)}
+        symmap = self._symbols(cols)
 
         spawn_reason = "initial"
         if start_states is None:
@@ -295,6 +293,8 @@ class DenseRunner:
         plan = None
         if memo is not None and fast_ok:
             # the memo plans over, and replays into, Token views
+            sym_of = T.sym_ids.get
+            other_sym = T.other_sym
             toks = list(cols)
             plan = memo.plan_for(toks)
         if plan is not None and plan.rejects and journal.enabled:
@@ -376,38 +376,12 @@ class DenseRunner:
 
             if fast_ok and stack_mode and n_live == 1 and not pending_check:
                 # ---- single-stack fast loop (Section 4.3) -------------
-                g = None
-                for lc in cohorts:
-                    if lc.groups:
-                        g = lc.groups[0]
-                        break
-                state = g.state
-                stack = g.stack
-                events = g.events
-                push = stack.append
-                pop = stack.pop
-                extend = events.extend
-                n_fast = 0
+                g = next(lc.groups[0] for lc in cohorts if lc.groups)
                 if plan is None:
-                    while i < n_tok:
-                        kind = kinds[i]
-                        if kind == _START:
-                            push(state)
-                            depth += 1
-                            state = trans[state * S + symmap[name_ids[i]]]
-                            if accept_flags[state]:
-                                off = offsets[i]
-                                extend(hit(sid, off, depth) for sid in accepts[state])
-                        elif kind == _END:
-                            if not stack:
-                                break  # divergence: general loop takes this token
-                            if close_flags[state]:
-                                off = offsets[i]
-                                extend(close(sid, off, depth) for sid in close_accepts[state])
-                            state = pop()
-                            depth -= 1
-                        i += 1
-                        n_fast += 1
+                    i0 = i
+                    i, g.state, depth = self._stack_loop(
+                        cols, symmap, i, g.state, g.stack, g.events, depth)
+                    counters.stack_tokens += i - i0
                 else:
                     # ---- memo-aware variant: identical token semantics,
                     # plus consult/record/replay at planned span starts.
@@ -417,6 +391,13 @@ class DenseRunner:
                     # span completes in it, the net stack delta is zero
                     # and the exit state equals the entry state — which
                     # is what makes replay exact.
+                    state = g.state
+                    stack = g.stack
+                    events = g.events
+                    push = stack.append
+                    pop = stack.pop
+                    extend = events.extend
+                    n_fast = 0
                     append_ev = events.append
                     starts = plan.starts
                     span_at = plan.spans
@@ -524,8 +505,8 @@ class DenseRunner:
                         i += 1
                         n_fast += 1
                     memo.flush_chunk(m_hits, m_misses, touched)
-                g.state = state
-                counters.stack_tokens += n_fast
+                    g.state = state
+                    counters.stack_tokens += n_fast
                 if i >= n_tok:
                     break
 
@@ -625,7 +606,101 @@ class DenseRunner:
             )
         return result
 
+    def run_from(
+        self,
+        tokens: TokenColumns | Iterable[Token],
+        state: int,
+        stack: list[int],
+        counters: WorkCounters,
+    ) -> tuple[int, list[int], list[MatchEvent]]:
+        """Run ``tokens`` from the known configuration ``(state, stack)``.
+
+        The sequential pushdown transducer of Definition 1: the
+        single-stack loop alone, no path policy.  It serves the
+        sequential baseline and the join's reprocessing.  Event depths
+        count from ``len(stack)``; ``stack`` is not copied.  Returns the
+        final ``(state, stack, events)`` and adds one ``stack_tokens``
+        per row to ``counters``.  Non-column ``tokens`` are converted as
+        at :meth:`run_chunk`'s entry.
+
+        Raises :class:`~repro.transducer.mapping.StackUnderflow` at the
+        offset of an END that arrives with an empty stack (malformed
+        input), after counting the rows before it.
+        """
+        cols = as_columns(tokens)
+        events: list[MatchEvent] = []
+        i, state, _depth = self._stack_loop(
+            cols, self._symbols(cols), 0, state, stack, events, len(stack))
+        counters.stack_tokens += i
+        if i < len(cols):
+            raise StackUnderflow(cols.offsets[i])
+        return state, stack, events
+
     # ------------------------------------------------------------------
+
+    def _symbols(self, cols: TokenColumns) -> list[int] | dict[int, int]:
+        """``symmap[name_ids[i]]``: row ``i``'s symbol, mapped once per run."""
+        T = self.tables
+        sym_of = T.sym_ids.get
+        other_sym = T.other_sym
+        names = cols.names
+        if len(names) <= len(cols):
+            return [sym_of(name, other_sym) for name in names]
+        # a slice of a longer sequence's table (token-mode chunks, the
+        # stream's seal buffer, a reprocessed range): map only the ids
+        # it uses
+        return {k: sym_of(names[k], other_sym) for k in set(cols.name_ids)}
+
+    def _stack_loop(
+        self,
+        cols: TokenColumns,
+        symmap,
+        i: int,
+        state: int,
+        stack: list[int],
+        events: list[MatchEvent],
+        depth: int,
+    ) -> tuple[int, int, int]:
+        """The single-stack loop (Section 4.3) from row ``i`` of ``cols``.
+
+        Runs to the end of the columns or to an END that arrives with an
+        empty stack, which it leaves unconsumed (in a chunk, the next
+        divergence).  Returns ``(i, state, depth)`` where it stopped;
+        ``stack`` and ``events`` are updated in place.
+        """
+        T = self.tables
+        trans = T.trans
+        S = T.n_symbols
+        accepts = T.accepts
+        accept_flags = T.accept_flags
+        close_accepts = T.close_accepts
+        close_flags = T.close_flags
+        kinds = cols.kinds
+        name_ids = cols.name_ids
+        offsets = cols.offsets
+        n = len(kinds)
+        push = stack.append
+        pop = stack.pop
+        extend = events.extend
+        while i < n:
+            kind = kinds[i]
+            if kind == _START:
+                push(state)
+                depth += 1
+                state = trans[state * S + symmap[name_ids[i]]]
+                if accept_flags[state]:
+                    off = offsets[i]
+                    extend(hit(sid, off, depth) for sid in accepts[state])
+            elif kind == _END:
+                if not stack:
+                    break  # underflow: the caller takes this token
+                if close_flags[state]:
+                    off = offsets[i]
+                    extend(close(sid, off, depth) for sid in close_accepts[state])
+                state = pop()
+                depth -= 1
+            i += 1
+        return i, state, depth
 
     def _scenario1(self, kind: int, sym: int) -> tuple[int, ...] | None:
         """Dense ``policy.start_states``: feasible states for a first token."""

@@ -57,6 +57,11 @@ class GrammarLearner:
         self.observe_tokens(lex(xml_text))
 
     def observe_tokens(self, tokens: Iterable[Token]) -> None:
+        """Extend the partial tree from a token stream (views or columns).
+
+        Learning reads :class:`Token` views: it runs once per prior
+        document, not per query.
+        """
         self._tree = extract_syntax_tree(tokens, prior=self._tree)
         self._documents += 1
         if logger.isEnabledFor(logging.DEBUG):

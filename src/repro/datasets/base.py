@@ -64,7 +64,11 @@ class Dataset:
         return gen.generate(include_prolog=include_prolog)
 
     def stats(self, xml: str) -> tuple[int, int, float]:
-        """``(#tags, d_max, d_avg)`` of a generated document (Table 3)."""
+        """``(#tags, d_max, d_avg)`` of a generated document (Table 3).
+
+        Reads :class:`Token` views: computed once per corpus, off every
+        query path.
+        """
         from ..xmlstream.lexer import lex
 
         return document_stats(lex(xml))

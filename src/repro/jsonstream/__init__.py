@@ -46,7 +46,7 @@ def query_json(
 
     With a JSON Schema, GAP runs non-speculatively; without one it runs
     speculatively (learn priors via ``GapEngine.learn_tokens`` for the
-    full workflow).  Returns query → byte offsets (decode values with
+    full workflow).  Returns query → offsets (decode values with
     :func:`json_value_at`).
     """
     grammar = json_schema_to_grammar(schema, root_name) if schema is not None else None

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import re
 
-from ..xmlstream.tokens import Token, TokenKind
+from ..xmlstream.tokens import TokenColumns
 from ..xpath.parser import is_name
 
 __all__ = ["DEFAULT_ROOT", "IncrementalJSONTokenizer", "JSONError"]
@@ -63,12 +63,15 @@ _ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b",
 # next feed; these are the modes whose buffer tail starts on a token.
 _SCALAR_MODES = ("scalar_string", "scalar_run", "key_string")
 
+# the kind column's values (TokenKind.START, .END, .TEXT)
+_START, _END, _TEXT = 0, 1, 2
+
 
 class JSONError(ValueError):
     """Raised on malformed JSON or keys unusable as element names."""
 
     def __init__(self, message: str, offset: int) -> None:
-        super().__init__(f"{message} (at byte {offset})")
+        super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
 
 
@@ -102,30 +105,30 @@ class IncrementalJSONTokenizer:
 
     # ------------------------------------------------------------------
 
-    def feed(self, piece: str) -> list[Token]:
+    def feed(self, piece: str) -> TokenColumns:
         """Consume a piece; return every token completed by it."""
         if self._closed:
             raise ValueError("feed() after close()")
         self._length += len(piece)
         buf = self._buf + piece
-        out: list[Token] = []
+        out = TokenColumns()
         i = self._scan(buf, out, final=False)
         self._buf = buf[i:]
         self._base += i
         return out
 
-    def close(self) -> list[Token]:
+    def close(self) -> TokenColumns:
         """Finalise: complete any trailing number, emit the root END."""
         if self._closed:
             raise ValueError("close() called twice")
         self._closed = True
-        out: list[Token] = []
+        out = TokenColumns()
         i = self._scan(self._buf, out, final=True)
         self._buf = self._buf[i:]
         self._base += i
         if self._mode != "end":
             raise JSONError("unexpected end of input", self._length)
-        out.append(Token(TokenKind.END, self.root_name, self._length))
+        out.append((_END, self.root_name, self._length))
         return out
 
     # -- state snapshot (checkpoint support) ---------------------------
@@ -162,7 +165,7 @@ class IncrementalJSONTokenizer:
 
     # ------------------------------------------------------------------
 
-    def _scan(self, buf: str, out: list[Token], final: bool) -> int:
+    def _scan(self, buf: str, out: TokenColumns, final: bool) -> int:
         """Consume as much of ``buf`` as possible; return the stop index.
 
         The loop dispatches on ``self._mode``; a handler that cannot
@@ -187,7 +190,7 @@ class IncrementalJSONTokenizer:
             ch = buf[i]
             at = self._base + i
             if mode == "init":
-                out.append(Token(TokenKind.START, self.root_name, at))
+                out.append((_START, self.root_name, at))
                 self._mode = "value"
                 self._pending = None
             elif mode == "value":
@@ -236,7 +239,7 @@ class IncrementalJSONTokenizer:
             else:  # "end": only trailing whitespace is legal
                 raise JSONError("trailing characters after the document", at)
 
-    def _begin_value(self, buf: str, i: int, out: list[Token]) -> int:
+    def _begin_value(self, buf: str, i: int, out: TokenColumns) -> int:
         """Dispatch on a value's first byte (``i`` is on a non-ws char)."""
         ch = buf[i]
         at = self._base + i
@@ -248,7 +251,7 @@ class IncrementalJSONTokenizer:
             self._mode = "arr_first"
             return i + 1
         if pending is not None:
-            out.append(Token(TokenKind.START, pending[0], pending[1]))
+            out.append((_START, pending[0], pending[1]))
         self._wrap = pending[0] if pending else None
         if ch == "{":
             self._stack.append(("obj", self._wrap))
@@ -262,7 +265,7 @@ class IncrementalJSONTokenizer:
             raise JSONError(f"unexpected character {ch!r}", at)
         return i  # scalar modes re-dispatch from the token's first byte
 
-    def _scan_token(self, buf: str, i: int, out: list[Token],
+    def _scan_token(self, buf: str, i: int, out: TokenColumns,
                     final: bool) -> int | None:
         """Scan the held scalar/key starting at ``i``; None = incomplete."""
         if self._mode == "scalar_run":
@@ -282,11 +285,11 @@ class IncrementalJSONTokenizer:
             self._mode = "obj_colon"
             return j
         if decoded.strip():
-            out.append(Token(TokenKind.TEXT, decoded, at + 1))
+            out.append((_TEXT, decoded, at + 1))
         self._finish_scalar(self._base + j, out)
         return j
 
-    def _scan_run(self, buf: str, i: int, out: list[Token],
+    def _scan_run(self, buf: str, i: int, out: TokenColumns,
                   final: bool) -> int | None:
         """A number or keyword: collect the maximal run, then decide."""
         at = self._base + i
@@ -300,7 +303,7 @@ class IncrementalJSONTokenizer:
             if buf[i:end] != word:
                 raise JSONError(f"unexpected character {buf[i]!r}", at)
             if word != "null":  # null maps to an empty element: no TEXT
-                out.append(Token(TokenKind.TEXT, word, at))
+                out.append((_TEXT, word, at))
             self._finish_scalar(self._base + end, out)
             return end
         j = i
@@ -312,7 +315,7 @@ class IncrementalJSONTokenizer:
         m = _NUMBER_RE.match(buf, i)
         if m is None or m.start() != i:
             raise JSONError(f"unexpected character {buf[i]!r}", at)
-        out.append(Token(TokenKind.TEXT, m.group(), at))
+        out.append((_TEXT, m.group(), at))
         # any leftover run bytes (e.g. "1.2.3") re-enter as a separator
         # position and fail there
         self._finish_scalar(self._base + m.end(), out)
@@ -359,16 +362,16 @@ class IncrementalJSONTokenizer:
 
     # ------------------------------------------------------------------
 
-    def _finish_scalar(self, pos: int, out: list[Token]) -> None:
+    def _finish_scalar(self, pos: int, out: TokenColumns) -> None:
         if self._wrap is not None:
-            out.append(Token(TokenKind.END, self._wrap, pos))
+            out.append((_END, self._wrap, pos))
             self._wrap = None
         self._after_value()
 
-    def _close_object(self, pos: int, out: list[Token]) -> None:
+    def _close_object(self, pos: int, out: TokenColumns) -> None:
         name = self._stack.pop()[1]
         if name is not None:
-            out.append(Token(TokenKind.END, name, pos))
+            out.append((_END, name, pos))
         self._after_value()
 
     def _after_value(self) -> None:

@@ -15,9 +15,9 @@ GAP, speculative GAP with learned grammars — queries JSON unchanged:
 * scalars become TEXT; the whole document is wrapped in a virtual root
   element (default name ``json``), since JSON has no document element.
 
-Offsets are byte positions into the JSON text: a member's START sits
-on its key's opening quote, an array item's START on the item's first
-character — unique among STARTs and document-ordered, so match
+Offsets are code-point positions into the JSON text: a member's START
+sits on its key's opening quote, an array item's START on the item's
+first character — unique among STARTs and document-ordered, so match
 identity and the filter phase's interval logic carry over.  END tokens
 use the position *one past* the value.  Offsets are non-decreasing;
 the only ties are a wrapper START with its own scalar TEXT (bare
@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 import re
 
-from ..xmlstream.tokens import Token
+from ..xmlstream.tokens import TokenColumns
 from .incremental import DEFAULT_ROOT, IncrementalJSONTokenizer, JSONError
 
 __all__ = ["JSONError", "tokenize_json", "json_value_at", "DEFAULT_ROOT"]
@@ -46,13 +46,16 @@ _WS_RE = re.compile(r"[ \t\r\n]*")
 _DECODER = json.JSONDecoder()
 
 
-def tokenize_json(text: str, root_name: str = DEFAULT_ROOT) -> list[Token]:
+def tokenize_json(text: str, root_name: str = DEFAULT_ROOT) -> TokenColumns:
     """Tokenise a JSON document (see module docstring for the mapping).
 
-    The incremental tokenizer fed the whole text in one piece.
+    The incremental tokenizer fed the whole text in one piece; the
+    result is the columns every engine reads.
     """
     tokenizer = IncrementalJSONTokenizer(root_name)
-    return tokenizer.feed(text) + tokenizer.close()
+    tokens = tokenizer.feed(text)
+    tokens.extend(tokenizer.close())
+    return tokens
 
 
 def json_value_at(text: str, offset: int, max_len: int = 200) -> str:

@@ -10,11 +10,13 @@ for the lifetime of the service:
 * **grammar** — an explicit DTD/XSD/JSON-Schema text, or the
   document's inline DOCTYPE; parsed once.  Absent grammar leaves
   engines in speculative mode;
-* **split** — the tag-aligned chunk list (:func:`split_chunks`) for
-  the service's configured width;
+* **split** — the tag-aligned chunk list
+  (:func:`~repro.xmlstream.chunking.split_chunks`) for the service's
+  configured width;
 * **lex** — one pre-lexed :class:`~repro.xmlstream.tokens.TokenColumns`
   per chunk (XML) or one for the whole document (JSON), so no request
-  ever tokenises the document again.
+  ever tokenises the document again.  Split and lex go through
+  :mod:`repro.store.docprep`, with or without an artifact store.
 
 Feasible-table and dense-table preparation is cached one level up:
 engines are cached per ``(document, merged query set)`` by the service
@@ -38,9 +40,9 @@ from hashlib import sha256
 from ..grammar.dtd_parser import parse_dtd
 from ..grammar.model import Grammar
 from ..grammar.xsd_parser import is_xsd, parse_xsd
-from ..xmlstream.chunking import Chunk, split_chunks
-from ..xmlstream.lexer import lex_range
-from ..xmlstream.tokens import TokenColumns, as_columns
+from ..store.docprep import prepare_json, prepare_xml
+from ..xmlstream.chunking import Chunk
+from ..xmlstream.tokens import TokenColumns
 
 __all__ = [
     "DocumentRecord",
@@ -221,33 +223,16 @@ class DocumentRegistry:
         if isinstance(grammar, str):
             grammar = _parse_grammar(grammar)
         if _looks_like_json(text):
-            if self.store is not None:
-                from ..store.docprep import prepare_json
-
-                tokens = prepare_json(self.store, text)
-            else:
-                from ..jsonstream import tokenize_json
-
-                tokens = as_columns(tokenize_json(text))
+            tokens = prepare_json(self.store, text)
             return DocumentRecord(
                 doc_id=doc_id, name=name or doc_id, kind="json", text=text,
                 grammar=grammar, n_chunks=n_chunks, tokens=tokens,
             )
         if grammar is None and "<!DOCTYPE" in text[:65536]:
             grammar = parse_dtd(text)
-        if self.store is not None:
-            from ..store.docprep import prepare_xml
-
-            chunks, chunk_tokens = prepare_xml(
-                self.store, text, n_chunks, pre_lex=self.pre_lex
-            )
-        else:
-            chunks = split_chunks(text, n_chunks)
-            chunk_tokens = None
-            if self.pre_lex:
-                chunk_tokens = tuple(
-                    lex_range(text, c.begin, c.end) for c in chunks
-                )
+        chunks, chunk_tokens = prepare_xml(
+            self.store, text, n_chunks, pre_lex=self.pre_lex
+        )
         return DocumentRecord(
             doc_id=doc_id, name=name or doc_id, kind="xml", text=text,
             grammar=grammar, n_chunks=n_chunks, chunks=chunks,

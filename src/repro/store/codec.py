@@ -39,11 +39,12 @@ import json
 import struct
 import sys
 from array import array
+from collections.abc import Iterable
 from itertools import accumulate
 
 from ..core.inference import FeasibleTable
 from ..xmlstream.chunking import Chunk
-from ..xmlstream.tokens import TokenColumns, as_columns
+from ..xmlstream.tokens import TokenColumns
 from ..xpath.compile_tables import KernelTables
 
 __all__ = [
@@ -415,14 +416,13 @@ _MODE_CHUNKED = 0  # XML: one TokenColumns per chunk
 _MODE_FLAT = 1     # JSON: a single TokenColumns
 
 
-def _encode_token_run(w: _Writer, tokens) -> None:
+def _encode_token_run(w: _Writer, cols: TokenColumns) -> None:
     """One token sequence: its string table, then its three columns.
 
     The table is written as one UTF-8 blob plus an array of the
     strings' lengths in code points, and each column as the array it
     already is, so neither direction touches a row in Python.
     """
-    cols = as_columns(tokens)
     w.int_array(array("q", map(len, cols.names)))
     w.string("".join(cols.names))
     w.u32(len(cols))
@@ -578,7 +578,7 @@ def decode_memo_table(payload: bytes) -> tuple[list[tuple], dict]:
 # ---------------------------------------------------------------------------
 
 
-def encode_chunk_tokens(chunk_tokens) -> bytes:
+def encode_chunk_tokens(chunk_tokens: Iterable[TokenColumns]) -> bytes:
     """Per-chunk pre-lexed token columns (the XML registry cache)."""
     return _encode_token_payload(_MODE_CHUNKED, list(chunk_tokens))
 
@@ -587,7 +587,7 @@ def decode_chunk_tokens(payload: bytes) -> tuple[TokenColumns, ...]:
     return tuple(_decode_token_payload(payload, _MODE_CHUNKED))
 
 
-def encode_tokens(tokens) -> bytes:
+def encode_tokens(tokens: TokenColumns) -> bytes:
     """A flat token sequence (the JSON registry cache)."""
     return _encode_token_payload(_MODE_FLAT, [tokens])
 

@@ -27,7 +27,7 @@ from hashlib import sha256
 from ..obs.tracer import NULL_TRACER
 from ..xmlstream.chunking import Chunk, split_chunks
 from ..xmlstream.lexer import lex_range
-from ..xmlstream.tokens import TokenColumns, as_columns
+from ..xmlstream.tokens import TokenColumns
 from . import codec
 from .artifacts import ArtifactStore
 
@@ -123,15 +123,15 @@ def prepare_json(store: ArtifactStore | None, text: str) -> TokenColumns:
     """The flat token columns of a JSON document (width-independent)."""
     from ..jsonstream import tokenize_json
 
-    key = content_key(text, 0) if store is not None else ""
-    if store is not None:
-        payload = store.get("tokens", key)
-        if payload is not None:
-            try:
-                return codec.decode_tokens(payload)
-            except codec.CodecError as exc:
-                store.invalidate("tokens", key, f"decode:{exc}")
-    tokens = as_columns(tokenize_json(text))
-    if store is not None:
-        store.put("tokens", key, codec.encode_tokens(tokens))
+    if store is None:
+        return tokenize_json(text)
+    key = content_key(text, 0)
+    payload = store.get("tokens", key)
+    if payload is not None:
+        try:
+            return codec.decode_tokens(payload)
+        except codec.CodecError as exc:
+            store.invalidate("tokens", key, f"decode:{exc}")
+    tokens = tokenize_json(text)
+    store.put("tokens", key, codec.encode_tokens(tokens))
     return tokens

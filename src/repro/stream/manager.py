@@ -12,8 +12,8 @@ evaluation pipeline is inherently ordered); the manager-level lock
 only guards the registry map.  Subscribers never hold either — they
 block on the hub's condition.
 
-Append idempotency: every append carries the writer's byte offset;
-bytes at already-consumed offsets are trimmed (duplicate-safe resend
+Append idempotency: every append carries the writer's offset (in code
+points); text at already-consumed offsets is trimmed (duplicate-safe resend
 after a reconnect), a gap raises ``409``-mapped :class:`StreamConflict`
 — so "resume from the server's offset" is the entire client-side
 recovery protocol.

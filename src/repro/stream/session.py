@@ -36,14 +36,15 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 
 from ..core.engine import GapEngine
 from ..jsonstream.incremental import IncrementalJSONTokenizer
 from ..jsonstream.tokenizer import DEFAULT_ROOT
 from ..obs.journal import Journal, NULL_JOURNAL
 from ..transducer.counters import WorkCounters
-from ..transducer.machine import run_sequential
 from ..transducer.mapping import join_results
+from ..transducer.pipeline import reprocess_range
 from ..xmlstream.incremental import IncrementalLexer
 from ..xmlstream.tokens import TokenColumns, TokenKind
 from ..xpath.events import EventKind, MatchEvent
@@ -373,27 +374,10 @@ class StreamSession:
                                         journal=self.journal)
         self.totals.merge(result.counters)
 
-        offsets = part.offsets
-
-        def reprocess(b: int, e: int, state: int, stack: list[int],
-                      skip_end: bool):
-            # recovery ranges lie inside the chunk being joined, so the
-            # chunk's own tokens suffice — same slicing as the batch
-            # token pipeline
-            lo = bisect_left(offsets, b)
-            hi = bisect_left(offsets, e)
-            sub = part[lo:hi]
-            if skip_end and sub and sub[0].is_end and sub[0].offset == b:
-                sub = sub[1:]
-            sub_counters = WorkCounters()
-            res = run_sequential(self.engine.automaton, sub,
-                                 self.engine.anchor_sids, state=state,
-                                 stack=stack, counters=sub_counters)
-            if self.journal.enabled:
-                self.journal.record("reprocess", offset=b, begin=b, end=e,
-                                    tokens=sub_counters.stack_tokens)
-            return res.state, res.stack, res.events, sub_counters.stack_tokens
-
+        # recovery ranges lie inside the chunk being joined, so the
+        # chunk's own tokens suffice — same cut as the batch token pipeline
+        reprocess = partial(reprocess_range, self._runner, part,
+                            journal=self.journal)
         state, stack, events = join_results(
             (self._state, self._stack, []), [result], reprocess, self.totals,
             strict=self._strict, journal=self.journal,

@@ -1,6 +1,8 @@
-"""Pushdown-transducer core: sequential machine, mappings, parallel pipeline.
+"""Pushdown-transducer core: mappings, path policies, parallel pipeline.
 
-* :mod:`~repro.transducer.machine` — sequential PDT (Definition 1);
+The sequential PDT (Definition 1) is the chunk kernel's single-stack
+loop, entered through :meth:`repro.core.kernel.DenseRunner.run_from`.
+
 * :mod:`~repro.transducer.mapping` — mappings (Definition 3) and join;
 * :mod:`~repro.transducer.doubletree` — multi-path structure with
   path convergence (the baseline's double tree);
@@ -12,8 +14,8 @@
 
 from .counters import WorkCounters
 from .doubletree import Member, PathGroup, merge_groups, segment_entries
-from .machine import SequentialResult, StackUnderflow, run_sequential
-from .mapping import ChunkResult, Cohort, JoinError, Segment, SegmentEntry, join_results
+from .mapping import (ChunkResult, Cohort, JoinError, Segment, SegmentEntry,
+                      StackUnderflow, join_results)
 from .pipeline import (
     ParallelPipeline,
     ParallelRunResult,
@@ -43,13 +45,11 @@ __all__ = [
     "PathPolicy",
     "Segment",
     "SegmentEntry",
-    "SequentialResult",
     "StackUnderflow",
     "WorkCounters",
     "join_results",
     "merge_groups",
     "run_pp_transducer",
-    "run_sequential",
     "run_sequential_pipeline",
     "segment_entries",
 ]

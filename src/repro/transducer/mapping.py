@@ -48,6 +48,7 @@ __all__ = [
     "Cohort",
     "ChunkResult",
     "JoinError",
+    "StackUnderflow",
     "join_results",
 ]
 
@@ -89,7 +90,7 @@ class Cohort:
 
     The main cohort has ``restart_offset == chunk.begin`` and
     ``restart_index == -1``; restart cohorts record the token index and
-    byte offset where execution was revived with an empty local stack.
+    offset where execution was revived with an empty local stack.
     """
 
     segments: list[Segment] = field(default_factory=list)
@@ -147,6 +148,19 @@ class ChunkResult:
 
 class JoinError(RuntimeError):
     """Raised when joining fails irrecoverably (engine invariant broken)."""
+
+
+class StackUnderflow(RuntimeError):
+    """An end tag required a pop from an empty stack.
+
+    Raised by :meth:`repro.core.kernel.DenseRunner.run_from`, where the
+    configuration is known, so it means malformed input; in a chunk run
+    the same event is a *path divergence* instead.
+    """
+
+    def __init__(self, offset: int) -> None:
+        super().__init__(f"pop from empty stack at offset {offset}")
+        self.offset = offset
 
 
 @dataclass(slots=True)

@@ -11,7 +11,9 @@ Section 2.3:
    allows;
 3. **join** — link the chunk mappings in document order
    (:mod:`repro.transducer.mapping`), reprocessing misspeculated
-   ranges with the sequential transducer.
+   ranges with the sequential transducer
+   (:meth:`repro.core.kernel.DenseRunner.run_from`, through
+   :func:`reprocess_range`).
 
 With a :class:`~repro.transducer.policies.BaselinePolicy` this *is*
 the PP-Transducer (Ogden et al., VLDB'13); with the GAP policies from
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from ..obs.journal import Journal, NULL_JOURNAL
 from ..obs.tracer import NULL_TRACER, Tracer
@@ -32,18 +35,19 @@ from ..parallel.resilience import ResilienceReport, RetryPolicy, supervised_map
 from ..xpath.automaton import QueryAutomaton
 from ..xpath.events import MatchEvent
 from ..xmlstream.chunking import Chunk, split_chunks
-from ..xmlstream.lexer import lex, lex_range
-from ..xmlstream.tokens import TokenKind, as_columns
+from ..xmlstream.lexer import lex_range, lex_windows
+from ..xmlstream.tokens import TokenColumns, TokenKind
 from .counters import WorkCounters
-from .machine import run_sequential
 from .mapping import ChunkResult, join_results
 from .policies import BaselinePolicy, PathPolicy
 
 __all__ = [
     "ParallelRunResult",
     "ParallelPipeline",
+    "reprocess_range",
     "run_pp_transducer",
     "run_sequential_pipeline",
+    "run_sequential_windows",
 ]
 
 @dataclass(slots=True)
@@ -108,6 +112,44 @@ def _make_runner(automaton, policy, anchor_sids, tables, memo=False):
         memo_table = memo_for_tables(tables)
     return DenseRunner(automaton, policy, anchor_sids, tables=tables,
                        memo=memo_table)
+
+
+def reprocess_range(
+    runner,
+    tokens: TokenColumns,
+    begin: int,
+    end: int,
+    state: int,
+    stack: list[int],
+    skip_end: bool,
+    tracer: Tracer = NULL_TRACER,
+    journal: Journal = NULL_JOURNAL,
+) -> tuple[int, list[int], list[MatchEvent], int]:
+    """The join's reprocess callback (:data:`~repro.transducer.mapping.ReprocessFn`)
+    once ``runner`` and ``tokens`` are bound: rerun the rows in
+    ``[begin, end)`` from ``(state, stack)`` through ``runner.run_from``.
+
+    ``tokens`` are columns with sorted offsets covering the range: its
+    own (``lex_range``) or a longer run (a token-mode document, a
+    sealed stream chunk), cut by offset.  ``skip_end`` drops a leading
+    END at exactly ``begin``, a divergence the join already resolved.
+    """
+    with tracer.span("transducer.mapping", cat="phase", reprocess=True) as sp:
+        offsets = tokens.offsets
+        lo = bisect_left(offsets, begin)
+        hi = bisect_left(offsets, end)
+        if (skip_end and lo < hi and offsets[lo] == begin
+                and tokens.kinds[lo] == TokenKind.END):
+            lo += 1
+        counters = WorkCounters()
+        state, stack, events = runner.run_from(
+            tokens[lo:hi], state, stack, counters)
+        n = counters.stack_tokens
+        sp.args.update(begin=begin, end=end, tokens=n)
+    if journal.enabled:
+        journal.record("reprocess", offset=begin, begin=begin, end=end,
+                       tokens=n)
+    return state, stack, events, n
 
 
 def _run_one_chunk(ctx: _Ctx, chunk: Chunk, attempt: int = 0) -> ChunkResult:
@@ -307,16 +349,16 @@ class ParallelPipeline:
         return _make_runner(self.automaton, self.policy, self.anchor_sids,
                             self._tables, memo=self.memo)
 
-    def run_tokens(self, tokens, n_chunks: int,
+    def run_tokens(self, tokens: TokenColumns, n_chunks: int,
                    edges: list[int] | None = None) -> ParallelRunResult:
         """Execute the three phases over a materialised token sequence.
 
         The token-mode pipeline serves inputs that are not
         chunk-lexable text — JSON documents tokenised by
-        :mod:`repro.jsonstream` — by splitting the *token list* into
-        contiguous chunks.  Token offsets must be strictly increasing
-        (the JSON tokeniser guarantees this); reprocessing slices the
-        list by offset.  Tokenisation itself is a sequential
+        :mod:`repro.jsonstream` — by splitting the token columns into
+        contiguous chunks.  Token offsets must be non-decreasing (the
+        JSON tokeniser guarantees this); reprocessing cuts the columns
+        by offset.  Tokenisation itself is a sequential
         preprocessing step in this mode (parallel JSON lexing is its
         own research problem and out of scope).
 
@@ -329,8 +371,6 @@ class ParallelPipeline:
             return ParallelRunResult(
                 events=[], final_state=self.automaton.initial, counters=WorkCounters()
             )
-        # one conversion per run: the chunk slices below share its table
-        tokens = as_columns(tokens)
         offsets = tokens.offsets
         if any(b < a for a, b in zip(offsets, offsets[1:])):
             raise ValueError(
@@ -397,23 +437,8 @@ class ParallelPipeline:
             per_chunk.append(r.counters)
             totals.merge(r.counters)
 
-        def reprocess(begin: int, end: int, state: int, stack: list[int], skip_end: bool):
-            with tracer.span("transducer.mapping", cat="phase", reprocess=True) as sp:
-                lo = bisect_left(offsets, begin)
-                hi = bisect_left(offsets, end)
-                sub = tokens[lo:hi]
-                if skip_end and sub and sub[0].is_end and sub[0].offset == begin:
-                    sub = sub[1:]
-                sub_counters = WorkCounters()
-                res = run_sequential(
-                    self.automaton, sub, self.anchor_sids,
-                    state=state, stack=stack, counters=sub_counters,
-                )
-                sp.args.update(begin=begin, end=end, tokens=sub_counters.stack_tokens)
-            if journal.enabled:
-                journal.record("reprocess", offset=begin, begin=begin, end=end,
-                               tokens=sub_counters.stack_tokens)
-            return res.state, res.stack, res.events, sub_counters.stack_tokens
+        reprocess = partial(reprocess_range, runner, tokens,
+                            tracer=tracer, journal=journal)
 
         strict = not self.policy.speculative
         with tracer.span("transducer.mapping", cat="phase") as sp:
@@ -500,26 +525,10 @@ class ParallelPipeline:
             totals.timeouts += report.timeouts
             totals.fallbacks += report.fallbacks
 
-        def reprocess(begin: int, end: int, state: int, stack: list[int], skip_end: bool):
-            with tracer.span("transducer.mapping", cat="phase", reprocess=True) as sp:
-                sub_counters = WorkCounters()
-                tokens = lex_range(text, begin, end)
-                if (skip_end and tokens and tokens.kinds[0] == TokenKind.END
-                        and tokens.offsets[0] == begin):
-                    tokens = tokens[1:]  # the join resolved that divergence
-                res = run_sequential(
-                    self.automaton,
-                    tokens,
-                    self.anchor_sids,
-                    state=state,
-                    stack=stack,
-                    counters=sub_counters,
-                )
-                sp.args.update(begin=begin, end=end, tokens=sub_counters.stack_tokens)
-            if journal.enabled:
-                journal.record("reprocess", offset=begin, begin=begin, end=end,
-                               tokens=sub_counters.stack_tokens)
-            return res.state, res.stack, res.events, sub_counters.stack_tokens
+        def reprocess(begin: int, end: int, state: int, stack: list[int],
+                      skip_end: bool):
+            return reprocess_range(self.chunk_runner(), lex_range(text, begin, end),
+                                   begin, end, state, stack, skip_end, tracer, journal)
 
         # supervision relaxes the strict join: an incomplete mapping is
         # then recovered by targeted reprocessing (the speculative
@@ -560,16 +569,37 @@ def run_sequential_pipeline(
 ) -> ParallelRunResult:
     """Run the plain sequential transducer (the speedup baseline).
 
-    Packaged as a :class:`ParallelRunResult` with a single "chunk" so
-    speedup computations treat it uniformly.
+    The text is lexed window by window
+    (:func:`~repro.xmlstream.lexer.lex_windows`), so memory stays
+    bounded by one window plus the document depth.
     """
     counters = WorkCounters(chunks=1, bytes_lexed=len(text), starting_paths=1)
-    res = run_sequential(
-        automaton, lex(text), anchor_sids, counters=counters
-    )
-    return ParallelRunResult(
-        events=res.events,
-        final_state=res.state,
-        counters=counters,
-        chunk_counters=[counters],
-    )
+    return run_sequential_windows(automaton, anchor_sids, lex_windows(text),
+                                  counters)
+
+
+def run_sequential_windows(
+    automaton: QueryAutomaton,
+    anchor_sids: frozenset[int],
+    windows,
+    counters: WorkCounters,
+) -> ParallelRunResult:
+    """Run the sequential transducer over consecutive token batches.
+
+    Each batch runs from the configuration the previous one ended in.
+    ``run_from`` reads only the transition and accept tables, which
+    every policy compiles alike: the baseline's are used.
+    """
+    from ..core.kernel import tables_for_policy
+
+    policy = BaselinePolicy(automaton)
+    runner = _make_runner(automaton, policy, anchor_sids,
+                          tables_for_policy(automaton, policy, anchor_sids))
+    state = automaton.initial
+    stack: list[int] = []
+    events: list[MatchEvent] = []
+    for tokens in windows:
+        state, stack, more = runner.run_from(tokens, state, stack, counters)
+        events += more
+    return ParallelRunResult(events=events, final_state=state,
+                             counters=counters, chunk_counters=[counters])

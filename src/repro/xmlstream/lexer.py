@@ -10,8 +10,9 @@ It never builds a tree.
 There is one scanning loop, :func:`_scan`, and three ways to drive it.
 :func:`lex_range` runs it to the end of a range of a complete text
 (``final=True``: an unfinished construct is an error) and returns the
-range's columns; :func:`lex` runs it window by window and yields
-:class:`~repro.xmlstream.tokens.Token` views lazily;
+range's columns; :func:`lex_windows` runs it window by window and
+yields each window's columns (:func:`lex` yields their
+:class:`~repro.xmlstream.tokens.Token` views);
 :class:`~repro.xmlstream.incremental.IncrementalLexer` runs it over the
 pieces of a stream (``final=False``: an unfinished construct is held
 back until more text arrives) and once more when the stream closes.  A
@@ -28,7 +29,7 @@ point is the character-level one.
 
 Two properties matter for parallelization:
 
-* **restartability** — :func:`lex_range` can start lexing at any byte
+* **restartability** — :func:`lex_range` can start lexing at any
   offset that is a tag boundary (the position of a ``<``).  The split
   phase (:mod:`repro.xmlstream.chunking`) aligns chunk boundaries to
   such positions, so each worker lexes its chunk independently and the
@@ -60,6 +61,7 @@ __all__ = [
     "LexError",
     "lex",
     "lex_range",
+    "lex_windows",
     "iter_tag_offsets",
     "tag_offset_at_or_after",
 ]
@@ -79,31 +81,36 @@ _MAX_WINDOW = 1 << 16
 class LexError(ValueError):
     """Raised on malformed XML at the lexical level.
 
-    Carries the byte offset where the problem was detected so that error
-    messages can point into multi-megabyte generated documents.
+    Carries the offset (in code points) where the problem was detected
+    so that error messages can point into multi-megabyte generated
+    documents.
     """
 
     def __init__(self, message: str, offset: int) -> None:
-        super().__init__(f"{message} (at byte {offset})")
+        super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
 
 
-def lex(text: str, start: int = 0) -> Iterator[Token]:
-    """Yield the tokens of ``text[start:]`` as :class:`Token` views, lazily.
+def lex_windows(text: str, start: int = 0) -> Iterator[TokenColumns]:
+    """The columns of ``lex_range(text, start, len(text))``, window by window.
 
-    The tokens of ``lex_range(text, start, len(text))``, scanned window
-    by window: a consumer that stops early (such as
-    :func:`repro.core.engine.element_at`) pays for what it reads, and a
-    whole-document consumer (the DOM reference) holds one window's
-    columns at a time, not the document's.
+    Windows double from a small first size to a cap, so a consumer
+    holds one window's columns at a time, not the document's, and one
+    that stops early pays for little more than it reads.
     """
     end = len(text)
     window = _FIRST_WINDOW
     while start < end:
         out = TokenColumns()
         start = _scan(text, start, min(start + window, end), 0, True, out)
-        yield from out
+        yield out
         window = min(2 * window, _MAX_WINDOW)
+
+
+def lex(text: str, start: int = 0) -> Iterator[Token]:
+    """The tokens of :func:`lex_windows` as :class:`Token` views, lazily."""
+    for cols in lex_windows(text, start):
+        yield from cols
 
 
 def lex_range(text: str, start: int, end: int) -> TokenColumns:

@@ -20,13 +20,17 @@ columns (the DOM reference, the sequential transducer, ``element_at``,
 tests).  It equals (and hashes like) that plain tuple; views are built
 with ``tuple.__new__``, the cheapest construction Python offers for an
 immutable record.  :func:`as_columns` turns any other token iterable
-(JSON token lists, hand-written test streams) into columns.
+(hand-written test streams, view lists) into columns; the library
+itself calls it only where a list can still arrive: the kernel's
+entry, :meth:`TokenColumns.extend` and the stream's checkpoint
+restore.
 
-Tokens carry the byte offset of their first character in the original
-document.  Offsets serve two purposes:
+Tokens carry the offset of their first character in the original
+document, counted in code points (``str`` indices), not UTF-8 bytes.
+Offsets serve two purposes:
 
 * **chunk framing** — the parallel split phase cuts the document at tag
-  boundaries, and each worker lexes its own byte range; offsets are
+  boundaries, and each worker lexes its own range; offsets are
   global, so match positions from different workers can be merged
   without coordination;
 * **match identity** — a match is reported as the offset/index of the
@@ -73,8 +77,8 @@ class Token(NamedTuple):
         Element name for START/END tokens; the text content for TEXT
         tokens.
     offset:
-        Byte offset of the token's first character in the document
-        (the ``<`` for tags, the first character for text).
+        Offset (in code points) of the token's first character in the
+        document (the ``<`` for tags, the first character for text).
     """
 
     kind: TokenKind
@@ -185,6 +189,9 @@ class TokenColumns(Sequence):
 
         Columns sharing this table are concatenated as they are;
         columns with their own table have the ids they use remapped.
+        A token list is converted first: the benchmark's traced
+        incremental-lexer wrapper (``perfbench/spans.py``) hands the
+        stream's seal buffer lists of views.
         """
         if not isinstance(tokens, TokenColumns):
             tokens = TokenColumns.from_tokens(tokens)

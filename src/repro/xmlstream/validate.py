@@ -50,7 +50,7 @@ class ValidationError(ValueError):
 
     def __init__(self, message: str, offset: int = -1) -> None:
         if offset >= 0:
-            message = f"{message} (at byte {offset})"
+            message = f"{message} (at offset {offset})"
         super().__init__(message)
         self.offset = offset
 

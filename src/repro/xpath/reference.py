@@ -13,8 +13,8 @@ roles:
   footprint and locality arguments of Section 2.1);
 * a pedagogical executable specification of the query semantics.
 
-Matches are reported as the byte offsets of the matched elements' start
-tags — the same identity every streaming engine uses — so result sets
+Matches are reported as the offsets (in code points) of the matched
+elements' start tags — the same identity every streaming engine uses — so result sets
 are directly comparable.
 """
 
@@ -86,7 +86,11 @@ class Document:
 
 
 def build_document(tokens: Iterable[Token]) -> Document:
-    """Parse a token stream into a :class:`Document` tree."""
+    """Parse a token stream into a :class:`Document` tree.
+
+    Reads :class:`Token` views (``lex`` yields them): the tree holds an
+    object per element anyway, so columns would save nothing here.
+    """
     root: Element | None = None
     stack: list[Element] = []
     for tok in tokens:

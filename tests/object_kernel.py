@@ -14,6 +14,13 @@ cohort share their local stack depth, so a cohort's groups always
 underflow together; each underflow closes the cohort's current segment
 and reopens it keyed by the enumerated pop candidates.
 
+:func:`run_sequential` is the sequential oracle for
+:meth:`repro.core.kernel.DenseRunner.run_from`: the pushdown transducer
+of Definition 1 read straight off the automaton, one :class:`Token`
+view at a time.  :meth:`ChunkRunner.run_from` is that loop, so
+reprocessing and the sequential engine run on it too inside
+:func:`object_kernel`.
+
 :func:`object_kernel` swaps the oracle into every pipeline built inside
 it by patching :func:`repro.transducer.pipeline._make_runner`; the
 patch lives in this process only, so it covers the serial and thread
@@ -34,13 +41,13 @@ from repro.obs.logsetup import get_logger
 from repro.transducer import pipeline
 from repro.transducer.counters import WorkCounters
 from repro.transducer.doubletree import PathGroup, merge_groups, segment_entries
-from repro.transducer.mapping import ChunkResult, Cohort, Segment
+from repro.transducer.mapping import ChunkResult, Cohort, Segment, StackUnderflow
 from repro.transducer.policies import ELIMINATE_ALWAYS, ELIMINATE_NEVER, PathPolicy
 from repro.xmlstream.tokens import Token, TokenKind
 from repro.xpath.automaton import QueryAutomaton
-from repro.xpath.events import close, hit
+from repro.xpath.events import MatchEvent, close, hit
 
-__all__ = ["ChunkRunner", "object_kernel"]
+__all__ = ["ChunkRunner", "object_kernel", "run_sequential"]
 
 logger = get_logger("transducer.object_kernel")
 
@@ -79,6 +86,17 @@ class ChunkRunner:
         self._chunk = -1
 
     # ------------------------------------------------------------------
+
+    def run_from(
+        self,
+        tokens: Iterable[Token],
+        state: int,
+        stack: list[int],
+        counters: WorkCounters,
+    ) -> tuple[int, list[int], list[MatchEvent]]:
+        """The sequential oracle from ``(state, stack)`` (``DenseRunner.run_from``)."""
+        return run_sequential(self.automaton, tokens, self.anchor_sids,
+                              state, stack, counters)
 
     def run_chunk(
         self,
@@ -370,3 +388,59 @@ class ChunkRunner:
 def _chain_first(first: Token, rest: Iterable[Token]) -> Iterable[Token]:
     yield first
     yield from rest
+
+
+def run_sequential(
+    automaton: QueryAutomaton,
+    tokens: Iterable[Token],
+    anchor_sids: frozenset[int] = frozenset(),
+    state: int | None = None,
+    stack: list[int] | None = None,
+    counters: WorkCounters | None = None,
+) -> tuple[int, list[int], list[MatchEvent]]:
+    """Run the sequential pushdown transducer (Definition 1) over ``tokens``.
+
+    The finite control is the query DFA and the stack alphabet its state
+    set.  A start tag pushes the current state and moves to
+    ``δ(state, tag)``, writing a HIT for each sub-query the new state
+    accepts; an end tag writes a CLOSE for each *anchor* sub-query the
+    current state accepts, then pops; text leaves state and stack
+    alone.  ``state``/``stack`` default to the initial configuration;
+    ``stack`` is not copied.  Returns ``(state, stack, events)`` and
+    adds one ``stack_tokens`` per token to ``counters``.
+
+    Raises :class:`StackUnderflow` at the offset of an end tag that
+    arrives with an empty stack, after counting the tokens before it.
+    """
+    if state is None:
+        state = automaton.initial
+    if stack is None:
+        stack = []
+    events: list[MatchEvent] = []
+    accepts = automaton.accepts
+    n_tokens = 0
+    depth = len(stack)  # element depth = open elements = stack height
+
+    for tok in tokens:
+        n_tokens += 1
+        kind = tok.kind
+        if kind == TokenKind.START:
+            stack.append(state)
+            depth += 1
+            state = automaton.step(state, tok.name)
+            for sid in accepts[state]:
+                events.append(hit(sid, tok.offset, depth))
+        elif kind == TokenKind.END:
+            if not stack:
+                if counters is not None:
+                    counters.stack_tokens += n_tokens - 1
+                raise StackUnderflow(tok.offset)
+            for sid in accepts[state]:
+                if sid in anchor_sids:
+                    events.append(close(sid, tok.offset, depth))
+            state = stack.pop()
+            depth -= 1
+
+    if counters is not None:
+        counters.stack_tokens += n_tokens
+    return state, stack, events

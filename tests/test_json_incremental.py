@@ -179,8 +179,8 @@ class TestStateRoundtrip:
             tok = IncrementalJSONTokenizer()
             out = tok.feed(doc[:i])
             resumed = IncrementalJSONTokenizer.restore(tok.state())
-            out += resumed.feed(doc[i:])
-            out += resumed.close()
+            out.extend(resumed.feed(doc[i:]))
+            out.extend(resumed.close())
             assert out == batch, f"snapshot at byte {i}"
 
     def test_state_is_json_safe(self):

@@ -259,9 +259,10 @@ class TestJsonQuerying:
         assert gap.stats.avg_starting_paths < pp.stats.avg_starting_paths / 2
 
     def test_rejects_decreasing_tokens(self):
-        from repro.xmlstream import end_tag, start_tag
+        from repro.xmlstream import TokenColumns, end_tag, start_tag
 
-        bad = [start_tag("a", 5), start_tag("b", 3), end_tag("b", 7), end_tag("a", 9)]
+        bad = TokenColumns.from_tokens(
+            [start_tag("a", 5), start_tag("b", 3), end_tag("b", 7), end_tag("a", 9)])
         with pytest.raises(ValueError, match="non-decreasing"):
             PPTransducerEngine(["//b"]).run_tokens(bad, n_chunks=2)
 

@@ -69,13 +69,10 @@ class TestChunkStartKinds:
                 )
 
             def reprocess(begin, end, state, stack, skip_end):
-                from repro.transducer.machine import run_sequential
-
-                toks = list(lex_range(FEED_XML, begin, end))
+                toks = lex_range(FEED_XML, begin, end)
                 if skip_end and toks and toks[0].is_end and toks[0].offset == begin:
                     toks = toks[1:]
-                res = run_sequential(automaton, toks, engine.anchor_sids, state=state, stack=stack)
-                return res.state, res.stack, res.events, 0
+                return (*runner.run_from(toks, state, stack, WorkCounters()), 0)
 
             counters = WorkCounters()
             _s, _st, events = join_results(

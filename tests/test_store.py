@@ -126,9 +126,7 @@ class TestCodecRoundTrip:
         _grammar, text = doc
         chunks = split_chunks(text, n_chunks)
         assert codec.decode_chunks(codec.encode_chunks(chunks)) == chunks
-        chunk_tokens = tuple(
-            tuple(lex_range(text, c.begin, c.end)) for c in chunks
-        )
+        chunk_tokens = tuple(lex_range(text, c.begin, c.end) for c in chunks)
         back = codec.decode_chunk_tokens(codec.encode_chunk_tokens(chunk_tokens))
         assert back == chunk_tokens
 

@@ -161,7 +161,7 @@ class TestStreamVsBatch:
         # sealed (token edges), so counters must agree to the byte
         from repro.jsonstream import tokenize_json
 
-        tokens = list(tokenize_json(JSON_DOC))
+        tokens = tokenize_json(JSON_DOC)
         edges, acc = [0], 0
         for _, _, part in session.sealed_log:
             acc += len(part)

@@ -12,12 +12,18 @@ tests pin that the change is invisible through the views:
   batch scan and holds back exactly the unfinished tail;
 * columns survive pickling (the process backend) and the codec;
 * the kernel gives the same result on columns and on the equivalent
-  Token list: matches, counters and journal.
+  Token list: matches, counters and journal;
+* JSON is tokenised straight into columns: fed in random pieces it
+  yields the columns of one batch scan, and no JSON path (tokenise,
+  prepare with or without a store, register, run) converts a token
+  list;
+* error offsets count code points, as match offsets do.
 """
 
 from __future__ import annotations
 
 import pickle
+import random
 from array import array
 
 import pytest
@@ -26,14 +32,18 @@ from hypothesis import strategies as st
 
 from repro import GapEngine, PPTransducerEngine
 from repro.core import DenseRunner
+from repro import SequentialEngine
 from repro.grammar import parse_dtd
+from repro.jsonstream import IncrementalJSONTokenizer, JSONError, tokenize_json
 from repro.obs.journal import Journal
 from repro.datasets import ALL_DATASETS
-from repro.store import codec
+from repro.service.registry import DocumentRegistry
+from repro.store import ArtifactStore, codec, prepare_json
 from repro.stream import StreamSession
 from repro.xmlstream import (
     Chunk,
     IncrementalLexer,
+    LexError,
     Token,
     TokenColumns,
     TokenKind,
@@ -46,6 +56,7 @@ from repro.xmlstream import (
 from tests.conftest import FEED_DTD, FEED_XML, non_ascii
 from tests.lexer_oracles import oracle_lex, oracle_lex_range, oracle_tag_offsets
 from tests.test_incremental import DOCS
+from tests.test_json_incremental import DOCS as JSON_DOCS
 
 #: cuts that land inside comments, CDATA sections, processing
 #: instructions and quoted attribute values holding ``<`` and ``>``,
@@ -285,3 +296,65 @@ class TestStreamSealBuffer:
         for q in queries:
             assert session.matches[q] == list(batch.matches[q])
         assert session.totals.as_dict() == batch.stats.counters.as_dict()
+
+
+class TestJSONColumns:
+    QUERIES = ["//entry/id", "/json/feed/entry[title = 'x']/id", "//東京"]
+    DOC = ('{"feed": {"entry": [{"id": 1, "title": "x"}, {"id": 2, "title": "y"}],'
+           ' "東京": ["é", "ü"]}}')
+
+    @pytest.mark.parametrize("doc", JSON_DOCS)
+    def test_random_pieces_equal_one_batch_scan(self, doc):
+        batch = tokenize_json(doc)
+        assert type(batch) is TokenColumns
+        rng = random.Random(doc)
+        for _ in range(8):
+            cuts = sorted(rng.sample(range(1, len(doc)), min(len(doc) - 1, 5)))
+            tok = IncrementalJSONTokenizer()
+            merged = TokenColumns()
+            for lo, hi in zip([0, *cuts], [*cuts, len(doc)]):
+                piece = tok.feed(doc[lo:hi])
+                assert type(piece) is TokenColumns
+                merged.extend(piece)
+            merged.extend(tok.close())
+            assert merged == batch, cuts
+            assert merged.kinds == batch.kinds and merged.offsets == batch.offsets
+
+    def test_json_paths_never_convert_a_token_list(self, monkeypatch, tmp_path):
+        def refuse(cls, tokens):
+            raise AssertionError("a JSON path converted a token list")
+
+        monkeypatch.setattr(TokenColumns, "from_tokens", classmethod(refuse))
+        tokens = tokenize_json(self.DOC)
+        assert type(tokens) is TokenColumns
+        store = ArtifactStore(str(tmp_path / "store"))
+        for prepared in (prepare_json(None, self.DOC),
+                         prepare_json(store, self.DOC),   # cold: tokenise, put
+                         prepare_json(store, self.DOC)):  # warm: decode
+            assert prepared == tokens
+        for registry in (DocumentRegistry(), DocumentRegistry(store=store)):
+            assert registry.register(self.DOC).tokens == tokens
+        gap = GapEngine(self.QUERIES).run_tokens(tokens, n_chunks=3)
+        seq = SequentialEngine(self.QUERIES).run_tokens(tokens)
+        assert gap.matches == seq.matches
+        assert seq.count(self.QUERIES[1]) == 1 and seq.count("//東京") == 2
+
+    def test_run_tokens_takes_columns(self):
+        with pytest.raises(TypeError, match="TokenColumns"):
+            SequentialEngine(["//a"]).run_tokens(list(tokenize_json('{"a": 1}')))
+
+
+class TestOffsetsAreCodePoints:
+    def test_lexer_and_json_errors_report_code_point_offsets(self):
+        xml = "<été>東京 𝔛</été><!-- open"
+        at = xml.index("<!--")
+        assert len(xml[:at].encode("utf-8")) != at
+        with pytest.raises(LexError, match=f"at offset {at}\\)") as exc:
+            lex_range(xml, 0, len(xml))
+        assert exc.value.offset == at
+        doc = '{"été": "東京 𝔛", "a" 1}'
+        at = doc.index("1")
+        assert len(doc[:at].encode("utf-8")) != at
+        with pytest.raises(JSONError, match=f"at offset {at}\\)") as exc:
+            tokenize_json(doc)
+        assert exc.value.offset == at

@@ -7,12 +7,13 @@ import pytest
 from repro import PPTransducerEngine, SequentialEngine
 from repro.core.engine import _EngineBase
 from repro.jsonstream import tokenize_json
-from repro.xmlstream import lex
+from repro.xmlstream import lex_range
 
 
 class TestTokenDecoder:
     def test_decodes_direct_text_only(self):
-        tokens = list(lex("<a>outer<b>inner</b>more</a>"))
+        doc = "<a>outer<b>inner</b>more</a>"
+        tokens = lex_range(doc, 0, len(doc))
         decode = _EngineBase._token_decoder(tokens)
         assert decode(0) == "outermore"  # <a>: direct text, not <b>'s
 
@@ -24,7 +25,7 @@ class TestTokenDecoder:
         assert decode(v_start.offset) == "x"
 
     def test_unknown_offset_raises(self):
-        tokens = list(lex("<a>x</a>"))
+        tokens = lex_range("<a>x</a>", 0, 8)
         decode = _EngineBase._token_decoder(tokens)
         with pytest.raises(ValueError):
             decode(999)
