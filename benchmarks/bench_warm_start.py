@@ -54,7 +54,7 @@ grammar = dataset_by_name("xmark").grammar
 store = ArtifactStore(store_dir)
 set_artifact_store(store)
 t0 = time.perf_counter()
-chunks, toks = prepare_xml(store, text, n_chunks)
+chunks, toks, _paths = prepare_xml(store, text, n_chunks)
 engine = GapEngine(queries, grammar=grammar, n_chunks=n_chunks,
                    backend="serial")
 result = engine.run(text, chunks=chunks, chunk_tokens=toks)
@@ -162,12 +162,12 @@ def test_warm_start_reaches_first_result_2x_faster(warm_start_results, benchmark
     try:
         engine = GapEngine(list(r["queries"]), grammar=ds.grammar,
                            n_chunks=N_CHUNKS, backend="serial")
-        chunks, toks = prepare_xml(store, text, N_CHUNKS)
+        chunks, toks, _paths = prepare_xml(store, text, N_CHUNKS)
         engine.run(text, chunks=chunks, chunk_tokens=toks)  # populate
 
         def warm_round():
             clear_compile_cache()
-            c, t = prepare_xml(store, text, N_CHUNKS)
+            c, t, _p = prepare_xml(store, text, N_CHUNKS)
             return engine.run(text, chunks=c, chunk_tokens=t)
 
         benchmark(warm_round)

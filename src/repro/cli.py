@@ -244,8 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="per-chunk resilience deadline inside merged passes")
     v.add_argument("--max-retries", type=int, metavar="N",
                    help="per-chunk retry budget inside merged passes")
-    v.add_argument("--no-pre-lex", action="store_true",
-                   help="skip caching pre-lexed chunk tokens per document")
     v.add_argument("--no-request-tracing", action="store_true",
                    help="disable per-request stage tracing (the NullRequestTrace "
                         "fast path; /varz stage percentiles and the slow log "
@@ -552,7 +550,9 @@ def _execute(engine, args: argparse.Namespace, content: str, tokens, prep=None):
     if args.engine == "seq":
         return engine.run(content)
     if prep is not None:
-        chunks, chunk_tokens = prep
+        # a one-shot run keeps the GAP kernel: the entry paths the
+        # store holds serve the query service's registered documents
+        chunks, chunk_tokens, _paths = prep
         return engine.run(content, n_chunks=args.chunks,
                           chunks=chunks, chunk_tokens=chunk_tokens)
     return engine.run(content, n_chunks=args.chunks)
@@ -872,7 +872,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         default_deadline=args.deadline if args.deadline > 0 else None,
         chunk_timeout=args.chunk_timeout,
         max_retries=args.max_retries,
-        pre_lex=not args.no_pre_lex,
         request_tracing=not args.no_request_tracing,
         slow_threshold=args.slow_threshold,
         slow_log_size=args.slow_log_size,

@@ -516,19 +516,28 @@ class GapEngine(_EngineBase):
     # -- execution --------------------------------------------------------
 
     def _pipeline(self, tracer: Tracer | None = None,
-                  journal: Journal | None = None) -> ParallelPipeline:
-        policy = GapPolicy(
-            self.automaton,
-            self.table,
-            eliminate=self.eliminate,
-            switch_to_stack=self.switch_to_stack,
-        )
+                  journal: Journal | None = None,
+                  exact: bool = False) -> ParallelPipeline:
+        """A GAP pipeline, or with ``exact`` one for chunks that run from
+        known entry configurations: those read only the transition and
+        accept tables, which every policy compiles alike, so the
+        baseline's serve and the feasible table is not inferred."""
+        if exact:
+            policy = BaselinePolicy(self.automaton)
+        else:
+            policy = GapPolicy(
+                self.automaton,
+                self.table,
+                eliminate=self.eliminate,
+                switch_to_stack=self.switch_to_stack,
+            )
         return ParallelPipeline(
             self.automaton, policy, self.anchor_sids, self.backend,
             tracer if tracer is not None else self.tracer,
             resilience=self.resilience, faults=self.faults,
             journal=journal if journal is not None else self.journal,
-            memo=self.memo, sample=self.sample, profile=self.profile,
+            memo=self.memo and not exact, sample=self.sample,
+            profile=self.profile,
         )
 
     def run(
@@ -540,6 +549,7 @@ class GapEngine(_EngineBase):
         chunk_tokens: tuple | None = None,
         tracer: Tracer | None = None,
         journal: Journal | None = None,
+        chunk_paths: tuple | None = None,
     ) -> QueryResult:
         """Query ``text``; with ``learn=True`` also extend the learned grammar.
 
@@ -552,16 +562,20 @@ class GapEngine(_EngineBase):
         ``chunks``/``chunk_tokens`` reuse a precomputed split (and
         optionally pre-lexed per-chunk token columns) — see
         :meth:`repro.transducer.pipeline.ParallelPipeline.run`.
+        ``chunk_paths`` (each chunk's open-element path, as the document
+        registry records it) runs every chunk from its exact entry
+        configuration instead of the feasible-path table: one starting
+        path per chunk, no switches, and the table is not inferred.
 
         ``tracer``/``journal`` override the engine's defaults *for
         this run only* — a GAP pipeline is constructed per run, so
         concurrent runs of one shared (e.g. service-cached) engine can
         each collect into their own tracer without racing.
         """
+        pipeline = self._pipeline(tracer, journal, exact=chunk_paths is not None)
         result = self._result(
-            self._pipeline(tracer, journal).run(
-                text, n_chunks or self.n_chunks,
-                chunks=chunks, chunk_tokens=chunk_tokens),
+            pipeline.run(text, n_chunks or self.n_chunks, chunks=chunks,
+                         chunk_tokens=chunk_tokens, chunk_paths=chunk_paths),
             decoder=self._text_decoder(text), tracer=tracer,
         )
         if learn:

@@ -40,7 +40,9 @@ Two execution regimes, switched per token:
   divergence) without consuming the underflowing token.  The same
   loop, entered from a known ``(state, stack)`` by
   :meth:`DenseRunner.run_from`, is the library's sequential transducer
-  (Definition 1): the sequential baseline and the join's reprocessing.
+  (Definition 1): the sequential baseline, the join's reprocessing, and
+  every chunk of a registered document, which :meth:`DenseRunner.run_chunk`
+  runs from its exact entry configuration (``entry``).
 
 Work accounting: every token adds either one stack-mode step or one
 tree-mode step weighted by the number of live groups.  These counters
@@ -66,7 +68,13 @@ from ..obs.journal import NULL_JOURNAL
 from ..obs.logsetup import get_logger
 from ..transducer.counters import WorkCounters
 from ..transducer.doubletree import PathGroup, merge_groups, segment_entries
-from ..transducer.mapping import ChunkResult, Cohort, Segment, StackUnderflow
+from ..transducer.mapping import (
+    ChunkResult,
+    Cohort,
+    Segment,
+    SegmentEntry,
+    StackUnderflow,
+)
 from ..transducer.policies import (
     ELIMINATE_ALWAYS,
     ELIMINATE_NEVER,
@@ -180,6 +188,7 @@ class DenseRunner:
         end: int,
         start_states: frozenset[int] | None = None,
         journal=NULL_JOURNAL,
+        entry: tuple[int, tuple[int, ...]] | None = None,
     ) -> ChunkResult:
         """Process one chunk; return its segmented mappings and counters.
 
@@ -205,6 +214,13 @@ class DenseRunner:
         ``cache_hit``: deterministic per run but dependent on what the
         shared memo already holds, so they are excluded from the
         cross-backend byte-equality contract the lifecycle stream keeps.
+
+        ``entry`` is the chunk's exact configuration ``(state, stack)``,
+        known for a registered document (its open-element path at the
+        chunk start, stepped through the transition table).  The chunk
+        then runs the single-stack loop alone from there: one starting
+        path, no inference, no tree mode, no divergences, event depths
+        absolute.  See :meth:`_run_exact`.
         """
         T = self.tables
         policy = self.policy
@@ -215,6 +231,8 @@ class DenseRunner:
         result = ChunkResult(index=index, begin=begin, end=end, counters=counters)
 
         cols = as_columns(tokens)
+        if entry is not None:
+            return self._run_exact(cols, entry, result)
         n_tok = len(cols)
         if not n_tok:
             states = start_states if start_states is not None else T.all_states
@@ -636,6 +654,35 @@ class DenseRunner:
             raise StackUnderflow(cols.offsets[i])
         return state, stack, events
 
+    def _run_exact(
+        self,
+        cols: TokenColumns,
+        entry: tuple[int, tuple[int, ...]],
+        result: ChunkResult,
+    ) -> ChunkResult:
+        """:meth:`run_chunk` from the chunk's exact entry configuration.
+
+        The result keeps the mapping shape with one main cohort of one
+        segment, keyed by the entry state.  Its ``restart_depth`` is
+        the entry depth, since the events already carry absolute
+        depths, and its entry's ``pushed`` holds the whole final stack
+        (see :func:`~repro.transducer.mapping.join_exact`).
+        """
+        state0, stack0 = entry
+        counters = result.counters
+        counters.starting_paths = 1
+        if self._journal.enabled:
+            self._journal.record("path_spawn", chunk=result.index,
+                                 offset=result.begin, reason="initial",
+                                 **spawn_states_arg((state0,)))
+        state, stack, events = self.run_from(cols, state0, list(stack0), counters)
+        main = Cohort(restart_offset=result.begin, restart_depth=len(stack0))
+        main.segments.append(Segment(
+            entries={state0: SegmentEntry(events, state, tuple(stack))}))
+        result.cohorts.append(main)
+        counters.mapping_entries = 1
+        return result
+
     # ------------------------------------------------------------------
 
     def _symbols(self, cols: TokenColumns) -> list[int] | dict[int, int]:
@@ -675,32 +722,33 @@ class DenseRunner:
         accept_flags = T.accept_flags
         close_accepts = T.close_accepts
         close_flags = T.close_flags
-        kinds = cols.kinds
         name_ids = cols.name_ids
         offsets = cols.offsets
-        n = len(kinds)
         push = stack.append
         pop = stack.pop
         extend = events.extend
-        while i < n:
-            kind = kinds[i]
-            if kind == _START:
+        # depth - len(stack) is constant in this loop: every push and pop
+        # moves both, so the depth is derived only where an event needs it
+        base = depth - len(stack)
+        start, end = _START, _END
+        for kind in cols.kinds[i:] if i else cols.kinds:
+            if kind == start:
                 push(state)
-                depth += 1
                 state = trans[state * S + symmap[name_ids[i]]]
                 if accept_flags[state]:
                     off = offsets[i]
-                    extend(hit(sid, off, depth) for sid in accepts[state])
-            elif kind == _END:
+                    d = base + len(stack)
+                    extend(hit(sid, off, d) for sid in accepts[state])
+            elif kind == end:
                 if not stack:
                     break  # underflow: the caller takes this token
                 if close_flags[state]:
                     off = offsets[i]
-                    extend(close(sid, off, depth) for sid in close_accepts[state])
+                    d = base + len(stack)
+                    extend(close(sid, off, d) for sid in close_accepts[state])
                 state = pop()
-                depth -= 1
             i += 1
-        return i, state, depth
+        return i, state, base + len(stack)
 
     def _scenario1(self, kind: int, sym: int) -> tuple[int, ...] | None:
         """Dense ``policy.start_states``: feasible states for a first token."""

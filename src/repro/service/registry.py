@@ -8,19 +8,28 @@ for the lifetime of the service:
 
 * **kind sniffing** — XML vs JSON, by content (same rule as the CLI);
 * **grammar** — an explicit DTD/XSD/JSON-Schema text, or the
-  document's inline DOCTYPE; parsed once.  Absent grammar leaves
+  document's inline DOCTYPE.  Each distinct grammar is parsed once and
+  its :class:`~repro.grammar.model.Grammar` shared by every document
+  that names it, under one ``grammar_key``.  Absent grammar leaves
   engines in speculative mode;
 * **split** — the tag-aligned chunk list
   (:func:`~repro.xmlstream.chunking.split_chunks`) for the service's
   configured width;
 * **lex** — one pre-lexed :class:`~repro.xmlstream.tokens.TokenColumns`
   per chunk (XML) or one for the whole document (JSON), so no request
-  ever tokenises the document again.  Split and lex go through
-  :mod:`repro.store.docprep`, with or without an artifact store.
+  ever tokenises the document again;
+* **entry paths** (XML) — each chunk's open-element path at its start,
+  from which every query set steps its exact entry configuration, so
+  no request infers a chunk's context.  The same pass rejects a
+  document whose end tags close more elements than are open
+  (:class:`~repro.transducer.mapping.StackUnderflow`).
 
-Feasible-table and dense-table preparation is cached one level up:
-engines are cached per ``(document, merged query set)`` by the service
-(:mod:`repro.service.service`), and the structural compile cache in
+Split, lex and paths go through :mod:`repro.store.docprep`, with or
+without an artifact store.
+
+Engines are cached one level up, per ``(grammar, chunk width, merged
+query set)``, by the service (:mod:`repro.service.service`): an
+engine holds nothing per document.  The structural compile cache in
 :mod:`repro.xpath.compile_tables` dedupes the dense arrays below that.
 
 Documents are identified by a content hash (sha256 of text + grammar +
@@ -81,6 +90,10 @@ class UnknownDocument(KeyError):
         return f"unknown document {self.doc_id!r}"
 
 
+def _digest(text: str) -> str:
+    return sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
 def _looks_like_json(text: str) -> bool:
     return text.lstrip()[:1] in ("{", "[")
 
@@ -105,10 +118,15 @@ class DocumentRecord:
     n_chunks: int
     #: tag-aligned split (XML only; empty for JSON)
     chunks: list[Chunk] = field(default_factory=list)
-    #: one pre-lexed TokenColumns per chunk (XML, when pre-lexing is on)
+    #: one pre-lexed TokenColumns per chunk (XML only)
     chunk_tokens: tuple | None = None
+    #: each chunk's open-element path at its start (XML only)
+    chunk_paths: tuple | None = None
     #: the whole document's TokenColumns (JSON only)
     tokens: TokenColumns | None = None
+    #: identifies ``grammar`` among the registry's shared grammars
+    #: ("" without one); documents with equal keys share the object
+    grammar_key: str = ""
 
     @property
     def n_bytes(self) -> int:
@@ -132,18 +150,18 @@ class DocumentRegistry:
     def __init__(
         self,
         max_documents: int = 64,
-        pre_lex: bool = True,
         store=None,
     ) -> None:
         if max_documents < 1:
             raise ValueError(f"max_documents must be >= 1, got {max_documents}")
         self.max_documents = max_documents
-        self.pre_lex = pre_lex
         #: optional :class:`repro.store.ArtifactStore` — cache-aside
         #: tier for splits and token caches, so a restarted service
         #: skips re-lexing documents it has seen before
         self.store = store
         self._docs: dict[str, DocumentRecord] = {}
+        #: grammar key → the parsed grammar its documents share
+        self._grammars: dict[str, Grammar] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -160,7 +178,10 @@ class DocumentRegistry:
         """Ingest ``text``; idempotent on identical (text, grammar, width).
 
         Raises :class:`RegistryFull` when the bound is reached and the
-        content is not already registered.
+        content is not already registered, and
+        :class:`~repro.transducer.mapping.StackUnderflow` for an XML
+        document with an end tag that closes more elements than are
+        open (no query could run over it).
         """
         if not text:
             raise ValueError("cannot register an empty document")
@@ -181,6 +202,9 @@ class DocumentRegistry:
                 return existing
             if len(self._docs) >= self.max_documents:
                 raise RegistryFull(self.max_documents, doc_id)
+            if record.grammar_key:
+                record.grammar = self._grammars.setdefault(
+                    record.grammar_key, record.grammar)
             self._docs[doc_id] = record
         return record
 
@@ -193,8 +217,12 @@ class DocumentRegistry:
 
     def remove(self, doc_id: str) -> None:
         with self._lock:
-            if self._docs.pop(doc_id, None) is None:
+            record = self._docs.pop(doc_id, None)
+            if record is None:
                 raise UnknownDocument(doc_id)
+            key = record.grammar_key
+            if key and all(r.grammar_key != key for r in self._docs.values()):
+                self._grammars.pop(key, None)
 
     def list(self) -> list[dict]:
         with self._lock:
@@ -212,6 +240,33 @@ class DocumentRegistry:
         h.update(f"\x00{n_chunks}".encode())
         return h.hexdigest()[:16]
 
+    def _shared_grammar(
+        self, grammar: str | Grammar | None, text: str,
+    ) -> tuple[Grammar | None, str]:
+        """The registry's shared grammar for a registration, and its key.
+
+        A grammar text is keyed by its hash and parsed only while no
+        registered document shares it.  An inline DOCTYPE or a
+        :class:`Grammar` object is keyed by the hash of its DTD
+        rendering, so equal grammars share one object too.  The grammar
+        is adopted as shared when its document is committed.
+        """
+        if isinstance(grammar, str):
+            key = "text:" + _digest(grammar)
+            with self._lock:
+                shared = self._grammars.get(key)
+            if shared is None:
+                shared = _parse_grammar(grammar)
+        else:
+            if grammar is None:
+                if _looks_like_json(text) or "<!DOCTYPE" not in text[:65536]:
+                    return None, ""
+                grammar = parse_dtd(text)
+            key = "dtd:" + _digest(grammar.to_dtd())
+            with self._lock:
+                shared = self._grammars.get(key, grammar)
+        return shared, key
+
     def _prepare(
         self,
         doc_id: str,
@@ -220,21 +275,18 @@ class DocumentRegistry:
         grammar: str | Grammar | None,
         n_chunks: int,
     ) -> DocumentRecord:
-        if isinstance(grammar, str):
-            grammar = _parse_grammar(grammar)
+        grammar, grammar_key = self._shared_grammar(grammar, text)
         if _looks_like_json(text):
             tokens = prepare_json(self.store, text)
             return DocumentRecord(
                 doc_id=doc_id, name=name or doc_id, kind="json", text=text,
                 grammar=grammar, n_chunks=n_chunks, tokens=tokens,
+                grammar_key=grammar_key,
             )
-        if grammar is None and "<!DOCTYPE" in text[:65536]:
-            grammar = parse_dtd(text)
-        chunks, chunk_tokens = prepare_xml(
-            self.store, text, n_chunks, pre_lex=self.pre_lex
-        )
+        chunks, chunk_tokens, chunk_paths = prepare_xml(self.store, text, n_chunks)
         return DocumentRecord(
             doc_id=doc_id, name=name or doc_id, kind="xml", text=text,
             grammar=grammar, n_chunks=n_chunks, chunks=chunks,
-            chunk_tokens=chunk_tokens,
+            chunk_tokens=chunk_tokens, chunk_paths=chunk_paths,
+            grammar_key=grammar_key,
         )

@@ -9,9 +9,11 @@ driver use it):
 * a :class:`~repro.service.batching.BatchScheduler` admits requests
   into a bounded queue and coalesces same-document requests into one
   merged-automaton pass;
-* a bounded LRU of **warm engines** keyed on ``(document, merged query
-  set)`` keeps the compiled automaton, feasible table and dense
-  kernel tables hot across batches.  Engines receive the service's
+* a bounded LRU of **warm engines** keyed on ``(grammar, chunk width,
+  merged query set)`` keeps the compiled automaton, feasible table and
+  dense kernel tables hot across batches; an engine holds nothing per
+  document, so documents that share a grammar share its engines, and
+  each grammar's syntax tree is built once.  Engines receive the service's
   single backend *instance* — the service constructs it by name, owns
   it, and closes it exactly once on shutdown, so no request can leak
   a pool (engines given an instance never close it; see
@@ -47,6 +49,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..core.engine import GapEngine
+from ..grammar.syntax_tree import build_syntax_tree
 from ..obs.alerts import AlertManager, parse_alert_rules
 from ..obs.journal import Journal
 from ..obs.metrics import LAYER_SECONDS_HELP, MetricsRegistry
@@ -79,6 +82,9 @@ _BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 #: the p-levels every latency surface reports
 _QUANTILES = (0.5, 0.95, 0.99)
 
+#: layers inside a batch's execution that ``/metrics`` reports per batch
+_EXEC_LAYERS = ("core.kernel", "xpath.filtering")
+
 
 @dataclass(frozen=True, slots=True)
 class ServiceConfig:
@@ -107,7 +113,6 @@ class ServiceConfig:
     chunk_timeout: float | None = None
     max_retries: int | None = None
     engine_cache_size: int = 32
-    pre_lex: bool = True
     journal_limit: int = 65536
     #: per-request stage tracing (off = NullRequestTrace fast path)
     request_tracing: bool = True
@@ -179,12 +184,14 @@ class QueryService:
             self._installed_store = True
         self.registry = DocumentRegistry(
             max_documents=self.config.max_documents,
-            pre_lex=self.config.pre_lex,
             store=self.store,
         )
         self._backend = get_backend(self.config.backend)
         self._resilience = self.config.resilience()
         self._engines: OrderedDict[tuple, GapEngine] = OrderedDict()
+        #: grammar key → (syntax tree, complete), built once per grammar
+        #: for every engine over it; bounded like the engine cache
+        self._trees: OrderedDict[str, tuple] = OrderedDict()
         self._engine_lock = threading.Lock()
         self._scheduler = BatchScheduler(
             self._execute_group,
@@ -217,6 +224,13 @@ class QueryService:
             stage_key(layer): self.metrics.histogram(
                 "repro_layer_seconds", LAYER_SECONDS_HELP, layer=layer)
             for layer in REQUEST_LAYERS
+        }
+        # the execute stage's kernel and filtering share, per batch, from
+        # the batch tracer's spans (chunk spans summed across workers)
+        self._exec_layer_hists = {
+            layer: self.metrics.histogram(
+                "repro_layer_seconds", LAYER_SECONDS_HELP, layer=layer)
+            for layer in _EXEC_LAYERS
         }
         # continuous-observability plane: telemetry history + alerts +
         # the sampling profiler.  History persists under the artifact
@@ -297,6 +311,7 @@ class QueryService:
         self._scheduler.close()
         with self._engine_lock:
             self._engines.clear()
+            self._trees.clear()
         # engines hold the backend *instance* and therefore never close
         # it; the service created it by name and closes it exactly once
         self._backend.close()
@@ -441,7 +456,9 @@ class QueryService:
         exec_s = exec_end - t0
 
         chunk_rows: list[list[object]] = []
+        exec_layers: dict[str, float] = {}
         if batch_tracer is not None:
+            exec_layers = {layer: batch_tracer.total(layer) for layer in _EXEC_LAYERS}
             chunk_spans = batch_tracer.chunk_spans()
             if chunk_spans:
                 base = min(s.t0 for s in chunk_spans)
@@ -491,6 +508,8 @@ class QueryService:
             for req_stages in stages:
                 for stage, secs in req_stages.items():
                     self._stage_hists[stage].observe(secs)
+            for layer, secs in exec_layers.items():
+                self._exec_layer_hists[layer].observe(secs)
             if self.journal.enabled:
                 self.journal.record(
                     "batch", doc=doc_id, size=len(live), batch_seq=batch_seq,
@@ -543,19 +562,24 @@ class QueryService:
         if doc.kind == "json":
             return engine.run_tokens(doc.tokens, tracer=tracer)
         return engine.run(doc.text, chunks=doc.chunks,
-                          chunk_tokens=doc.chunk_tokens, tracer=tracer)
+                          chunk_tokens=doc.chunk_tokens,
+                          chunk_paths=doc.chunk_paths, tracer=tracer)
 
     def _engine_for(self, doc: DocumentRecord, merged: tuple[str, ...]) -> GapEngine:
-        key = (doc.doc_id, merged)
+        key = (doc.grammar_key, doc.n_chunks, merged)
         with self._engine_lock:
             engine = self._engines.get(key)
             if engine is not None:
                 self._engines.move_to_end(key)
                 self._count_engine_cache("hit")
                 return engine
+        tree, complete = self._tree_for(doc)
         built = GapEngine(
             list(merged),
-            grammar=doc.grammar,
+            # a bare tree counts as complete: a partial grammar's engine
+            # must speculate, as it does when built from the grammar
+            grammar=tree,
+            mode="auto" if complete else "spec",
             n_chunks=doc.n_chunks,
             backend=self._backend,  # shared instance: service-owned
             memo=self.config.memo,
@@ -574,6 +598,25 @@ class QueryService:
                 self._engines.popitem(last=False)
             self._count_engine_cache("miss")
         return built
+
+    def _tree_for(self, doc: DocumentRecord) -> tuple:
+        """``(syntax tree, complete)`` of the document's grammar, built
+        once per grammar key; ``(None, False)`` without a grammar."""
+        if doc.grammar is None:
+            return None, False
+        key = doc.grammar_key
+        with self._engine_lock:
+            cached = self._trees.get(key)
+            if cached is not None:
+                self._trees.move_to_end(key)
+                return cached
+        built = (build_syntax_tree(doc.grammar), doc.grammar.is_complete())
+        with self._engine_lock:
+            cached = self._trees.setdefault(key, built)
+            self._trees.move_to_end(key)
+            while len(self._trees) > self.config.engine_cache_size:
+                self._trees.popitem(last=False)
+        return cached
 
     # -- observability -------------------------------------------------
 

@@ -7,8 +7,9 @@ encoded here, by hand, into a small deterministic binary form:
   automaton + feasibility rows (the structural compile cache's value);
 * :class:`~repro.core.inference.FeasibleTable` — the grammar-inferred
   feasible-path table in its object form;
-* chunk splits (:class:`~repro.xmlstream.chunking.Chunk` lists) and
-  pre-lexed token caches (one :class:`~repro.xmlstream.tokens.TokenColumns`
+* chunk splits (:class:`~repro.xmlstream.chunking.Chunk` lists, with
+  each chunk's open-element path at its start) and pre-lexed token
+  caches (one :class:`~repro.xmlstream.tokens.TokenColumns`
   per chunk for XML, one for a whole JSON document), stored as the
   columns and string table they are and loaded back as arrays.
 
@@ -77,7 +78,7 @@ class CodecError(ValueError):
 SCHEMAS = {
     "tables": 1,     # KernelTables (compile-cache write-through)
     "feasible": 1,   # FeasibleTable (object form)
-    "split": 1,      # chunk lists (document registry)
+    "split": 2,      # chunk lists + entry paths (document registry)
     "tokens": 2,     # pre-lexed token columns (document registry)
     "subseq": 1,     # interned-subsequence memo snapshots (dense kernel)
     "checkpoint": 1, # stream checkpoints (restart/resume state)
@@ -387,24 +388,37 @@ def decode_feasible_table(payload: bytes) -> FeasibleTable:
 # ---------------------------------------------------------------------------
 
 
-def encode_chunks(chunks: list[Chunk]) -> bytes:
+def encode_chunks(chunks: list[Chunk], paths) -> bytes:
+    """A split: each chunk's row and its open-element path (tag names)."""
+    if len(paths) != len(chunks):
+        raise ValueError(f"{len(paths)} paths for {len(chunks)} chunks")
     w = _Writer()
     w.u32(len(chunks))
-    for c in chunks:
+    for c, path in zip(chunks, paths):
         w.u32(c.index)
         w.u64(c.begin)
         w.u64(c.end)
+        w.u32(len(path))
+        for name in path:
+            w.string(name)
     return w.done()
 
 
-def decode_chunks(payload: bytes) -> list[Chunk]:
+def decode_chunks(payload: bytes) -> tuple[list[Chunk], tuple[tuple[str, ...], ...]]:
+    """``(chunks, paths)``; chunk 0, at the document start, has an empty path."""
     r = _Reader(payload)
-    chunks = [Chunk(r.u32(), r.u64(), r.u64()) for _ in range(r.u32())]
+    chunks: list[Chunk] = []
+    paths: list[tuple[str, ...]] = []
+    for _ in range(r.u32()):
+        chunks.append(Chunk(r.u32(), r.u64(), r.u64()))
+        paths.append(tuple(r.string() for _ in range(r.u32())))
     r.expect_end()
     for i, c in enumerate(chunks):
         if c.index != i or c.end < c.begin:
             raise CodecError(f"malformed chunk row {i}: {c}")
-    return chunks
+    if paths and paths[0]:
+        raise CodecError(f"chunk 0 has a non-empty entry path {paths[0]}")
+    return chunks, tuple(paths)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,18 @@
 
 The expensive per-document work the service registry (and the CLI
 one-shots) repeat on every cold start is splitting and lexing:
-tag-aligned chunking is a linear scan, and pre-lexing tokenises the
-whole document.  These helpers look both up in an
+tag-aligned chunking is a linear scan, pre-lexing tokenises the
+whole document, and one more pass over the tokens records each
+chunk's open-element path (its exact entry context).  These helpers
+look them up in an
 :class:`~repro.store.artifacts.ArtifactStore` by **document content
 hash** before computing, and publish what they compute — the classic
 cache-aside pattern, complementing the write-through wiring under the
 compile cache.
 
 Decoded artifacts are sanity-checked against the document they claim
-to describe (chunk coverage, token-run count); any mismatch — however
+to describe (chunk coverage, token-run count, one entry path per
+chunk with chunk 0's empty); any mismatch — however
 it got there — invalidates the artifact and recomputes, so a stale or
 foreign artifact can never poison a result.
 
@@ -25,13 +28,17 @@ from __future__ import annotations
 from hashlib import sha256
 
 from ..obs.tracer import NULL_TRACER
+from ..transducer.mapping import StackUnderflow
 from ..xmlstream.chunking import Chunk, split_chunks
 from ..xmlstream.lexer import lex_range
-from ..xmlstream.tokens import TokenColumns
+from ..xmlstream.tokens import TokenColumns, TokenKind
 from . import codec
 from .artifacts import ArtifactStore
 
-__all__ = ["content_key", "prepare_xml", "prepare_json"]
+__all__ = ["chunk_paths", "content_key", "prepare_xml", "prepare_json"]
+
+_START = int(TokenKind.START)
+_END = int(TokenKind.END)
 
 
 def content_key(text: str, n_chunks: int = 0) -> str:
@@ -47,14 +54,14 @@ def content_key(text: str, n_chunks: int = 0) -> str:
     return h.hexdigest()
 
 
-def _stored_chunks(
+def _stored_split(
     store: ArtifactStore, key: str, text: str
-) -> list[Chunk] | None:
+) -> tuple[list[Chunk], tuple] | None:
     payload = store.get("split", key)
     if payload is None:
         return None
     try:
-        chunks = codec.decode_chunks(payload)
+        chunks, paths = codec.decode_chunks(payload)
     except codec.CodecError as exc:
         store.invalidate("split", key, f"decode:{exc}")
         return None
@@ -62,7 +69,7 @@ def _stored_chunks(
     if chunks and (chunks[0].begin != 0 or chunks[-1].end != len(text)):
         store.invalidate("split", key, "coverage-mismatch")
         return None
-    return chunks
+    return chunks, paths
 
 
 def _stored_chunk_tokens(
@@ -82,41 +89,74 @@ def _stored_chunk_tokens(
     return chunk_tokens
 
 
+def chunk_paths(chunk_tokens) -> tuple[tuple[str, ...], ...]:
+    """Each chunk's open-element path: the tag names open at its start.
+
+    One pass over the chunk columns in document order; a path is at
+    most the document's depth long, and chunk 0's is empty.  An end
+    tag that closes more elements than are open raises
+    :class:`~repro.transducer.mapping.StackUnderflow` at its offset,
+    the error a sequential run of the document raises; elements left
+    open at the end are allowed, as they are by every engine.
+    """
+    stack: list[str] = []
+    paths = []
+    for cols in chunk_tokens:
+        paths.append(tuple(stack))
+        names, name_ids = cols.names, cols.name_ids
+        for i, kind in enumerate(cols.kinds):
+            if kind == _START:
+                stack.append(names[name_ids[i]])
+            elif kind == _END:
+                if not stack:
+                    raise StackUnderflow(cols.offsets[i])
+                stack.pop()
+    return tuple(paths)
+
+
 def prepare_xml(
     store: ArtifactStore | None,
     text: str,
     n_chunks: int,
-    pre_lex: bool = True,
     tracer=NULL_TRACER,
-) -> tuple[list[Chunk], tuple | None]:
-    """Chunk list and (optionally) per-chunk token columns for ``text``.
+) -> tuple[list[Chunk], tuple, tuple]:
+    """Chunk list, per-chunk token columns and per-chunk entry paths.
 
-    Identical results to ``split_chunks`` + per-chunk ``lex_range``;
-    with a warm ``store`` both computations are skipped entirely (and
-    no ``xmlstream.split``/``xmlstream.lex`` spans are recorded).  ``store=None`` degrades
-    to the plain computation.
+    Identical results to ``split_chunks``, per-chunk ``lex_range`` and
+    :func:`chunk_paths`; with a warm ``store`` all three are read back
+    (and no ``xmlstream.split``/``xmlstream.lex`` spans are recorded).
+    The paths are stored with the split, and are computed before
+    anything is published, so a malformed document raises
+    :class:`~repro.transducer.mapping.StackUnderflow` and leaves the
+    store as it was.  ``store=None`` degrades to the plain computation.
     """
     key = content_key(text, n_chunks) if store is not None else ""
-    chunks = _stored_chunks(store, key, text) if store is not None else None
-    if chunks is None:
+    split = _stored_split(store, key, text) if store is not None else None
+    if split is None:
         with tracer.span("xmlstream.split", cat="phase") as sp:
             chunks = split_chunks(text, n_chunks)
             sp.args["n_chunks"] = len(chunks)
-        if store is not None:
-            store.put("split", key, codec.encode_chunks(chunks))
-    if not pre_lex:
-        return chunks, None
+        paths = None
+    else:
+        chunks, paths = split
     chunk_tokens = (
         _stored_chunk_tokens(store, key, len(chunks))
         if store is not None else None
     )
-    if chunk_tokens is None:
+    lexed = chunk_tokens is None
+    if lexed:
         with tracer.span("xmlstream.lex", cat="phase") as sp:
             chunk_tokens = tuple(lex_range(text, c.begin, c.end) for c in chunks)
             sp.args["tokens"] = sum(len(t) for t in chunk_tokens)
-        if store is not None:
+    if paths is None:
+        with tracer.span("xmlstream.split", cat="phase", paths=True):
+            paths = chunk_paths(chunk_tokens)
+    if store is not None:
+        if lexed:
             store.put("tokens", key, codec.encode_chunk_tokens(chunk_tokens))
-    return chunks, chunk_tokens
+        if split is None:
+            store.put("split", key, codec.encode_chunks(chunks, paths))
+    return chunks, chunk_tokens, paths
 
 
 def prepare_json(store: ArtifactStore | None, text: str) -> TokenColumns:

@@ -49,6 +49,7 @@ __all__ = [
     "ChunkResult",
     "JoinError",
     "StackUnderflow",
+    "join_exact",
     "join_results",
 ]
 
@@ -59,7 +60,9 @@ class SegmentEntry:
 
     ``final_state``/``pushed`` are only meaningful in a chunk's last
     segment (elsewhere the segment ends in a divergence, whose outcome
-    is the assumed pop of the *next* segment).
+    is the assumed pop of the *next* segment).  A chunk run from its
+    exact entry configuration has no divergences, and its ``pushed``
+    is the whole final stack (see :func:`join_exact`).
     """
 
     events: list[MatchEvent]
@@ -283,6 +286,38 @@ def join_results(
             )
         state, stack = _recover(chunk, outcome, state, stack, events, reprocess, counters)
     return state, stack, events
+
+
+def join_exact(
+    initial: int,
+    chunks: list[ChunkResult],
+    counters: WorkCounters,
+) -> tuple[int, list[MatchEvent]]:
+    """Join chunks that each ran from their exact entry configuration.
+
+    Such a chunk (:meth:`repro.core.kernel.DenseRunner.run_chunk` with
+    ``entry``) has one mapping entry, keyed by its entry state, whose
+    events already carry absolute depths: the join is concatenation in
+    chunk order.  Each chunk must start where the previous one ended
+    (same state, same depth); a mismatch means the entry contexts do
+    not belong to this document and raises :class:`JoinError`.
+
+    Returns the final state and the ordered event list.
+    """
+    state, depth = initial, 0
+    events: list[MatchEvent] = []
+    for chunk in chunks:
+        counters.join_steps += 1
+        main = chunk.main
+        entry = main.segments[0].entries.get(state) if main is not None else None
+        if entry is None or main.restart_depth != depth:
+            raise JoinError(
+                f"chunk {chunk.index} does not start from the configuration "
+                f"its predecessor ended in (state={state}, depth={depth})"
+            )
+        events += entry.events
+        state, depth = entry.final_state, len(entry.pushed)
+    return state, events
 
 
 def _recover(

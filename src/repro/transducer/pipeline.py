@@ -8,12 +8,13 @@ Section 2.3:
 2. **parallel** — run the chunk kernel (:class:`repro.core.kernel.DenseRunner`)
    on every chunk through an execution backend; chunk 0 starts from
    the known initial configuration, the rest from whatever the policy
-   allows;
+   allows — or, when each chunk's open-element path is known (a
+   registered document), every chunk from its exact configuration;
 3. **join** — link the chunk mappings in document order
    (:mod:`repro.transducer.mapping`), reprocessing misspeculated
    ranges with the sequential transducer
    (:meth:`repro.core.kernel.DenseRunner.run_from`, through
-   :func:`reprocess_range`).
+   :func:`reprocess_range`); exact chunks are concatenated.
 
 With a :class:`~repro.transducer.policies.BaselinePolicy` this *is*
 the PP-Transducer (Ogden et al., VLDB'13); with the GAP policies from
@@ -38,7 +39,7 @@ from ..xmlstream.chunking import Chunk, split_chunks
 from ..xmlstream.lexer import lex_range, lex_windows
 from ..xmlstream.tokens import TokenColumns, TokenKind
 from .counters import WorkCounters
-from .mapping import ChunkResult, join_results
+from .mapping import ChunkResult, join_exact, join_results
 from .policies import BaselinePolicy, PathPolicy
 
 __all__ = [
@@ -98,6 +99,10 @@ class _Ctx:
     #: thread while it executes the chunk and ships the collapsed-stack
     #: profile back in ``ChunkResult.samples`` (same transport as spans)
     sample: float = 0.0
+    #: exact entry configurations ``(state, stack)``, one per chunk
+    #: index, for a document whose open-element paths are known (the
+    #: registry records them); ``None`` runs the policy's parallel phase
+    entries: tuple | None = None
 
 
 def _make_runner(automaton, policy, anchor_sids, tables, memo=False):
@@ -182,6 +187,7 @@ def _run_one_chunk_body(ctx: _Ctx, chunk: Chunk, attempt: int = 0) -> ChunkResul
     runner = _make_runner(ctx.automaton, ctx.policy, ctx.anchor_sids, ctx.tables,
                           memo=ctx.memo)
     start = frozenset((ctx.automaton.initial,)) if chunk.index == 0 else None
+    entry = ctx.entries[chunk.index] if ctx.entries is not None else None
     jr = Journal() if ctx.journal else NULL_JOURNAL
     if not ctx.trace:
         if ctx.pretokens is not None:
@@ -190,7 +196,7 @@ def _run_one_chunk_body(ctx: _Ctx, chunk: Chunk, attempt: int = 0) -> ChunkResul
             tokens = lex_range(ctx.text, chunk.begin, chunk.end)
         result = runner.run_chunk(
             tokens, chunk.index, chunk.begin, chunk.end,
-            start_states=start, journal=jr,
+            start_states=start, journal=jr, entry=entry,
         )
         if jr.enabled:
             result.journal = list(jr.events)
@@ -211,7 +217,7 @@ def _run_one_chunk_body(ctx: _Ctx, chunk: Chunk, attempt: int = 0) -> ChunkResul
                 lex_sp.args["tokens"] = len(tokens)
         result = runner.run_chunk(
             tokens, chunk.index, chunk.begin, chunk.end,
-            start_states=start, journal=jr,
+            start_states=start, journal=jr, entry=entry,
         )
         _snapshot_chunk_counters(sp, result.counters)
     result.spans = tracer.spans
@@ -349,6 +355,22 @@ class ParallelPipeline:
         return _make_runner(self.automaton, self.policy, self.anchor_sids,
                             self._tables, memo=self.memo)
 
+    def _entries(self, chunk_paths) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Each chunk's exact ``(state, stack)``: its open-element path
+        stepped through the transition table from the initial state."""
+        T = self._tables
+        trans, S = T.trans, T.n_symbols
+        sym_of, other = T.sym_ids.get, T.other_sym
+        entries = []
+        for path in chunk_paths:
+            state = self.automaton.initial
+            stack = []
+            for name in path:
+                stack.append(state)
+                state = trans[state * S + sym_of(name, other)]
+            entries.append((state, tuple(stack)))
+        return tuple(entries)
+
     def run_tokens(self, tokens: TokenColumns, n_chunks: int,
                    edges: list[int] | None = None) -> ParallelRunResult:
         """Execute the three phases over a materialised token sequence.
@@ -461,6 +483,7 @@ class ParallelPipeline:
         n_chunks: int,
         chunks: list[Chunk] | None = None,
         chunk_tokens: tuple | None = None,
+        chunk_paths: tuple | None = None,
     ) -> ParallelRunResult:
         """Execute the three phases over ``text`` with ``n_chunks`` workers.
 
@@ -472,17 +495,29 @@ class ParallelPipeline:
         both once per ingested document.  Results are identical to the
         uncached path: the chunk list is what :func:`split_chunks`
         returns and the columns are what workers would lex.
+
+        ``chunk_paths`` (one tuple of open tag names per chunk, as
+        :func:`repro.store.docprep.prepare_xml` records them) gives
+        every chunk its exact entry configuration: each chunk then runs
+        the sequential loop from there (:meth:`DenseRunner.run_chunk`
+        with ``entry``) and the join is concatenation
+        (:func:`~repro.transducer.mapping.join_exact`).  The policy's
+        feasibility rows are not read.
         """
         tracer = self.tracer
         journal = self.journal
-        if chunk_tokens is not None:
+        for name, per_chunk in (("chunk_tokens", chunk_tokens),
+                                ("chunk_paths", chunk_paths)):
+            if per_chunk is None:
+                continue
             if chunks is None:
-                raise ValueError("chunk_tokens requires a matching chunks list")
-            if len(chunk_tokens) != len(chunks):
+                raise ValueError(f"{name} requires a matching chunks list")
+            if len(per_chunk) != len(chunks):
                 raise ValueError(
-                    f"chunk_tokens/chunks length mismatch "
-                    f"({len(chunk_tokens)} != {len(chunks)})"
+                    f"{name}/chunks length mismatch "
+                    f"({len(per_chunk)} != {len(chunks)})"
                 )
+        entries = self._entries(chunk_paths) if chunk_paths is not None else None
         with tracer.span("xmlstream.split", cat="phase") as sp:
             if chunks is None:
                 chunks = split_chunks(text, n_chunks)
@@ -491,7 +526,7 @@ class ParallelPipeline:
                    trace=tracer.enabled, journal=journal.enabled,
                    faults=self.faults, tables=self._tables,
                    pretokens=chunk_tokens, memo=self.memo,
-                   sample=self.sample)
+                   sample=self.sample, entries=entries)
         report: ResilienceReport | None = None
         with tracer.span("parallel.backend", cat="phase"):
             if self.resilience is not None:
@@ -535,10 +570,13 @@ class ParallelPipeline:
         # machinery) rather than failing the whole run
         strict = not self.policy.speculative and self.resilience is None
         with tracer.span("transducer.mapping", cat="phase") as sp:
-            state, _stack, events = join_results(
-                (self.automaton.initial, [], []), results, reprocess, totals,
-                strict=strict, journal=journal,
-            )
+            if entries is not None:
+                state, events = join_exact(self.automaton.initial, results, totals)
+            else:
+                state, _stack, events = join_results(
+                    (self.automaton.initial, [], []), results, reprocess, totals,
+                    strict=strict, journal=journal,
+                )
             sp.args.update(
                 misspeculations=totals.misspeculations,
                 reprocessed_tokens=totals.reprocessed_tokens,

@@ -41,7 +41,13 @@ from repro.obs.logsetup import get_logger
 from repro.transducer import pipeline
 from repro.transducer.counters import WorkCounters
 from repro.transducer.doubletree import PathGroup, merge_groups, segment_entries
-from repro.transducer.mapping import ChunkResult, Cohort, Segment, StackUnderflow
+from repro.transducer.mapping import (
+    ChunkResult,
+    Cohort,
+    Segment,
+    SegmentEntry,
+    StackUnderflow,
+)
 from repro.transducer.policies import ELIMINATE_ALWAYS, ELIMINATE_NEVER, PathPolicy
 from repro.xmlstream.tokens import Token, TokenKind
 from repro.xpath.automaton import QueryAutomaton
@@ -106,12 +112,14 @@ class ChunkRunner:
         end: int,
         start_states: frozenset[int] | None = None,
         journal=NULL_JOURNAL,
+        entry: tuple[int, tuple[int, ...]] | None = None,
     ) -> ChunkResult:
         """Process one chunk; return its segmented mappings and counters.
 
         ``start_states`` overrides the policy's scenario-1 inference —
         used for chunk 0, which always starts from the known initial
-        configuration.  ``journal`` records the path-lifecycle events
+        configuration.  ``entry`` is the chunk's exact ``(state,
+        stack)``: the chunk then runs :func:`run_sequential` from it.  ``journal`` records the path-lifecycle events
         (spawn/kill/converge/switch) — the default
         :data:`~repro.obs.journal.NULL_JOURNAL` records nothing; events
         are only emitted at check/divergence/merge/switch sites, never
@@ -125,6 +133,21 @@ class ChunkRunner:
         self._chunk = index
         counters = WorkCounters(chunks=1, bytes_lexed=end - begin)
         result = ChunkResult(index=index, begin=begin, end=end, counters=counters)
+
+        if entry is not None:
+            state0, stack0 = entry
+            counters.starting_paths = 1
+            if journal.enabled:
+                journal.record("path_spawn", chunk=index, offset=begin,
+                               reason="initial", **spawn_states_arg((state0,)))
+            state, stack, events = self.run_from(tokens, state0, list(stack0),
+                                                 counters)
+            main = Cohort(restart_offset=begin, restart_depth=len(stack0))
+            main.segments.append(Segment(
+                entries={state0: SegmentEntry(events, state, tuple(stack))}))
+            result.cohorts.append(main)
+            counters.mapping_entries = 1
+            return result
 
         token_iter = iter(tokens)
         first = next(token_iter, None)

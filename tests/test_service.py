@@ -51,6 +51,7 @@ from repro.service import (
     UnknownDocument,
     serve,
 )
+from repro.transducer.mapping import StackUnderflow
 from repro.xpath import memo_info
 
 from tests.conftest import FEED_DTD, FEED_XML, RUNNING_DTD, RUNNING_QUERY, RUNNING_XML
@@ -158,7 +159,7 @@ class TestRegistry:
             DocumentRegistry().register("")
 
     def test_xml_preparation_is_cached(self):
-        rec = DocumentRegistry(pre_lex=True).register(
+        rec = DocumentRegistry().register(
             FEED_XML, grammar=FEED_DTD, n_chunks=4
         )
         assert rec.kind == "xml" and rec.grammar is not None
@@ -170,9 +171,32 @@ class TestRegistry:
         flat = [t for chunk in rec.chunk_tokens for t in chunk]
         assert flat == list(lex(FEED_XML))
 
-    def test_pre_lex_off_leaves_lazy_path(self):
-        rec = DocumentRegistry(pre_lex=False).register(FEED_XML, n_chunks=4)
-        assert rec.chunk_tokens is None and rec.chunks
+    def test_malformed_document_rejected_at_registration(self):
+        """An end tag that closes more elements than are open fails the
+        registration, not every later query."""
+        reg = DocumentRegistry()
+        for n_chunks in (1, 2, 3):
+            with pytest.raises(StackUnderflow, match="at offset 22"):
+                reg.register("<r><a><b/></a></a><a/></r>", n_chunks=n_chunks)
+        assert len(reg) == 0
+
+    def test_unclosed_document_registers_and_answers(self, service):
+        doc = service.register("<r><a><b/></a><a>", n_chunks=2)
+        assert doc.chunk_paths[0] == ()
+        response = service.query(doc.doc_id, ["//a", "//b", "/r/a/b"])
+        assert response["matches"] == {"//a": [3, 14], "//b": [6], "/r/a/b": [6]}
+
+    def test_documents_share_one_grammar(self):
+        reg = DocumentRegistry()
+        a = reg.register(FEED_XML, grammar=FEED_DTD, n_chunks=4)
+        b = reg.register(FEED_XML + " ", grammar=FEED_DTD, n_chunks=4)
+        c = reg.register(FEED_DTD + FEED_XML, n_chunks=4)  # inline DOCTYPE
+        d = reg.register(FEED_DTD + FEED_XML + " ", n_chunks=4)
+        assert a.grammar is b.grammar and a.grammar_key == b.grammar_key
+        assert c.grammar is d.grammar and c.grammar_key == d.grammar_key
+        assert reg.register(FEED_XML).grammar_key == ""
+        reg.remove(a.doc_id)
+        assert reg.get(b.doc_id).grammar is b.grammar
 
     def test_inline_doctype_grammar(self):
         rec = DocumentRegistry().register(RUNNING_DTD + RUNNING_XML)
@@ -330,7 +354,11 @@ class TestBatchingEquivalence:
 
     @pytest.mark.parametrize("memo", [False, True])
     def test_end_to_end_query_with_and_without_memo(self, memo):
-        """Through the scheduler, with the opt-in memo and without."""
+        """Through the scheduler, with the opt-in memo and without.
+
+        A registered XML document runs every chunk from its exact entry
+        configuration, a path that never consults the memo.
+        """
         ds = ALL_DATASETS["xmark"]
         text = ds.generate(scale=2.0, seed=7)
         queries = generate_query_set(ds, 3)
@@ -343,7 +371,7 @@ class TestBatchingEquivalence:
         after = memo_info()
         consulted = (after["hits"] + after["misses"]
                      > before["hits"] + before["misses"])
-        assert consulted is memo
+        assert not consulted
 
     def test_distinct_documents_do_not_cross_talk(self, monkeypatch):
         """A backlog over two documents: one merged pass per document."""
@@ -484,6 +512,57 @@ class TestLifecycle:
             text = svc.metrics_text()
             assert 'repro_service_engine_cache_total{event="miss"}' in text
 
+    def test_documents_with_one_grammar_share_engines(self):
+        with QueryService(small_config()) as svc:
+            docs = [svc.register(FEED_XML + " " * k, grammar=FEED_DTD)
+                    for k in range(3)]
+            for doc in docs:
+                response = svc.query(doc.doc_id, ["//id"])
+                assert response["matches"]["//id"] == oracle_matches(
+                    FEED_XML, FEED_DTD, "//id")
+            assert len(svc._engines) == 1 and len(svc._trees) == 1
+            cache = svc.varz()["engine_cache"]
+            assert (cache["miss"], cache["hit"]) == (1, 2)
+
+    def test_shared_engines_and_trees_under_concurrency(self):
+        """More clients than cores over documents that share grammars,
+        with a cache smaller than the working set: every answer stays the
+        oracle's and both caches stay bounded."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        cases = [(FEED_XML + " " * k, FEED_DTD, q)
+                 for k in range(2) for q in ("//id", "//title", "/feed/id")]
+        cases += [(RUNNING_XML, RUNNING_DTD, q) for q in (RUNNING_QUERY, "//c")]
+        want = {(t, q): oracle_matches(t, g, q) for t, g, q in cases}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with QueryService(small_config(workers=4, engine_cache_size=2)) as svc:
+                ids = {t: svc.register(t, grammar=g).doc_id for t, g, _q in cases}
+
+                def ask(case):
+                    text, _g, q = case
+                    return svc.query(ids[text], [q])["matches"][q] == want[(text, q)]
+
+                with ThreadPoolExecutor(8) as pool:
+                    answers = list(pool.map(ask, cases * 6, timeout=60))
+                assert len(svc._engines) <= 2 and len(svc._trees) <= 2
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(answers) and len(answers) == len(cases) * 6
+
+    def test_partial_grammar_engine_speculates(self):
+        """An engine built from the shared syntax tree keeps the grammar's
+        completeness: a partial grammar's engine speculates."""
+        partial = "<!DOCTYPE feed [ <!ELEMENT feed (entry+, id)> ]>"
+        with QueryService(small_config()) as svc:
+            full = svc.register(FEED_XML, grammar=FEED_DTD)
+            part = svc.register(FEED_XML, grammar=partial)
+            assert svc._engine_for(full, ("//id",)).mode == "nonspec"
+            assert svc._engine_for(part, ("//id",)).mode == "spec"
+            assert GapEngine(["//id"], grammar=part.grammar).mode == "spec"
+
     def test_close_is_idempotent(self):
         svc = QueryService(small_config()).start()
         svc.close()
@@ -519,6 +598,17 @@ class TestObservability:
             "repro_service_queue_depth 0",
         ):
             assert name in text, name
+
+    def test_kernel_share_per_batch_on_metrics(self, service):
+        doc = service.register(FEED_XML, grammar=FEED_DTD)
+        n = 5
+        for _ in range(n):
+            service.query(doc.doc_id, ["//id", "//title"])
+        text = service.metrics_text()
+        for layer in ("core.kernel", "xpath.filtering"):
+            line = next(l for l in text.splitlines() if l.startswith(
+                f'repro_layer_seconds_count{{layer="{layer}"}}'))
+            assert float(line.split()[-1]) == n, line
 
     def test_journal_records_request_lifecycle(self, service):
         import json as _json
@@ -573,6 +663,13 @@ class TestHTTP:
         with pytest.raises(ServiceError) as err:
             client.query(doc["doc_id"], [])
         assert err.value.status == 400
+
+    def test_malformed_document_is_a_400(self, http_service):
+        with pytest.raises(ServiceError) as err:
+            http_service.register(content="<r><a><b/></a></a><a/></r>")
+        assert err.value.status == 400
+        assert "ingestion failed" in str(err.value)
+        assert "at offset 22" in str(err.value)
 
     def test_metrics_and_journal_endpoints(self, http_service):
         client = http_service

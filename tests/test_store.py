@@ -45,6 +45,7 @@ from repro.service import (
 )
 from repro.service.registry import DocumentRegistry
 from repro.store import ArtifactStore, CodecError, prepare_json, prepare_xml
+from repro.store.docprep import chunk_paths
 from repro.store import codec
 from repro.store.artifacts import _HEADER
 from repro.xmlstream.chunking import split_chunks
@@ -125,8 +126,10 @@ class TestCodecRoundTrip:
     def test_chunks_and_tokens_exact(self, doc, n_chunks):
         _grammar, text = doc
         chunks = split_chunks(text, n_chunks)
-        assert codec.decode_chunks(codec.encode_chunks(chunks)) == chunks
         chunk_tokens = tuple(lex_range(text, c.begin, c.end) for c in chunks)
+        paths = chunk_paths(chunk_tokens)
+        back = codec.decode_chunks(codec.encode_chunks(chunks, paths))
+        assert back == (chunks, paths)
         back = codec.decode_chunk_tokens(codec.encode_chunk_tokens(chunk_tokens))
         assert back == chunk_tokens
 
@@ -138,12 +141,12 @@ class TestCodecRoundTrip:
 
     def test_trailing_garbage_rejected(self):
         chunks = split_chunks(RUNNING_XML, 2)
-        payload = codec.encode_chunks(chunks) + b"\x00"
+        payload = codec.encode_chunks(chunks, ((), ("a",))) + b"\x00"
         with pytest.raises(CodecError):
             codec.decode_chunks(payload)
 
     def test_truncated_payload_rejected(self):
-        payload = codec.encode_chunks(split_chunks(RUNNING_XML, 2))
+        payload = codec.encode_chunks(split_chunks(RUNNING_XML, 2), ((), ("a",)))
         for cut in (1, len(payload) // 2, len(payload) - 1):
             with pytest.raises(CodecError):
                 codec.decode_chunks(payload[:cut])
@@ -176,7 +179,7 @@ class TestStoredRunEquivalence:
             engine = GapEngine(qs, grammar=grammar, n_chunks=4, backend="serial")
             if as_json:
                 return engine.run_tokens(prepare_json(store, text))
-            chunks, toks = prepare_xml(store, text, 4)
+            chunks, toks, _paths = prepare_xml(store, text, 4)
             return engine.run(text, chunks=chunks, chunk_tokens=toks)
 
         cold = run()
@@ -230,7 +233,7 @@ def _seed_store(root: str):
     try:
         engine = GapEngine([RUNNING_QUERY, "//c"], grammar=RUNNING_DTD,
                            n_chunks=4, backend="serial")
-        chunks, toks = prepare_xml(store, RUNNING_XML, 4)
+        chunks, toks, _paths = prepare_xml(store, RUNNING_XML, 4)
         result = engine.run(RUNNING_XML, chunks=chunks, chunk_tokens=toks)
     finally:
         set_artifact_store(None)
@@ -258,7 +261,7 @@ class TestCorruption:
         set_artifact_store(store)
         engine = GapEngine([RUNNING_QUERY, "//c"], grammar=RUNNING_DTD,
                            n_chunks=4, backend="serial")
-        chunks, toks = prepare_xml(store, RUNNING_XML, 4)
+        chunks, toks, paths = prepare_xml(store, RUNNING_XML, 4)
         result = engine.run(RUNNING_XML, chunks=chunks, chunk_tokens=toks)
 
         # never a crash, never a poisoned result
@@ -280,8 +283,8 @@ class TestCorruption:
         # the republished artifacts verify clean and hit on re-read
         assert all(i.valid for i in store.scan())
         clear_compile_cache()
-        chunks2, toks2 = prepare_xml(store, RUNNING_XML, 4)
-        assert (chunks2, toks2) == (chunks, toks)
+        chunks2, toks2, paths2 = prepare_xml(store, RUNNING_XML, 4)
+        assert (chunks2, toks2, paths2) == (chunks, toks, paths)
         assert store.counters()["hits"] >= 2
 
     def test_direct_get_is_none(self, tmp_path, mutation):
@@ -451,7 +454,7 @@ grammar = parse_dtd(text) if "<!DOCTYPE" in text[:65536] else None
 store = ArtifactStore(store_dir)
 set_artifact_store(store)
 tracer = Tracer()
-chunks, toks = prepare_xml(store, text, 8, tracer=tracer)
+chunks, toks, _paths = prepare_xml(store, text, 8, tracer=tracer)
 engine = GapEngine(["//item/name", "//name"], grammar=grammar, n_chunks=8,
                    backend=backend, tracer=tracer)
 result = engine.run(text, chunks=chunks, chunk_tokens=toks)
