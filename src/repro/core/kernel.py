@@ -44,11 +44,17 @@ Two execution regimes, switched per token:
   every chunk of a registered document, which :meth:`DenseRunner.run_chunk`
   runs from its exact entry configuration (``entry``).
 
+The single-stack loop (and the memo's copy of it) skips every element
+a START opens in the automaton's dead state: it counts the element's
+rows to its END and steps none of them (``skipped_tokens``); the
+multi-path loops step every row.
+
 Work accounting: every token adds either one stack-mode step or one
-tree-mode step weighted by the number of live groups.  These counters
-drive the simulated-cluster speedup model (DESIGN.md §2), and the test
-suite pins them, with the matches, to an object-graph interpreter of
-the same semantics (``tests/object_kernel.py``).
+tree-mode step weighted by the number of live groups, a skipped row
+included.  These counters drive the simulated-cluster speedup model
+(DESIGN.md §2), and the test suite pins them, with the matches, to an
+object-graph interpreter of the same semantics
+(``tests/object_kernel.py``).
 
 A runner is built either from precompiled :class:`KernelTables`
 (shipped to workers by the pipeline) or compiles them on construction
@@ -63,6 +69,7 @@ import logging
 from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from operator import length_hint
 
 from ..obs.journal import NULL_JOURNAL
 from ..obs.logsetup import get_logger
@@ -117,6 +124,24 @@ class _LiveCohort:
 
     cohort: Cohort
     groups: list[PathGroup] = field(default_factory=list)
+
+
+def _dead_end(kinds: bytearray, i: int) -> tuple[int, int]:
+    """Where the element whose START is row ``i`` ends, by depth count.
+
+    Returns ``(j, 0)`` with ``j`` the row of its END, or, when the rows
+    end first, ``(len(kinds) - 1, n)`` with ``n`` elements still open.
+    """
+    open_ = 1
+    for j in range(i + 1, len(kinds)):
+        kind = kinds[j]
+        if kind == _START:
+            open_ += 1
+        elif kind == _END:
+            open_ -= 1
+            if not open_:
+                return j, 0
+    return len(kinds) - 1, open_
 
 
 def tables_for_policy(
@@ -397,9 +422,10 @@ class DenseRunner:
                 g = next(lc.groups[0] for lc in cohorts if lc.groups)
                 if plan is None:
                     i0 = i
-                    i, g.state, depth = self._stack_loop(
+                    i, g.state, depth, skipped = self._stack_loop(
                         cols, symmap, i, g.state, g.stack, g.events, depth)
                     counters.stack_tokens += i - i0
+                    counters.skipped_tokens += skipped
                 else:
                     # ---- memo-aware variant: identical token semantics,
                     # plus consult/record/replay at planned span starts.
@@ -408,7 +434,9 @@ class DenseRunner:
                     # fast loop holds at the span's START, the entire
                     # span completes in it, the net stack delta is zero
                     # and the exit state equals the entry state — which
-                    # is what makes replay exact.
+                    # is what makes replay exact.  Dead elements are
+                    # skipped as in _stack_loop; a span that skipped any
+                    # rows is not memoized, so a replay skips none.
                     state = g.state
                     stack = g.stack
                     events = g.events
@@ -416,6 +444,8 @@ class DenseRunner:
                     pop = stack.pop
                     extend = events.extend
                     n_fast = 0
+                    n_skip = 0
+                    dead = T.dead
                     append_ev = events.append
                     starts = plan.starts
                     span_at = plan.spans
@@ -469,6 +499,7 @@ class DenseRunner:
                             d0 = depth
                             s0 = state
                             stop = base + span_len
+                            skip0 = n_skip
                             while i < stop:
                                 tok = toks[i]
                                 kind = tok.kind
@@ -481,6 +512,14 @@ class DenseRunner:
                                         for sid in accepts[state]:
                                             append_ev(hit(sid, off, depth))
                                             rel_append((0, sid, i - base, depth - d0))
+                                    elif state == dead:
+                                        # a whole-element span closes it
+                                        e, _ = _dead_end(kinds, i)
+                                        state = pop()
+                                        depth -= 1
+                                        n_skip += e - i
+                                        n_fast += e - i
+                                        i = e
                                 elif kind == _END:
                                     if not stack:
                                         # unreachable for a balanced span;
@@ -499,7 +538,8 @@ class DenseRunner:
                                 n_fast += 1
                             if underflow:
                                 break
-                            memo.insert(s0, seq_id, state, tuple(rel))
+                            if n_skip == skip0:
+                                memo.insert(s0, seq_id, state, tuple(rel))
                             while p < n_starts and starts[p] < i:
                                 p += 1
                             continue
@@ -512,6 +552,20 @@ class DenseRunner:
                             if accept_flags[state]:
                                 off = tok.offset
                                 extend(hit(sid, off, depth) for sid in accepts[state])
+                            elif state == dead:
+                                e, still_open = _dead_end(kinds, i)
+                                if still_open:
+                                    stack.extend([dead] * (still_open - 1))
+                                    depth += still_open - 1
+                                else:
+                                    state = pop()
+                                    depth -= 1
+                                n_skip += e - i
+                                n_fast += e - i
+                                i = e
+                                # spans inside the skipped element are gone
+                                while p < n_starts and starts[p] <= e:
+                                    p += 1
                         elif kind == _END:
                             if not stack:
                                 break  # divergence: general loop takes this token
@@ -525,6 +579,7 @@ class DenseRunner:
                     memo.flush_chunk(m_hits, m_misses, touched)
                     g.state = state
                     counters.stack_tokens += n_fast
+                    counters.skipped_tokens += n_skip
                 if i >= n_tok:
                     break
 
@@ -647,9 +702,10 @@ class DenseRunner:
         """
         cols = as_columns(tokens)
         events: list[MatchEvent] = []
-        i, state, _depth = self._stack_loop(
+        i, state, _depth, skipped = self._stack_loop(
             cols, self._symbols(cols), 0, state, stack, events, len(stack))
         counters.stack_tokens += i
+        counters.skipped_tokens += skipped
         if i < len(cols):
             raise StackUnderflow(cols.offsets[i])
         return state, stack, events
@@ -686,17 +742,28 @@ class DenseRunner:
     # ------------------------------------------------------------------
 
     def _symbols(self, cols: TokenColumns) -> list[int] | dict[int, int]:
-        """``symmap[name_ids[i]]``: row ``i``'s symbol, mapped once per run."""
+        """``symmap[name_ids[i]]``: row ``i``'s symbol, mapped once per run.
+
+        Only the tags the tables intern are looked up, in the string
+        table's index (each string appears once in the table); every
+        other string, text runs and unqueried tags, keeps ``other_sym``.
+        """
         T = self.tables
-        sym_of = T.sym_ids.get
         other_sym = T.other_sym
         names = cols.names
-        if len(names) <= len(cols):
-            return [sym_of(name, other_sym) for name in names]
-        # a slice of a longer sequence's table (token-mode chunks, the
-        # stream's seal buffer, a reprocessed range): map only the ids
-        # it uses
-        return {k: sym_of(names[k], other_sym) for k in set(cols.name_ids)}
+        if len(names) > len(cols):
+            # a slice of a longer sequence's table (token-mode chunks, the
+            # stream's seal buffer, a reprocessed range): map only the ids
+            # it uses
+            sym_of = T.sym_ids.get
+            return {k: sym_of(names[k], other_sym) for k in set(cols.name_ids)}
+        symmap = [other_sym] * len(names)
+        get = cols.ids().get
+        for tag, sym in T.sym_ids.items():
+            k = get(tag)
+            if k is not None:
+                symmap[k] = sym
+        return symmap
 
     def _stack_loop(
         self,
@@ -707,19 +774,27 @@ class DenseRunner:
         stack: list[int],
         events: list[MatchEvent],
         depth: int,
-    ) -> tuple[int, int, int]:
+    ) -> tuple[int, int, int, int]:
         """The single-stack loop (Section 4.3) from row ``i`` of ``cols``.
 
         Runs to the end of the columns or to an END that arrives with an
         empty stack, which it leaves unconsumed (in a chunk, the next
-        divergence).  Returns ``(i, state, depth)`` where it stopped;
-        ``stack`` and ``events`` are updated in place.
+        divergence).  Returns ``(i, state, depth, skipped)`` where it
+        stopped; ``stack`` and ``events`` are updated in place.
+
+        A START that enters the dead state opens an element nothing
+        below can match: its rows up to its END are only counted
+        (``skipped``), and the loop resumes after the END with the
+        state the START pushed.  If the columns end inside, the stack
+        holds ``dead`` once per element still open below the pushed
+        state, as stepping every row would have left it.
         """
         T = self.tables
         trans = T.trans
         S = T.n_symbols
         accepts = T.accepts
-        accept_flags = T.accept_flags
+        flags = T.start_flags
+        dead = T.dead
         close_accepts = T.close_accepts
         close_flags = T.close_flags
         name_ids = cols.name_ids
@@ -730,15 +805,36 @@ class DenseRunner:
         # depth - len(stack) is constant in this loop: every push and pop
         # moves both, so the depth is derived only where an event needs it
         base = depth - len(stack)
+        skipped = 0
         start, end = _START, _END
-        for kind in cols.kinds[i:] if i else cols.kinds:
+        last = len(cols.kinds) - 1
+        rows = iter(cols.kinds[i:] if i else cols.kinds)
+        for kind in rows:
             if kind == start:
                 push(state)
                 state = trans[state * S + symmap[name_ids[i]]]
-                if accept_flags[state]:
-                    off = offsets[i]
-                    d = base + len(stack)
-                    extend(hit(sid, off, d) for sid in accepts[state])
+                if flags[state]:
+                    if state == dead:
+                        # the element's rows: count opens and closes only
+                        open_ = 1
+                        for kind in rows:
+                            if kind == start:
+                                open_ += 1
+                            elif kind == end:
+                                open_ -= 1
+                                if not open_:
+                                    state = pop()
+                                    break
+                        else:
+                            stack.extend([dead] * (open_ - 1))
+                        # the row the skip stopped at: its END or the last
+                        e = last - length_hint(rows)
+                        skipped += e - i
+                        i = e
+                    else:
+                        off = offsets[i]
+                        d = base + len(stack)
+                        extend(hit(sid, off, d) for sid in accepts[state])
             elif kind == end:
                 if not stack:
                     break  # underflow: the caller takes this token
@@ -748,7 +844,7 @@ class DenseRunner:
                     extend(close(sid, off, d) for sid in close_accepts[state])
                 state = pop()
             i += 1
-        return i, state, base + len(stack)
+        return i, state, base + len(stack), skipped
 
     def _scenario1(self, kind: int, sym: int) -> tuple[int, ...] | None:
         """Dense ``policy.start_states``: feasible states for a first token."""

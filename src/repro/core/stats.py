@@ -82,6 +82,7 @@ class RunStats:
             "avg_starting_paths": self.avg_starting_paths,
             "avg_tree_paths": self.counters.avg_tree_paths,
             "stack_tokens": float(self.counters.stack_tokens),
+            "skipped_tokens": float(self.counters.skipped_tokens),
             "tree_tokens": float(self.counters.tree_tokens),
             "tree_path_steps": float(self.counters.tree_path_steps),
             "switches": float(self.counters.switches),

@@ -21,8 +21,8 @@ translates into a clean cache miss.  The encoding is also far more
 compact than a pickled object graph: token names are interned through
 a per-chunk string table (XML markup is overwhelmingly repetitive), numeric
 columns are stored as flat ``array`` buffers, and derivable fields
-(``accept_flags``, ``start_sets``, ``all_states``) are rebuilt on
-decode instead of stored.
+(``accept_flags``, ``start_flags``, ``start_sets``, ``all_states``) are
+rebuilt on decode instead of stored.
 
 Native byte order and itemsize are stamped into every ``array`` column;
 an artifact written by an incompatible interpreter build decodes as a
@@ -46,7 +46,7 @@ from itertools import accumulate
 from ..core.inference import FeasibleTable
 from ..xmlstream.chunking import Chunk
 from ..xmlstream.tokens import TokenColumns
-from ..xpath.compile_tables import KernelTables
+from ..xpath.compile_tables import KernelTables, start_flags
 
 __all__ = [
     "CodecError",
@@ -76,7 +76,7 @@ class CodecError(ValueError):
 #: kind's version when its encoding changes shape and every stale
 #: artifact of that kind becomes a clean miss on the next read
 SCHEMAS = {
-    "tables": 1,     # KernelTables (compile-cache write-through)
+    "tables": 2,     # KernelTables (compile-cache write-through)
     "feasible": 1,   # FeasibleTable (object form)
     "split": 2,      # chunk lists + entry paths (document registry)
     "tokens": 2,     # pre-lexed token columns (document registry)
@@ -269,6 +269,7 @@ def encode_kernel_tables(t: KernelTables) -> bytes:
     w.u32(len(t.close_accepts))
     for acc in t.close_accepts:
         w.ints(acc)
+    w.i64(t.dead)
     w.u32(len(t.start_rows))
     for row in t.start_rows:
         _opt_blob(w, row)
@@ -283,6 +284,24 @@ def encode_kernel_tables(t: KernelTables) -> bytes:
     w.u8(1 if t.has_table else 0)
     w.u8(1 if t.complete else 0)
     return w.done()
+
+
+def _check_dead(dead: int, trans: array, n_symbols: int, accepts, close_accepts) -> None:
+    """A stored dead state must be what the kernel's skip assumes.
+
+    The single-stack loop jumps over every row below a START that
+    enters ``dead``, so a ``dead`` that could leave itself, accept or
+    close would drop events; such an artifact is refused (→ miss).
+    """
+    if dead == -1:
+        return
+    if not 0 <= dead < len(accepts):
+        raise CodecError(f"dead state {dead} out of range")
+    row = trans[dead * n_symbols:(dead + 1) * n_symbols]
+    if row.count(dead) != n_symbols:
+        raise CodecError(f"dead state {dead} is not absorbing")
+    if accepts[dead] or close_accepts[dead]:
+        raise CodecError(f"dead state {dead} accepts or closes")
 
 
 def decode_kernel_tables(payload: bytes) -> KernelTables:
@@ -310,6 +329,8 @@ def decode_kernel_tables(payload: bytes) -> KernelTables:
     close_accepts = tuple(r.ints() for _ in range(r.u32()))
     if len(accepts) != n_states or len(close_accepts) != n_states:
         raise CodecError("accept rows do not cover every state")
+    dead = r.i64()
+    _check_dead(dead, trans, n_symbols, accepts, close_accepts)
     start_rows = tuple(_read_opt_blob(r) for _ in range(r.u32()))
     end_rows = tuple(_read_opt_blob(r) for _ in range(r.u32()))
     if len(start_rows) != n_symbols or len(end_rows) != n_symbols:
@@ -321,6 +342,7 @@ def decode_kernel_tables(payload: bytes) -> KernelTables:
     has_table = bool(r.u8())
     complete = bool(r.u8())
     r.expect_end()
+    accept_flags = bytes(1 if a else 0 for a in accepts)
     return KernelTables(
         n_states=n_states,
         n_symbols=n_symbols,
@@ -329,9 +351,11 @@ def decode_kernel_tables(payload: bytes) -> KernelTables:
         other_sym=other_sym,
         trans=trans,
         accepts=accepts,
-        accept_flags=bytes(1 if a else 0 for a in accepts),
+        accept_flags=accept_flags,
         close_accepts=close_accepts,
         close_flags=bytes(1 if a else 0 for a in close_accepts),
+        dead=dead,
+        start_flags=start_flags(accept_flags, dead),
         start_rows=start_rows,
         start_sets=_sets_from_rows(start_rows),
         end_rows=end_rows,
@@ -459,6 +483,10 @@ def _decode_token_run(r: _Reader) -> TokenColumns:
         raise CodecError("string table lengths disagree with its text")
     ends = list(accumulate(lengths))
     names = [joined[e - n:e] for n, e in zip(lengths, ends)]
+    if len(set(names)) != len(names):
+        # the kernel maps names to symbols through the table's index,
+        # which holds one id per string
+        raise CodecError("string table repeats a string")
     n = r.u32()
     kinds = bytearray(r.blob())
     name_ids = _column(r, "i")

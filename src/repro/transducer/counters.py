@@ -20,7 +20,8 @@ max-over-workers critical-path computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 __all__ = ["WorkCounters"]
 
@@ -33,6 +34,9 @@ class WorkCounters:
     bytes_lexed: int = 0
     #: tokens processed in single-path (plain stack) mode
     stack_tokens: int = 0
+    #: of ``stack_tokens``, the rows the single-stack loop jumped over
+    #: below a START that entered the dead state (counted, not stepped)
+    skipped_tokens: int = 0
     #: tokens processed in multi-path (double-tree) mode
     tree_tokens: int = 0
     #: sum over tree-mode tokens of the number of live path groups
@@ -71,13 +75,11 @@ class WorkCounters:
 
     def merge(self, other: "WorkCounters") -> None:
         """Add ``other`` into ``self`` (workers → run totals)."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in _NAMES:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def copy(self) -> "WorkCounters":
-        out = WorkCounters()
-        out.merge(self)
-        return out
+        return WorkCounters(*_values(self))
 
     # -- derived quantities -------------------------------------------
 
@@ -96,4 +98,9 @@ class WorkCounters:
         return self.tree_path_steps / self.tree_tokens if self.tree_tokens else 0.0
 
     def as_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(zip(_NAMES, _values(self)))
+
+
+#: the counter names in declaration order, and a getter for all values
+_NAMES = tuple(f.name for f in fields(WorkCounters))
+_values = attrgetter(*_NAMES)

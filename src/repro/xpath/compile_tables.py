@@ -17,6 +17,11 @@ compilation:
 * **accept/close rows** — per-state tuples of sub-query ids plus a
   ``bytes`` flag vector each, so the common non-accepting state costs
   one byte test;
+* **the dead state** — the automaton's empty position set, absorbing
+  and silent: no accept and no close can follow it.  ``start_flags``
+  folds it into the byte a START already tests, so the single-stack
+  loop learns that a START entered it, and may skip the element's
+  rows, at no extra cost for any other state;
 * **feasibility rows** — per-symbol ``bytes`` bitmaps over states (for
   membership checks during elimination) *and* pre-sorted tuples (for
   path enumeration at chunk starts and divergences).  A row is ``None``
@@ -90,6 +95,10 @@ class KernelTables:
     accept_flags: bytes
     close_accepts: tuple[tuple[int, ...], ...]
     close_flags: bytes
+    #: the absorbing state no accept or close can follow, or -1
+    dead: int
+    #: per state: 1 if it accepts, 2 if it is ``dead``, else 0 (derived)
+    start_flags: bytes
     start_rows: tuple[bytes | None, ...]
     start_sets: tuple[tuple[int, ...] | None, ...]
     end_rows: tuple[bytes | None, ...]
@@ -105,6 +114,14 @@ class KernelTables:
     def sym_of(self, tag: str) -> int:
         """Interned symbol id of ``tag`` (OTHER for unknown tags)."""
         return self.sym_ids.get(tag, self.other_sym)
+
+
+def start_flags(accept_flags: bytes, dead: int) -> bytes:
+    """``KernelTables.start_flags`` from the accept flags and dead state."""
+    flags = bytearray(accept_flags)
+    if dead >= 0:
+        flags[dead] = 2  # the dead state accepts nothing
+    return bytes(flags)
 
 
 def compile_tables(
@@ -191,6 +208,8 @@ def compile_tables(
         accept_flags=accept_flags,
         close_accepts=close_accepts,
         close_flags=close_flags,
+        dead=automaton.dead,
+        start_flags=start_flags(accept_flags, automaton.dead),
         start_rows=start_rows,
         start_sets=start_sets,
         end_rows=end_rows,

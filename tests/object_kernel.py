@@ -21,6 +21,12 @@ view at a time.  :meth:`ChunkRunner.run_from` is that loop, so
 reprocessing and the sequential engine run on it too inside
 :func:`object_kernel`.
 
+:func:`run_sequential` and :meth:`ChunkRunner.run_chunk` step every
+row; they count ``skipped_tokens`` by the dense single-stack loop's rule
+(the rows after a START that enters the automaton's dead state while
+that loop would run, up to and including its END or the last row),
+without skipping anything.
+
 :func:`object_kernel` swaps the oracle into every pipeline built inside
 it by patching :func:`repro.transducer.pipeline._make_runner`; the
 patch lives in this process only, so it covers the serial and thread
@@ -198,9 +204,25 @@ class ChunkRunner:
         n_live = len(main.groups)
         step = automaton.step
         START, END = TokenKind.START, TokenKind.END
+        # the dense kernel's single-stack loop runs a row when one path
+        # is live in stack mode with no check pending (switching on, not
+        # ELIMINATE_ALWAYS); `skip_open` counts the elements open inside
+        # the one it is skipping
+        fast_ok = switch_enabled and eliminate != ELIMINATE_ALWAYS
+        dead = automaton.dead
+        skip_open = 0
 
         for ti, tok in enumerate(_chain_first(first, token_iter)):
             kind = tok.kind
+            fast = False
+            if skip_open:
+                counters.skipped_tokens += 1
+                if kind == START:
+                    skip_open += 1
+                elif kind == END:
+                    skip_open -= 1
+            else:
+                fast = fast_ok and stack_mode and n_live == 1 and not pending_check
 
             if n_live == 0:
                 if not speculative:
@@ -229,6 +251,8 @@ class ChunkRunner:
                         acc = accepts[s2]
                         if acc:
                             g.events.extend(hit(sid, offset, depth) for sid in acc)
+                        if fast and s2 == dead:
+                            skip_open = 1
                 # pushes are injective in (state, stack): no merging needed
 
             elif kind == END:
@@ -430,7 +454,9 @@ def run_sequential(
     current state accepts, then pops; text leaves state and stack
     alone.  ``state``/``stack`` default to the initial configuration;
     ``stack`` is not copied.  Returns ``(state, stack, events)`` and
-    adds one ``stack_tokens`` per token to ``counters``.
+    adds one ``stack_tokens`` per token to ``counters``, and one
+    ``skipped_tokens`` per token below a START that entered the dead
+    state, up to and including its END.
 
     Raises :class:`StackUnderflow` at the offset of an end tag that
     arrives with an empty stack, after counting the tokens before it.
@@ -441,22 +467,35 @@ def run_sequential(
         stack = []
     events: list[MatchEvent] = []
     accepts = automaton.accepts
+    dead = automaton.dead
     n_tokens = 0
+    skipped = 0
+    skip_open = 0  # elements open below a START that entered `dead`
     depth = len(stack)  # element depth = open elements = stack height
 
     for tok in tokens:
         n_tokens += 1
         kind = tok.kind
+        in_skip = skip_open > 0
+        if in_skip:
+            skipped += 1
+            if kind == TokenKind.START:
+                skip_open += 1
+            elif kind == TokenKind.END:
+                skip_open -= 1
         if kind == TokenKind.START:
             stack.append(state)
             depth += 1
             state = automaton.step(state, tok.name)
             for sid in accepts[state]:
                 events.append(hit(sid, tok.offset, depth))
+            if state == dead and not in_skip:
+                skip_open = 1
         elif kind == TokenKind.END:
             if not stack:
                 if counters is not None:
                     counters.stack_tokens += n_tokens - 1
+                    counters.skipped_tokens += skipped
                 raise StackUnderflow(tok.offset)
             for sid in accepts[state]:
                 if sid in anchor_sids:
@@ -466,4 +505,5 @@ def run_sequential(
 
     if counters is not None:
         counters.stack_tokens += n_tokens
+        counters.skipped_tokens += skipped
     return state, stack, events

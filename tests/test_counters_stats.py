@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core.stats import RunStats
@@ -37,6 +39,23 @@ class TestWorkCounters:
         assert c.total_tokens == 40
         assert c.avg_tree_paths == 4.0
         assert c.avg_starting_paths == 3.0
+
+    def test_every_field_merges_copies_and_reports(self):
+        """A distinct value per field, ``skipped_tokens`` included: a
+        field left out of ``merge``, ``copy`` or ``as_dict`` shows."""
+        names = [f.name for f in fields(WorkCounters)]
+        assert "skipped_tokens" in names
+        a = WorkCounters(**{n: 1 + k for k, n in enumerate(names)})
+        b = WorkCounters(**{n: 100 * (1 + k) for k, n in enumerate(names)})
+        a.merge(b)
+        expected = {n: 101 * (1 + k) for k, n in enumerate(names)}
+        assert a.as_dict() == expected
+        assert list(a.as_dict()) == names
+        c = a.copy()
+        assert c is not a and c.as_dict() == expected
+        c.merge(c.copy())
+        assert a.as_dict() == expected
+        assert c.as_dict() == {n: 2 * v for n, v in expected.items()}
 
     def test_as_dict_round_trip(self):
         c = WorkCounters(stack_tokens=1, misspeculations=2)
@@ -90,5 +109,5 @@ class TestRunStats:
         stats = self.make([dict(chunks=1)])
         summary = stats.summary()
         for key in ("chunks", "avg_starting_paths", "switches", "misspeculations",
-                    "speculation_accuracy", "reprocessing_cost"):
+                    "speculation_accuracy", "reprocessing_cost", "skipped_tokens"):
             assert key in summary

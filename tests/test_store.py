@@ -22,6 +22,7 @@ Pins the contracts of :mod:`repro.store`:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import struct
@@ -150,6 +151,36 @@ class TestCodecRoundTrip:
         for cut in (1, len(payload) // 2, len(payload) - 1):
             with pytest.raises(CodecError):
                 codec.decode_chunks(payload[:cut])
+
+
+def _with_dead(tables, dead: int):
+    """``tables`` claiming ``dead`` as the dead state (the encoder stores
+    ``dead`` and derives ``start_flags`` on decode)."""
+    return dataclasses.replace(tables, dead=dead)
+
+
+class TestDeadStateValidation:
+    """The kernel skips every row below a START that enters ``dead``, so
+    a stored ``dead`` that could leave itself, accept or close is
+    refused on decode."""
+
+    def test_real_dead_state_round_trips(self):
+        engine = GapEngine(["/a/b"])
+        tables = compile_tables(engine.automaton)
+        assert tables.dead >= 0
+        assert codec.decode_kernel_tables(codec.encode_kernel_tables(tables)) == tables
+
+    @pytest.mark.parametrize("query,dead,reason", [
+        ("/a/b", 0, "not absorbing"),       # the initial state moves on <a>
+        ("//*", 1, "accepts"),              # absorbing, but accepts every tag
+        ("/a/b", 99, "out of range"),
+        ("/a/b", -2, "out of range"),
+    ])
+    def test_forged_dead_state_rejected(self, query, dead, reason):
+        tables = compile_tables(GapEngine([query]).automaton)
+        payload = codec.encode_kernel_tables(_with_dead(tables, dead))
+        with pytest.raises(CodecError, match=reason):
+            codec.decode_kernel_tables(payload)
 
 
 class TestStoredRunEquivalence:
@@ -301,6 +332,41 @@ class TestCorruption:
             assert not info.valid
             assert store.get(info.kind, info.key) is None
         assert store.counters()["invalid"] == 3
+
+
+@pytest.mark.parametrize("forged", ["non_absorbing", "accepting"])
+class TestForgedDeadState:
+    """The corruption matrix's semantic case: a well-formed, checksummed
+    tables artifact whose ``dead`` names a state the skip would drop
+    events under is a clean miss, recompiled and republished."""
+
+    def test_clean_miss_and_recovery(self, tmp_path, forged):
+        root = str(tmp_path / "store")
+        oracle, _files = _seed_store(root)
+        store = ArtifactStore(root)
+        (info,) = [i for i in store.scan() if i.kind == "tables"]
+        tables = codec.decode_kernel_tables(store.get("tables", info.key))
+        if forged == "non_absorbing":
+            dead = tables.initial
+        else:
+            dead = next(s for s, acc in enumerate(tables.accepts) if acc)
+        assert store.put("tables", info.key,
+                         codec.encode_kernel_tables(_with_dead(tables, dead)))
+        clear_compile_cache()
+
+        store = ArtifactStore(root)
+        set_artifact_store(store)
+        engine = GapEngine([RUNNING_QUERY, "//c"], grammar=RUNNING_DTD,
+                           n_chunks=4, backend="serial")
+        chunks, toks, _paths = prepare_xml(store, RUNNING_XML, 4)
+        result = engine.run(RUNNING_XML, chunks=chunks, chunk_tokens=toks)
+        assert result.matches == oracle.matches
+        assert result.stats.summary() == oracle.stats.summary()
+        counters = store.counters()
+        assert counters["invalid"] == 1, counters
+        assert counters["writes"] == 1  # the tables, recompiled
+        assert compile_cache_info()["compiles"] == 1
+        assert codec.decode_kernel_tables(store.get("tables", info.key)) == tables
 
 
 class TestStoreMechanics:

@@ -204,6 +204,16 @@ class TestColumnsTransport:
         with pytest.raises(codec.CodecError):
             codec.decode_chunk_tokens(codec.encode_chunk_tokens([bad]))
 
+    def test_codec_rejects_a_repeated_string(self):
+        """The kernel's symbol map reads the table's index, one id per
+        string: a table that repeats a tag would hide every row that
+        uses the other id."""
+        cols = lex_range("<a>x</a>", 0, 8)
+        bad = TokenColumns(cols.kinds, array("i", [0, 1, 2]), cols.offsets,
+                           ["a", "x", "a"])
+        with pytest.raises(codec.CodecError, match="repeats"):
+            codec.decode_chunk_tokens(codec.encode_chunk_tokens([bad]))
+
     @pytest.mark.slow
     def test_process_backend_runs_pre_lexed_columns(self):
         chunks = split_chunks(self.DOC, 3)
@@ -273,6 +283,39 @@ class TestKernelOnColumnsAndLists:
                     for t in (own, shared))
             assert a.counters.as_dict() == b.counters.as_dict()
             assert a.cohorts == b.cohorts
+
+
+    @pytest.mark.parametrize("qs", [["//title", "/feed/entry/id"], ["//*"],
+                                    ["/feed/nosuch"]])
+    def test_symbol_map_covers_only_the_alphabet(self, qs):
+        """The per-run symbol map equals mapping every string of the
+        table, text runs included, on lexed, decoded and sliced columns."""
+        xml = non_ascii(FEED_XML)
+        eng = GapEngine(qs, grammar=parse_dtd(FEED_DTD))
+        runner = eng._pipeline().chunk_runner()
+        T = runner.tables
+
+        def every_string(cols):
+            return {k: T.sym_ids.get(cols.names[k], T.other_sym)
+                    for k in set(cols.name_ids)}
+
+        whole = lex_range(xml, 0, len(xml))
+        texts = {whole.names[k] for k, kind in zip(whole.name_ids, whole.kinds)
+                 if kind == TokenKind.TEXT}
+        assert texts and len(whole.names) > len(T.sym_ids)
+        decoded = codec.decode_chunk_tokens(codec.encode_chunk_tokens([whole]))[0]
+        assert decoded._ids is None  # the index is built on first use
+        half = len(whole) // 2
+        for cols in (whole, decoded, whole[:half], whole[half:],
+                     lex_range(xml, 0, xml.index("</entry>"))):
+            symmap = runner._symbols(cols)
+            assert {k: symmap[k] for k in set(cols.name_ids)} == every_string(cols)
+            if len(cols.names) > len(cols):
+                # a slice: only the ids it uses, not the whole table
+                assert set(symmap) == set(cols.name_ids)
+            else:
+                assert len(symmap) == len(cols.names)
+                assert symmap == [T.sym_ids.get(n, T.other_sym) for n in cols.names]
 
 
 class TestStreamSealBuffer:
