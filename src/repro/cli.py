@@ -74,7 +74,7 @@ the observability flags: ``--trace`` (print a span summary),
 ``--trace-out FILE``, ``--metrics-out FILE`` (Prometheus text, or JSON
 when FILE ends with ``.json``), ``--journal-out FILE`` (flight
 recorder JSONL), ``--log-level LEVEL`` and ``--backend
-{serial,thread,process}`` — plus the resilience flags
+{serial,thread}`` — plus the resilience flags
 ``--chunk-timeout``, ``--max-retries`` and ``--inject-faults`` (see
 ``docs/ROBUSTNESS.md``): giving any of them supervises the parallel
 phase with per-chunk timeouts, bounded retries and a serial fallback.
@@ -221,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     v.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
     v.add_argument("--port", type=int, default=8077, help="bind port (default 8077)")
-    v.add_argument("--backend", choices=("serial", "thread", "process"),
+    v.add_argument("--backend", choices=("serial", "thread"),
                    default="thread",
                    help="execution backend for merged passes (default thread)")
     v.add_argument("-n", "--chunks", type=int, default=8,
@@ -274,8 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "history, no alert evaluation)")
     v.add_argument("--sample", action="store_true",
                    help="continuous stack-sampling profiler: serve the live "
-                        "profile at /profilez (on the process backend, pool "
-                        "workers are sampled per chunk)")
+                        "profile at /profilez")
     v.add_argument("--sample-hz", type=float, default=50.0, metavar="HZ",
                    help="sampling rate for --sample and /profilez?seconds= "
                         "captures (default 50)")
@@ -436,7 +435,7 @@ def _add_obs_args(p: argparse.ArgumentParser) -> None:
                         "as JSONL (path lifecycle, speculation, resilience)")
     p.add_argument("--log-level", metavar="LEVEL",
                    help="enable repro logging at LEVEL (DEBUG, INFO, ...)")
-    p.add_argument("--backend", choices=("serial", "thread", "process"),
+    p.add_argument("--backend", choices=("serial", "thread"),
                    help="execution backend for the parallel phase (default: serial)")
 
 
@@ -511,7 +510,7 @@ def _obs_emit(args: argparse.Namespace, tracer, registry: MetricsRegistry | None
 
 
 def _build_query_engine(args: argparse.Namespace, content: str, as_json: bool, tracer,
-                        journal=None, sample: float = 0.0, profile=None):
+                        journal=None):
     """Construct the engine the query/profile/report commands share."""
     resilience, faults = _resilience_from_args(args)
     if args.engine == "seq":
@@ -520,7 +519,7 @@ def _build_query_engine(args: argparse.Namespace, content: str, as_json: bool, t
         return PPTransducerEngine(
             args.queries, n_chunks=args.chunks, backend=args.backend, tracer=tracer,
             resilience=resilience, faults=faults,
-            memo=args.memo, journal=journal, sample=sample, profile=profile,
+            memo=args.memo, journal=journal,
         )
     grammar = None
     if args.grammar:
@@ -531,7 +530,7 @@ def _build_query_engine(args: argparse.Namespace, content: str, as_json: bool, t
         args.queries, grammar=grammar, n_chunks=args.chunks,
         backend=args.backend, tracer=tracer,
         resilience=resilience, faults=faults,
-        memo=args.memo, journal=journal, sample=sample, profile=profile,
+        memo=args.memo, journal=journal,
     )
     for prior in args.learn:
         prior_text = _read(prior)
@@ -688,10 +687,13 @@ def _run_query(args: argparse.Namespace, *, journal: bool = False,
     content = _read(args.file)
     as_json = _looks_like_json(content)
     profile = None
+    sampler = nullcontext()
     if sample:
-        from .obs.sampler import SampleProfile
+        from .obs.sampler import SampleProfile, StackSampler
 
         profile = SampleProfile()
+        # one sampler sees every thread, chunk workers included
+        sampler = StackSampler(profile=profile, interval=1.0 / args.sample_hz)
     store = None
     if getattr(args, "artifact_store", None):
         from .store import ArtifactStore
@@ -701,9 +703,7 @@ def _run_query(args: argparse.Namespace, *, journal: bool = False,
     try:
         with gc_spans(tracer) if tracer.enabled else nullcontext():
             with tracer.span("xpath.compile", cat="phase"):
-                engine = _build_query_engine(
-                    args, content, as_json, tracer, jr, profile=profile,
-                    sample=args.sample_hz if sample else 0.0)
+                engine = _build_query_engine(args, content, as_json, tracer, jr)
             with engine:
                 tokens = prep = None
                 if as_json:
@@ -712,14 +712,7 @@ def _run_query(args: argparse.Namespace, *, journal: bool = False,
                         sp.args["tokens"] = len(tokens)
                 elif store is not None and args.engine != "seq":
                     prep = prepare_xml(store, content, args.chunks, tracer=tracer)
-                if profile is not None and args.engine == "seq":
-                    # the sequential engine has no chunk workers to sample
-                    # themselves; sample the evaluating thread from outside
-                    from .obs.sampler import StackSampler
-
-                    with StackSampler(profile=profile, interval=1.0 / args.sample_hz):
-                        result = _execute(engine, args, content, tokens)
-                else:
+                with sampler:
                     result = _execute(engine, args, content, tokens, prep=prep)
     finally:
         if store is not None:

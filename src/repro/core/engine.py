@@ -121,7 +121,7 @@ class _EngineBase:
 
     ``backend`` accepts either a :class:`~repro.parallel.backend.Backend`
     instance (the caller owns and closes it) or a backend *name*
-    (``"serial"``/``"thread"``/``"process"``), in which case the engine
+    (``"serial"``/``"thread"``), in which case the engine
     constructs and **owns** the backend: :meth:`close` — or using the
     engine as a context manager — shuts its pool down.
 
@@ -154,14 +154,6 @@ class _EngineBase:
     it saves, and its process-wide tables keep about a million objects
     alive for the garbage collector to walk on every gen2 collection
     (docs/PERFORMANCE.md).
-
-    ``sample`` turns on the stack-sampling profiler at the given rate
-    in Hz (0, the default, is off): each chunk worker samples its own
-    execution and the collapsed profiles accumulate on
-    :attr:`profile` (a :class:`~repro.obs.sampler.SampleProfile`)
-    across runs — ``repro profile --sample`` and the service's
-    process-backend profiling ride this.  The sequential engine has no
-    chunk phase and ignores the knob.
     """
 
     def __init__(
@@ -174,8 +166,6 @@ class _EngineBase:
         faults: FaultPlane | str | None = None,
         journal: Journal | None = None,
         memo: bool = False,
-        sample: float = 0.0,
-        profile=None,
     ) -> None:
         if not queries:
             raise EngineError("at least one query is required")
@@ -190,14 +180,6 @@ class _EngineBase:
         self.resilience = resilience
         self.faults = parse_fault_spec(faults) if isinstance(faults, str) else faults
         self.journal = journal if journal is not None else NULL_JOURNAL
-        self.sample = float(sample)
-        #: accumulated stack-sampling profile; caller-owned when passed
-        #: in (the service shares one across its warm engines)
-        self.profile = profile
-        if self.sample > 0 and self.profile is None:
-            from ..obs.sampler import SampleProfile
-
-            self.profile = SampleProfile()
 
     def close(self) -> None:
         """Release the engine's backend pool, if the engine owns one.
@@ -355,20 +337,16 @@ class PPTransducerEngine(_EngineBase):
         faults: FaultPlane | str | None = None,
         journal: Journal | None = None,
         memo: bool = False,
-        sample: float = 0.0,
-        profile=None,
     ) -> None:
         super().__init__(queries, backend, minimize=minimize, tracer=tracer,
                          resilience=resilience, faults=faults,
-                         journal=journal, memo=memo, sample=sample,
-                         profile=profile)
+                         journal=journal, memo=memo)
         self.n_chunks = n_chunks
         self.policy = BaselinePolicy(self.automaton)
         self._pipeline = ParallelPipeline(
             self.automaton, self.policy, self.anchor_sids, self.backend, self.tracer,
             resilience=self.resilience, faults=self.faults,
             journal=self.journal, memo=self.memo,
-            sample=self.sample, profile=self.profile,
         )
 
     def run(
@@ -438,13 +416,10 @@ class GapEngine(_EngineBase):
         faults: FaultPlane | str | None = None,
         journal: Journal | None = None,
         memo: bool = False,
-        sample: float = 0.0,
-        profile=None,
     ) -> None:
         super().__init__(queries, backend, minimize=minimize, tracer=tracer,
                          resilience=resilience, faults=faults,
-                         journal=journal, memo=memo, sample=sample,
-                         profile=profile)
+                         journal=journal, memo=memo)
         if mode not in ("auto", "nonspec", "spec"):
             raise EngineError(f"unknown mode {mode!r} (expected auto/nonspec/spec)")
         self.n_chunks = n_chunks
@@ -536,8 +511,7 @@ class GapEngine(_EngineBase):
             tracer if tracer is not None else self.tracer,
             resilience=self.resilience, faults=self.faults,
             journal=journal if journal is not None else self.journal,
-            memo=self.memo and not exact, sample=self.sample,
-            profile=self.profile,
+            memo=self.memo and not exact,
         )
 
     def run(

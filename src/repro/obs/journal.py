@@ -55,7 +55,7 @@ Design contract (mirrors the tracer exactly):
 * events are plain picklable dataclasses; per-worker events travel back
   inside :class:`~repro.transducer.mapping.ChunkResult.journal` and are
   adopted into the driver journal *in chunk order*, so the merged
-  stream is deterministic across serial, thread and process backends
+  stream is deterministic across the serial and thread backends
   (only the wall-clock ``ts`` field differs — compare with
   ``to_jsonl(timestamps=False)``);
 * the journal is **bounded**: past ``limit`` events it counts drops
@@ -185,12 +185,12 @@ class Journal:
         self._seq += 1
 
     def adopt(self, events: Iterable[Event]) -> None:
-        """Merge events recorded elsewhere (e.g. by a worker process).
+        """Merge events recorded elsewhere (e.g. by a chunk worker).
 
         Sequence numbers are re-assigned in adoption order, so a driver
         journal that adopts each chunk's events in chunk order carries
         one deterministic global ordering regardless of which backend
-        (or how many OS threads/processes) produced them.
+        (or how many threads) produced them.
         """
         for ev in events:
             if len(self.events) >= self.limit:

@@ -18,10 +18,8 @@ profile --sample`` prints.
 Output is **deterministic** for a given set of samples: collapsed
 stacks are sorted lines (``frame;frame;frame count``, the flamegraph
 collapsed format), independent of hash seed and accumulation order.
-Profiles are plain picklable dicts, so process-pool workers sample
-themselves and ship the result back inside
-:class:`~repro.transducer.mapping.ChunkResult` — the same transport
-spans and journal events use.
+One sampler sees every thread of the process, so chunk workers on a
+thread backend are sampled without any per-chunk plumbing.
 """
 
 from __future__ import annotations
@@ -168,23 +166,18 @@ class SampleProfile:
 class StackSampler:
     """The sampling daemon thread over ``sys._current_frames()``.
 
-    ``only_ident`` restricts sampling to one thread (how chunk workers
-    profile exactly their own execution — in a thread pool, sampling
-    the whole process from every worker would multiply-count siblings);
-    the default samples every thread except the sampler itself.
+    Every thread except the sampler itself is sampled.
     """
 
     def __init__(
         self,
         profile: SampleProfile | None = None,
         interval: float = DEFAULT_INTERVAL,
-        only_ident: int | None = None,
     ) -> None:
         if interval <= 0:
             raise ValueError(f"sampling interval must be positive, got {interval}")
         self.profile = profile if profile is not None else SampleProfile()
         self.interval = interval
-        self.only_ident = only_ident
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self.samples = 0
@@ -198,8 +191,6 @@ class StackSampler:
         folded = 0
         for ident, frame in frames.items():
             if ident == me:
-                continue
-            if self.only_ident is not None and ident != self.only_ident:
                 continue
             self.profile.record(collapse_frame(frame))
             folded += 1

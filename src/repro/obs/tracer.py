@@ -19,13 +19,11 @@ transducer loops) are never instrumented at all, so disabled tracing
 leaves engine results and counters byte-identical to an uninstrumented
 build.
 
-Spans survive process boundaries: they are plain picklable dataclasses,
-and per-worker spans travel back inside
+Spans are plain dataclasses; per-worker spans travel back inside
 :class:`~repro.transducer.mapping.ChunkResult` to be merged into the
 coordinating tracer at join time.  Timestamps come from
-:func:`time.perf_counter`, which on the supported platforms is a
-system-wide monotonic clock, so worker spans and driver spans share a
-timeline.
+:func:`time.perf_counter`, a monotonic clock, so worker spans and
+driver spans share a timeline.
 
 ``tid`` is the span's *lane* for timeline rendering: 0 is the driver,
 ``1 + chunk_index`` is the worker that processed that chunk.
@@ -116,7 +114,7 @@ class Tracer:
         )
 
     def extend(self, spans: list[Span]) -> None:
-        """Merge spans collected elsewhere (e.g. by a worker process)."""
+        """Merge spans collected elsewhere (e.g. by a chunk worker)."""
         self.spans.extend(spans)
 
     # -- queries over collected spans ---------------------------------
@@ -198,9 +196,8 @@ def gc_spans(tracer: Tracer):
     The span lands on the tracer whose span is innermost on the
     collecting thread (``tracer`` when none is open there), one level
     below that span, so the pause is charged to ``runtime.gc`` and not
-    to the layer it interrupted.  Collections in process-pool workers
-    are not seen.  Callers pass an enabled tracer: the disabled path
-    must not pay for a ``gc.callbacks`` hook.
+    to the layer it interrupted.  Callers pass an enabled tracer: the
+    disabled path must not pay for a ``gc.callbacks`` hook.
     """
     starts: dict[int, float] = {}
 

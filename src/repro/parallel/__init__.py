@@ -2,13 +2,11 @@
 
 from .backend import (
     Backend,
-    ProcessBackend,
     SerialBackend,
     TaskFailure,
     TaskOutcome,
     TaskTimeout,
     ThreadBackend,
-    WorkerCrash,
     get_backend,
 )
 from .cost_model import CostModel, DEFAULT_COST_MODEL
@@ -35,7 +33,6 @@ __all__ = [
     "FaultRule",
     "InjectedFault",
     "NO_FAULTS",
-    "ProcessBackend",
     "ResilienceError",
     "ResilienceReport",
     "RetryPolicy",
@@ -46,7 +43,6 @@ __all__ = [
     "TaskOutcome",
     "TaskTimeout",
     "ThreadBackend",
-    "WorkerCrash",
     "get_backend",
     "parse_fault_spec",
     "supervised_map",

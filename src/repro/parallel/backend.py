@@ -4,33 +4,31 @@ The parallel phase is embarrassingly parallel once chunks are framed:
 each worker lexes and runs its own byte range.  The backend decides
 *where* that per-chunk work executes:
 
-* :class:`SerialBackend` — in-process loop.  The default: on this
-  reproduction's single-core host it is also the fastest, and the
-  simulated-cluster model (:mod:`repro.parallel.simcluster`) derives
-  multicore speedups from the per-chunk work counters rather than from
-  wall-clock.
-* :class:`ThreadBackend` — a thread pool.  Functionally parallel, but
-  CPython's GIL serialises the byte-crunching loops, so no speedup is
-  expected (documented limitation; kept for API completeness and for
-  workloads that release the GIL).
-* :class:`ProcessBackend` — a process pool (the guide-recommended way
-  to obtain real CPU parallelism in Python).  Each worker process
-  receives the shared context once via the pool initializer, so the
-  document text and automaton are pickled once per worker rather than
-  once per chunk.
+* :class:`SerialBackend` — in-process loop, in order.  The default
+  for engines: CPython's GIL serialises the byte-crunching loops, so
+  one thread is as fast as several, and the simulated-cluster model
+  (:mod:`repro.parallel.simcluster`) derives multicore speedups from
+  the per-chunk work counters rather than from wall-clock.
+* :class:`ThreadBackend` — a thread pool.  The query service's
+  default: its chunk tasks run beside the service's own threads
+  (batching, I/O, telemetry).  The GIL serialises the CPU work, so no
+  speed-up over serial is expected from it.
 
-All backends implement ``map_with_context(ctx, fn, items)`` with
+A process pool was measured and removed: on a 2-vCPU host no shape of
+it reached 1.3x over serial, because shipping chunk results back ate
+most of the ideal split (docs/PERFORMANCE.md, "Why serial and thread").
+
+Both backends implement ``map_with_context(ctx, fn, items)`` with
 order-preserving results, so the pipeline code is backend-agnostic.
 
 For fault tolerance each backend additionally implements
 ``map_supervised(ctx, fn, items, timeout)``: instead of raising on the
 first failure it returns one :class:`TaskOutcome` per item, with
-per-item timeouts and (for the process pool) dead-worker detection.
-A timed-out in-process task runs on a *daemon* thread that is simply
-abandoned — it cannot be killed, but it can no longer poison a pool or
-block interpreter exit.  The retry/fallback brains live above this in
-:mod:`repro.parallel.resilience`; the backends only execute and
-classify.
+per-item timeouts.  A timed-out task runs on a *daemon* thread that is
+simply abandoned — it cannot be killed, but it can no longer poison a
+pool or block interpreter exit.  The retry/fallback brains live above
+this in :mod:`repro.parallel.resilience`; the backends only execute
+and classify.
 """
 
 from __future__ import annotations
@@ -38,8 +36,7 @@ from __future__ import annotations
 import threading
 import time
 from collections.abc import Callable, Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, TypeVar
 
@@ -47,10 +44,8 @@ __all__ = [
     "Backend",
     "SerialBackend",
     "ThreadBackend",
-    "ProcessBackend",
     "TaskFailure",
     "TaskTimeout",
-    "WorkerCrash",
     "TaskOutcome",
     "get_backend",
 ]
@@ -67,12 +62,6 @@ class TaskFailure(RuntimeError):
     def __init__(self, index: int, message: str) -> None:
         super().__init__(message)
         self.index = index
-        self._message = message
-
-    def __reduce__(self):
-        # custom __init__ arity: reduce explicitly so instances survive
-        # pickling (e.g. when re-raised across a process boundary)
-        return (TaskFailure, (self.index, self._message))
 
 
 class TaskTimeout(TaskFailure):
@@ -81,20 +70,6 @@ class TaskTimeout(TaskFailure):
     def __init__(self, index: int, timeout: float) -> None:
         super().__init__(index, f"task {index} exceeded its {timeout:g}s deadline")
         self.timeout = timeout
-
-    def __reduce__(self):
-        return (TaskTimeout, (self.index, self.timeout))
-
-
-class WorkerCrash(TaskFailure):
-    """The worker process executing a task died (dead-worker detection)."""
-
-    def __init__(self, index: int, message: str) -> None:
-        super().__init__(index, f"task {index}: worker process died ({message})")
-        self._cause_message = message
-
-    def __reduce__(self):
-        return (WorkerCrash, (self.index, self._cause_message))
 
 
 @dataclass(slots=True)
@@ -191,7 +166,7 @@ class SerialBackend(Backend):
 
 
 class ThreadBackend(Backend):
-    """Thread-pool backend (functional parallelism; GIL-bound for CPU work)."""
+    """Thread-pool backend: the service default (GIL-bound for CPU work)."""
 
     name = "thread"
 
@@ -256,132 +231,10 @@ class ThreadBackend(Backend):
             self._pool = None
 
 
-# -- process backend ---------------------------------------------------------
-
-_PROCESS_CTX: Any = None
-
-
-def _init_worker(ctx: Any) -> None:
-    global _PROCESS_CTX
-    _PROCESS_CTX = ctx
-
-
-def _call_with_ctx(payload: tuple[Callable[[Any, Any], Any], Any]) -> Any:
-    fn, item = payload
-    return fn(_PROCESS_CTX, item)
-
-
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Kill a pool's worker processes so a hung worker cannot block exit.
-
-    Reaches into ``_processes`` (stable since 3.7, but guarded): after
-    a timeout the hung worker must die, or the executor's management
-    thread — joined at interpreter exit — would wait on it forever.
-    """
-    processes = getattr(pool, "_processes", None) or {}
-    for proc in list(processes.values()):
-        try:
-            proc.terminate()
-        except (OSError, ValueError):  # pragma: no cover - already dead
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
-class ProcessBackend(Backend):
-    """Process-pool backend: real CPU parallelism on multicore hosts.
-
-    The context is shipped to each worker once (pool initializer); the
-    mapped function and items must be picklable module-level objects.
-    A fresh pool is created per ``map_with_context`` call because the
-    context is part of worker initialisation.
-    """
-
-    name = "process"
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        self.max_workers = max_workers
-
-    def map_with_context(
-        self, ctx: Any, fn: Callable[[Any, T], R], items: Sequence[T]
-    ) -> list[R]:
-        with ProcessPoolExecutor(
-            max_workers=self.max_workers, initializer=_init_worker, initargs=(ctx,)
-        ) as pool:
-            futures = [pool.submit(_call_with_ctx, (fn, item)) for item in items]
-            results: list[R] = []
-            for i, future in enumerate(futures):
-                try:
-                    results.append(future.result())
-                except Exception as exc:
-                    # one bad item must not cost the batch silently:
-                    # stop the rest and say which item failed
-                    for later in futures[i + 1:]:
-                        later.cancel()
-                    if isinstance(exc, BrokenProcessPool):
-                        raise WorkerCrash(i, str(exc)) from exc
-                    raise TaskFailure(
-                        i, f"task {i} failed in worker: {type(exc).__name__}: {exc}"
-                    ) from exc
-            return results
-
-    def map_supervised(
-        self,
-        ctx: Any,
-        fn: Callable[[Any, T], R],
-        items: Sequence[T],
-        timeout: float | None = None,
-    ) -> list[TaskOutcome]:
-        """Supervised map on a fresh process pool.
-
-        Timeouts are measured from batch start (all items are submitted
-        together).  On timeout or a dead worker the pool's processes
-        are terminated — a hung worker process, unlike a hung thread,
-        *can* be killed.
-        """
-        outcomes: dict[int, TaskOutcome] = {}
-        pool = ProcessPoolExecutor(
-            max_workers=self.max_workers, initializer=_init_worker, initargs=(ctx,)
-        )
-        must_kill = False
-        try:
-            futures = {pool.submit(_call_with_ctx, (fn, item)): i
-                       for i, item in enumerate(items)}
-            pending = set(futures)
-            deadline = None if timeout is None else _clock() + timeout
-            while pending:
-                remaining = None if deadline is None else deadline - _clock()
-                if remaining is not None and remaining <= 0:
-                    for f in pending:
-                        f.cancel()
-                        outcomes[futures[f]] = TaskOutcome(
-                            futures[f], error=TaskTimeout(futures[f], timeout))
-                    must_kill = True
-                    break
-                done, pending = wait(pending, timeout=remaining,
-                                     return_when=FIRST_COMPLETED)
-                for f in done:
-                    i = futures[f]
-                    try:
-                        outcomes[i] = TaskOutcome(i, value=f.result())
-                    except BrokenProcessPool as exc:
-                        outcomes[i] = TaskOutcome(i, error=WorkerCrash(i, str(exc)))
-                        must_kill = True
-                    except Exception as exc:
-                        outcomes[i] = TaskOutcome(i, error=exc)
-        finally:
-            if must_kill:
-                _terminate_pool(pool)
-            else:
-                pool.shutdown(wait=True)
-        return [outcomes[i] for i in range(len(items))]
-
-
 def get_backend(name: str, max_workers: int | None = None) -> Backend:
-    """Backend factory: ``serial`` / ``thread`` / ``process``."""
+    """Backend factory: ``serial`` / ``thread``."""
     if name == "serial":
         return SerialBackend()
     if name == "thread":
         return ThreadBackend(max_workers)
-    if name == "process":
-        return ProcessBackend(max_workers)
-    raise ValueError(f"unknown backend {name!r} (expected serial/thread/process)")
+    raise ValueError(f"unknown backend {name!r} (expected serial/thread)")

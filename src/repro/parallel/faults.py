@@ -31,13 +31,11 @@ The default ``times=1`` means a fault fires on the *first* attempt only
 — the natural shape for testing retry recovery.  ``times=inf`` forces
 the resilience layer all the way to its serial fallback.
 
-The plane reaches real :class:`~repro.parallel.backend.ProcessBackend`
-workers two ways: a configured plane travels inside the pickled worker
-context, and ``REPRO_FAULTS`` is read lazily *inside* the worker
-process, so faults apply even to freshly spawned pools with no config
-plumbing at all.  The serial fallback runs with :data:`NO_FAULTS`,
-which also suppresses the environment plane — recovery itself is never
-sabotaged.
+A configured plane travels inside the worker context; without one,
+``REPRO_FAULTS`` is read lazily inside the worker body, so faults
+apply to any run with no config plumbing at all.  The serial fallback
+runs with :data:`NO_FAULTS`, which also suppresses the environment
+plane — recovery itself is never sabotaged.
 """
 
 from __future__ import annotations
@@ -77,12 +75,6 @@ class InjectedFault(RuntimeError):
         super().__init__(f"injected fault in chunk {chunk_index} (attempt {attempt})")
         self.chunk_index = chunk_index
         self.attempt = attempt
-
-    def __reduce__(self):
-        # raised inside process-pool workers: must unpickle cleanly in
-        # the driver, and the default reduction passes the message
-        # string to a two-argument __init__
-        return (InjectedFault, (self.chunk_index, self.attempt))
 
 
 @dataclass(frozen=True, slots=True)

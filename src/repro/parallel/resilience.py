@@ -3,7 +3,7 @@
 The paper's join phase already recovers from one kind of failure —
 misspeculation — by selective reprocessing.  This module generalises
 that posture to the *execution* of the chunks themselves: a worker that
-raises, hangs past its deadline, dies, or returns a corrupt result must
+raises, hangs past its deadline, or returns a corrupt result must
 degrade the run, not fail it.
 
 The recovery ladder for a failed chunk:
@@ -137,8 +137,7 @@ def supervised_map(
 
     ``fn(ctx, (item, attempt))`` executes one attempt — the attempt
     number rides with the item so fault rules (and any other
-    attempt-aware logic) work across process boundaries without shared
-    state.  ``validate(result, item)`` returns an error string for a
+    attempt-aware logic) see it without shared state.  ``validate(result, item)`` returns an error string for a
     corrupt result, ``None`` for a good one.  ``fallback(item)`` is the
     last rung; it should execute fault-free and serially.
 

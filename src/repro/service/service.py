@@ -136,9 +136,8 @@ class ServiceConfig:
     #: SLO/alert rule spec strings (see :mod:`repro.obs.alerts`; the
     #: literal ``"default"`` expands the built-in pack)
     alert_rules: tuple[str, ...] = ()
-    #: continuous stack-sampling profiler (``/profilez``): an in-process
-    #: sampler thread at ``sample_hz``; with the process backend the
-    #: engines additionally sample their pool workers per chunk
+    #: continuous stack-sampling profiler (``/profilez``): one sampler
+    #: thread at ``sample_hz`` watching every thread of the service
     sample: bool = False
     sample_hz: float = 50.0
     #: streaming subsystem: sealed-chunk target size for continuous
@@ -162,6 +161,9 @@ class QueryService:
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
+        # first, so an unknown backend name is refused before anything
+        # (a process-global store hook, a thread) has been set up
+        self._backend = get_backend(self.config.backend)
         self.metrics = MetricsRegistry()
         self.journal = Journal(limit=self.config.journal_limit)
         self._obs_lock = threading.Lock()
@@ -186,7 +188,6 @@ class QueryService:
             max_documents=self.config.max_documents,
             store=self.store,
         )
-        self._backend = get_backend(self.config.backend)
         self._resilience = self.config.resilience()
         self._engines: OrderedDict[tuple, GapEngine] = OrderedDict()
         #: grammar key → (syntax tree, complete), built once per grammar
@@ -253,18 +254,13 @@ class QueryService:
                 interval=self.config.collect_interval,
                 listeners=(self._alert_listener,),
             )
-        # one shared profile: the continuous in-process sampler and (on
-        # the process backend, whose pool workers an in-process sampler
-        # cannot see) every warm engine's per-chunk samplers feed it
+        # the continuous sampler sees every thread, chunk workers included
         self.profile: SampleProfile | None = None
         self._sampler: StackSampler | None = None
-        self._engine_sample = 0.0
         if self.config.sample:
             self.profile = SampleProfile()
             self._sampler = StackSampler(profile=self.profile,
                                          interval=1.0 / self.config.sample_hz)
-            if self.config.backend == "process":
-                self._engine_sample = self.config.sample_hz
         # continuous queries over unbounded input: the stream registry
         # shares the service's store (checkpoints), metrics and journal
         from ..stream import StreamManager
@@ -584,8 +580,6 @@ class QueryService:
             backend=self._backend,  # shared instance: service-owned
             memo=self.config.memo,
             resilience=self._resilience,
-            sample=self._engine_sample,
-            profile=self.profile if self._engine_sample > 0 else None,
         )
         with self._engine_lock:
             engine = self._engines.get(key)

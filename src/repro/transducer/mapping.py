@@ -115,13 +115,10 @@ class ChunkResult:
 
     ``spans`` carries any tracing spans the worker recorded while
     processing the chunk (:mod:`repro.obs.tracer`); ``journal`` carries
-    any flight-recorder events (:mod:`repro.obs.journal`); ``samples``
-    carries any collapsed-stack profiler samples
-    (:meth:`repro.obs.sampler.SampleProfile.to_dict`).  Because the
-    whole result is pickled back from process-pool workers, all three
-    survive the process boundary and get merged into the coordinating
-    tracer/journal/profile — the journal strictly in chunk order, so
-    the merged event stream is deterministic across backends.
+    any flight-recorder events (:mod:`repro.obs.journal`).  Both are
+    merged into the coordinating tracer/journal after the parallel
+    phase — the journal strictly in chunk order, so the merged event
+    stream is deterministic across backends.
     """
 
     index: int
@@ -131,7 +128,6 @@ class ChunkResult:
     counters: WorkCounters = field(default_factory=WorkCounters)
     spans: list = field(default_factory=list)
     journal: list = field(default_factory=list)
-    samples: dict = field(default_factory=dict)
 
     @property
     def main(self) -> Cohort | None:

@@ -67,7 +67,7 @@ class ParallelRunResult:
 
 @dataclass(frozen=True, slots=True)
 class _Ctx:
-    """Shared worker context (pickled once per worker by ProcessBackend)."""
+    """Shared worker context: one per run, read by every chunk task."""
 
     text: str
     automaton: QueryAutomaton
@@ -88,17 +88,12 @@ class _Ctx:
     tables: object = None
     #: structural-repetition memoization for the kernel: workers
     #: resolve the shared per-tables :class:`repro.xpath.subseq.MemoTable`
-    #: from their process-local registry (the table itself holds a lock
-    #: and is not shipped)
+    #: from the registry (the table itself holds a lock)
     memo: bool = False
     #: pre-lexed :class:`~repro.xmlstream.tokens.TokenColumns`, one per
     #: chunk index — a serving-layer cache (the document registry lexes
     #: once per document); ``None`` keeps the lex-in-worker path
     pretokens: tuple | None = None
-    #: stack-sampling rate in Hz (0 = off): each worker samples its own
-    #: thread while it executes the chunk and ships the collapsed-stack
-    #: profile back in ``ChunkResult.samples`` (same transport as spans)
-    sample: float = 0.0
     #: exact entry configurations ``(state, stack)``, one per chunk
     #: index, for a document whose open-element paths are known (the
     #: registry records them); ``None`` runs the policy's parallel phase
@@ -158,31 +153,7 @@ def reprocess_range(
 
 
 def _run_one_chunk(ctx: _Ctx, chunk: Chunk, attempt: int = 0) -> ChunkResult:
-    """Worker body: lex and execute one chunk (module-level: picklable).
-
-    With ``ctx.sample`` set, a per-chunk stack sampler watches *this*
-    worker thread for the duration and the collapsed profile rides back
-    in ``ChunkResult.samples`` — the only profiler transport that
-    crosses a process-pool boundary.
-    """
-    if ctx.sample > 0:
-        import threading
-
-        from ..obs.sampler import StackSampler
-
-        sampler = StackSampler(interval=1.0 / ctx.sample,
-                               only_ident=threading.get_ident())
-        sampler.start()
-        try:
-            result = _run_one_chunk_body(ctx, chunk, attempt)
-        finally:
-            sampler.stop()
-        result.samples = sampler.profile.to_dict()
-        return result
-    return _run_one_chunk_body(ctx, chunk, attempt)
-
-
-def _run_one_chunk_body(ctx: _Ctx, chunk: Chunk, attempt: int = 0) -> ChunkResult:
+    """Worker body: lex and execute one chunk."""
     corrupt = apply_faults(ctx.faults, chunk.index, attempt)
     runner = _make_runner(ctx.automaton, ctx.policy, ctx.anchor_sids, ctx.tables,
                           memo=ctx.memo)
@@ -229,9 +200,8 @@ def _run_one_chunk_body(ctx: _Ctx, chunk: Chunk, attempt: int = 0) -> ChunkResul
 def _run_one_chunk_attempt(ctx: _Ctx, work: tuple[Chunk, int]) -> ChunkResult:
     """Supervised worker body: ``work`` carries the attempt number.
 
-    The attempt rides with the item (rather than living in driver-side
-    state) so fault rules keyed on it behave identically in-process and
-    across a process pool's pickling boundary.
+    The attempt rides with the item rather than living in driver-side
+    state, so fault rules keyed on it see the attempt each task runs.
     """
     chunk, attempt = work
     return _run_one_chunk(ctx, chunk, attempt)
@@ -302,11 +272,7 @@ class ParallelPipeline:
         faults: FaultPlane | str | None = None,
         journal: Journal | None = None,
         memo: bool = False,
-        sample: float = 0.0,
-        profile=None,
     ) -> None:
-        if sample < 0:
-            raise ValueError(f"sample rate must be >= 0 Hz, got {sample}")
         self.automaton = automaton
         self.policy = policy
         self.anchor_sids = anchor_sids
@@ -315,15 +281,6 @@ class ParallelPipeline:
         self.resilience = resilience
         self.faults = parse_fault_spec(faults) if isinstance(faults, str) else faults
         self.journal = journal if journal is not None else NULL_JOURNAL
-        # stack-sampling rate (Hz); the accumulated profile may be
-        # caller-owned (engines construct a GAP pipeline per run and
-        # share one profile across them) — repeated runs aggregate
-        self.sample = float(sample)
-        self.profile = profile
-        if self.sample > 0 and self.profile is None:
-            from ..obs.sampler import SampleProfile
-
-            self.profile = SampleProfile()
         # compile once per pipeline through the structural cache
         from ..core.kernel import tables_for_policy
 
@@ -425,33 +382,18 @@ class ParallelPipeline:
         tracer = self.tracer
         journal = self.journal
         runner = self.chunk_runner()
-        sampler = None
-        if self.sample > 0:
-            # token-mode execution is serial in this thread, so one
-            # sampler over the whole chunk loop covers it
-            import threading
-
-            from ..obs.sampler import StackSampler
-
-            sampler = StackSampler(profile=self.profile,
-                                   interval=1.0 / self.sample,
-                                   only_ident=threading.get_ident()).start()
         results: list[ChunkResult] = []
-        try:
-            for ci, (i0, i1) in enumerate(zip(edges, edges[1:])):
-                begin = offsets[i0]
-                end = offsets[i1] if i1 < len(tokens) else end_sentinel
-                start = frozenset((self.automaton.initial,)) if ci == 0 else None
-                with tracer.span("core.kernel", cat="chunk", chunk=ci) as sp:
-                    r = runner.run_chunk(
-                        tokens[i0:i1], ci, begin, end, start_states=start, journal=journal
-                    )
-                    if tracer.enabled:
-                        _snapshot_chunk_counters(sp, r.counters)
-                results.append(r)
-        finally:
-            if sampler is not None:
-                sampler.stop()
+        for ci, (i0, i1) in enumerate(zip(edges, edges[1:])):
+            begin = offsets[i0]
+            end = offsets[i1] if i1 < len(tokens) else end_sentinel
+            start = frozenset((self.automaton.initial,)) if ci == 0 else None
+            with tracer.span("core.kernel", cat="chunk", chunk=ci) as sp:
+                r = runner.run_chunk(
+                    tokens[i0:i1], ci, begin, end, start_states=start, journal=journal
+                )
+                if tracer.enabled:
+                    _snapshot_chunk_counters(sp, r.counters)
+            results.append(r)
 
         totals = WorkCounters()
         per_chunk: list[WorkCounters] = []
@@ -525,8 +467,7 @@ class ParallelPipeline:
         ctx = _Ctx(text, self.automaton, self.policy, self.anchor_sids,
                    trace=tracer.enabled, journal=journal.enabled,
                    faults=self.faults, tables=self._tables,
-                   pretokens=chunk_tokens, memo=self.memo,
-                   sample=self.sample, entries=entries)
+                   pretokens=chunk_tokens, memo=self.memo, entries=entries)
         report: ResilienceReport | None = None
         with tracer.span("parallel.backend", cat="phase"):
             if self.resilience is not None:
@@ -553,8 +494,6 @@ class ParallelPipeline:
                 tracer.extend(r.spans)
             if r.journal:
                 journal.adopt(r.journal)
-            if r.samples and self.profile is not None:
-                self.profile.merge(r.samples)
         if report is not None:
             totals.retries += report.retries
             totals.timeouts += report.timeouts

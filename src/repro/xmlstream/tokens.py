@@ -66,8 +66,8 @@ class TokenKind(enum.IntEnum):
 class Token(NamedTuple):
     """One lexical token of the XML stream.
 
-    Immutable, hashable, equal by value and picklable (the process
-    backend and the registry's token cache ship tokens by pickle).
+    Immutable, hashable, equal by value and picklable (the
+    registry's token cache ships tokens by pickle).
 
     Attributes
     ----------

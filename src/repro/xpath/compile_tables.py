@@ -29,9 +29,8 @@ compilation:
   ``FeasibleTable`` lookup contract (a missing tag is provably
   infeasible under a complete grammar, unknown under a partial one).
 
-Compiled tables are immutable and picklable: the parallel pipeline
-ships them to process-pool workers once per worker inside the shared
-context.
+Compiled tables are immutable: the parallel pipeline shares one set
+across every chunk worker of a run inside the shared context.
 
 A bounded **compile cache** keyed on the *structural content* of
 ``(automaton, feasible table, anchor set)`` — i.e. on (query, grammar)

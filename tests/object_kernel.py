@@ -29,8 +29,7 @@ without skipping anything.
 
 :func:`object_kernel` swaps the oracle into every pipeline built inside
 it by patching :func:`repro.transducer.pipeline._make_runner`; the
-patch lives in this process only, so it covers the serial and thread
-backends, not a process pool.
+patch covers the serial and thread backends alike.
 """
 
 from __future__ import annotations

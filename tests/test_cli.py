@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -88,6 +89,19 @@ class TestQueryCommand:
         rc = main(["query", feed_file, "-q", "//id", "--backend", "thread"])
         assert rc == 0
         assert "2 match(es)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["query", "profile", "report", "serve"])
+    def test_process_backend_is_an_argparse_error(self, feed_file, command, capsys):
+        argv = [command, "--backend", "process"]
+        if command != "serve":
+            argv += [feed_file, "-q", "//id"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        # the choices' quoting differs between Python versions
+        choices = r"\(choose from '?serial'?, '?thread'?\)"
+        assert re.search(r"invalid choice: '?process'? " + choices, err), err
 
 
 class TestFormatStat:
@@ -212,6 +226,44 @@ class TestProfileCommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert "core.kernel" in out and "xmlstream.lex" not in out
+
+
+@pytest.fixture(scope="module")
+def xmark_file(tmp_path_factory):
+    """A ~170 KB XMark document: long enough that a 500 Hz sampler
+    always catches the run (60 KB gave as few as 2 samples)."""
+    path = tmp_path_factory.mktemp("xmark") / "xmark.xml"
+    assert main(["generate", "xmark", "-s", "30", "-o", str(path)]) == 0
+    return str(path)
+
+
+class TestProfileSample:
+    """``repro profile --sample``: one sampler around the run, every engine."""
+
+    SAMPLES_HEADER = re.compile(
+        r"^# stack samples: \d+ at 500 Hz \(\d+ distinct stack\(s\)\)$", re.M)
+
+    @pytest.mark.parametrize("flags", [["-e", "seq"], [], ["--backend", "thread"]],
+                             ids=["seq", "gap-serial", "gap-thread"])
+    def test_sampled_report(self, xmark_file, flags, capsys):
+        rc = main(["profile", xmark_file, "-q", "//item/name",
+                   "--sample", "--sample-hz", "500", *flags])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert self.SAMPLES_HEADER.search(out), out
+        assert "samples by layer" in out
+        assert "hottest frames (leaf)" in out
+        assert "# collapsed stacks (flamegraph folded format)" in out
+
+    def test_flame_implies_sample(self, xmark_file, tmp_path, capsys):
+        flame = tmp_path / "flame.html"
+        rc = main(["profile", xmark_file, "-q", "//item/name",
+                   "--sample-hz", "500", "--flame", str(flame)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert self.SAMPLES_HEADER.search(out), out
+        assert f"# flame view written to {flame}" in out
+        assert flame.read_text(encoding="utf-8").lower().startswith("<!doctype html>")
 
 
 class TestJsonQueries:

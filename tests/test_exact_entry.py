@@ -127,8 +127,7 @@ class TestExactEqualsOracle:
             for q in qs:
                 assert result.matches[q] == evaluate_offsets(doc, q), (n, q)
 
-    @pytest.mark.parametrize("backend", [
-        "serial", "thread", pytest.param("process", marks=pytest.mark.slow)])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_backends(self, backend):
         xml, qs = xmark_document(4)
         want = SequentialEngine(qs).run(xml).matches

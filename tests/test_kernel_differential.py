@@ -18,9 +18,7 @@ Three layers of evidence:
 * a **property-based sweep** — hypothesis-generated grammars, documents
   and queries (reusing the strategies of ``test_properties``), budget
   adjustable via ``REPRO_HYP_MAX_EXAMPLES`` for the nightly CI job;
-* a **backend sweep** — serial and thread inline; under the ``slow``
-  marker, the dense kernel on a process pool against the oracle on the
-  serial backend (the oracle is patched into this process only).
+* a **backend sweep** — serial and thread.
 
 Chunk counts {1, 2, 7} are deliberate: the degenerate single chunk, the
 minimal parallel split, and a count that does not divide typical
@@ -107,16 +105,11 @@ def configs_for(qs, grammar, partial):
     ]
 
 
-def assert_kernels_equivalent(xml, qs, make_engine, n_chunks, label="",
-                              make_oracle_engine=None):
-    """dense ≡ object on matches, aggregate stats and per-chunk stats.
-
-    The object kernel runs on ``make_oracle_engine``'s engine when given
-    (a backend the in-process patch cannot reach needs a stand-in).
-    """
+def assert_kernels_equivalent(xml, qs, make_engine, n_chunks, label=""):
+    """dense ≡ object on matches, aggregate stats and per-chunk stats."""
     dense = make_engine().run(xml, n_chunks=n_chunks)
     with object_kernel():
-        obj = (make_oracle_engine or make_engine)().run(xml, n_chunks=n_chunks)
+        obj = make_engine().run(xml, n_chunks=n_chunks)
     assert dense.matches == obj.matches, (label, n_chunks)
     d, o = dense.stats.counters.as_dict(), obj.stats.counters.as_dict()
     assert d == o, (label, n_chunks, {k: (d[k], o[k]) for k in d if d[k] != o[k]})
@@ -220,14 +213,3 @@ class TestBackends:
                 lambda: GapEngine(self.QS, grammar=grammar, backend=backend),
                 n, label=backend)
             assert_matches_oracle(xml, result, self.QS, label=(backend, n))
-
-    @pytest.mark.slow
-    def test_process_backend(self, workload):
-        grammar, xml = workload
-        for n in (2, 7):
-            result = assert_kernels_equivalent(
-                xml, self.QS,
-                lambda: GapEngine(self.QS, grammar=grammar, backend="process"),
-                n, label="process",
-                make_oracle_engine=lambda: GapEngine(self.QS, grammar=grammar))
-            assert_matches_oracle(xml, result, self.QS, label=("process", n))

@@ -13,9 +13,9 @@ itself:
   engage the memo, across chunk counts 1, 2 and 7;
 * a **property-based sweep** — hypothesis-generated grammars/documents/
   queries (``REPRO_HYP_MAX_EXAMPLES`` raises the budget in nightly CI);
-* a **backend sweep** — serial and thread inline (the thread backend
+* a **backend sweep** — serial and thread (the thread backend
   exercises the shared memo's unlocked-read / batched-flush path from
-  concurrent workers), process pools under the ``slow`` marker;
+  concurrent workers);
 * **adversarial near-repeats** — rows identical in structure but
   differing in character data must *hit* (the memo's key is
   structural; text is invisible to the single-path fast loop), while a
@@ -89,19 +89,12 @@ def rows_doc(n: int, payload=None) -> str:
     return f"<table>{rows}</table>"
 
 
-def assert_memo_equivalent(xml, qs, make_engine, n_chunks, label="",
-                           make_oracle_engine=None):
-    """memo-on ≡ memo-off ≡ object kernel, matches and all counters.
-
-    The object kernel runs on ``make_oracle_engine()`` when given (the
-    oracle is patched into this process only, so a process-pool engine
-    needs an in-process stand-in).
-    """
+def assert_memo_equivalent(xml, qs, make_engine, n_chunks, label=""):
+    """memo-on ≡ memo-off ≡ object kernel, matches and all counters."""
     on = make_engine(True).run(xml, n_chunks=n_chunks)
     off = make_engine(False).run(xml, n_chunks=n_chunks)
     with object_kernel():
-        oracle = make_oracle_engine() if make_oracle_engine else make_engine(False)
-        obj = oracle.run(xml, n_chunks=n_chunks)
+        obj = make_engine(False).run(xml, n_chunks=n_chunks)
     assert on.matches == off.matches == obj.matches, (label, n_chunks)
     a = on.stats.counters.as_dict()
     b = off.stats.counters.as_dict()
@@ -210,17 +203,6 @@ class TestBackends:
             result = assert_memo_equivalent(
                 self.XML, self.QS, make, n, label=backend)
             assert_matches_oracle(self.XML, result, self.QS, label=(backend, n))
-
-    @pytest.mark.slow
-    def test_process_backend(self):
-        def make(memo):
-            return GapEngine(self.QS, backend="process", memo=memo)
-
-        for n in (2, 7):
-            result = assert_memo_equivalent(
-                self.XML, self.QS, make, n, label="process",
-                make_oracle_engine=lambda: GapEngine(self.QS))
-            assert_matches_oracle(self.XML, result, self.QS, label=("process", n))
 
 
 # ---------------------------------------------------------------------------

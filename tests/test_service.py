@@ -563,6 +563,18 @@ class TestLifecycle:
             assert svc._engine_for(part, ("//id",)).mode == "spec"
             assert GapEngine(["//id"], grammar=part.grammar).mode == "spec"
 
+    def test_process_backend_is_refused_at_construction(self, tmp_path):
+        """An unknown backend name fails before any side effect: no
+        thread started, no process-global artifact store installed."""
+        from repro.xpath.compile_tables import get_artifact_store
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="serial/thread"):
+            QueryService(ServiceConfig(backend="process",
+                                       artifact_store=str(tmp_path / "st")))
+        assert threading.active_count() == before
+        assert get_artifact_store() is None
+
     def test_close_is_idempotent(self):
         svc = QueryService(small_config()).start()
         svc.close()

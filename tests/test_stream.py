@@ -100,7 +100,7 @@ class TestStreamVsBatch:
         return [Chunk(i, begin, end)
                 for i, (begin, end, _) in enumerate(session.sealed_log)]
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_xml_differential(self, backend, seed):
         doc = ALL_DATASETS["dblp"].generate(scale=0.5, seed=7)
