@@ -121,6 +121,7 @@ from .obs.report import (
 )
 from .obs.tracer import NULL_TRACER
 from .parallel import SimulatedCluster
+from .service import ServiceConfig
 from .store import prepare_json, prepare_xml
 from .xpath.compile_tables import compile_cache_info, set_artifact_store
 
@@ -149,9 +150,9 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--text", action="store_true", help="decode matched elements' text")
     q.add_argument("--stats", action="store_true", help="print execution statistics")
     q.add_argument("--artifact-store", metavar="DIR",
-                   help="persistent artifact store: reuse stored compiled "
-                        "tables, chunk splits and token caches, and publish "
-                        "what this run computes")
+                   help="persistent artifact store: reuse stored chunk "
+                        "splits and token caches, and publish what this run "
+                        "computes")
     q.set_defaults(func=_cmd_query)
 
     i = sub.add_parser("inspect", help="show grammar/automaton/feasible-table info")
@@ -222,8 +223,10 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
     v.add_argument("--port", type=int, default=8077, help="bind port (default 8077)")
     v.add_argument("--backend", choices=("serial", "thread"),
-                   default="thread",
-                   help="execution backend for merged passes (default thread)")
+                   default=ServiceConfig().backend,
+                   help="where a merged pass runs its chunks; serial runs "
+                        "them on the worker that took the request "
+                        f"(default {ServiceConfig().backend})")
     v.add_argument("-n", "--chunks", type=int, default=8,
                    help="default chunk width for ingested documents (default 8)")
     v.add_argument("--max-queue", type=int, default=64,
@@ -254,10 +257,10 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--slow-log-size", type=int, default=128, metavar="N",
                    help="slow-log ring capacity (default 128)")
     v.add_argument("--artifact-store", metavar="DIR",
-                   help="persistent artifact store for warm starts: compiled "
-                        "tables write through, document splits/token caches "
-                        "are cached aside (see docs/PERFORMANCE.md); also "
-                        "persists the telemetry history across restarts")
+                   help="persistent artifact store for warm starts: document "
+                        "splits/token caches are cached aside at registration "
+                        "(see docs/PERFORMANCE.md); also persists the "
+                        "telemetry history across restarts")
     v.add_argument("--collect-interval", type=float, default=2.0,
                    metavar="SECONDS",
                    help="telemetry collector tick interval (default 2.0)")
@@ -579,7 +582,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             cache = compile_cache_info()
             print(f"  compile_cache_hits: {cache['hits']}")
             print(f"  compile_cache_misses: {cache['misses']}")
-            print(f"  compiles: {cache['compiles']}")
             if run.store is not None:
                 for key, value in run.store.counters().items():
                     print(f"  store_{key}: {value}")
@@ -686,14 +688,12 @@ def _run_query(args: argparse.Namespace, *, journal: bool = False,
     tracer, jr = _obs_prepare(args, force_trace=trace, force_journal=journal)
     content = _read(args.file)
     as_json = _looks_like_json(content)
-    profile = None
-    sampler = nullcontext()
+    sampler = None
     if sample:
-        from .obs.sampler import SampleProfile, StackSampler
+        from .obs.sampler import StackSampler
 
-        profile = SampleProfile()
         # one sampler sees every thread, chunk workers included
-        sampler = StackSampler(profile=profile, interval=1.0 / args.sample_hz)
+        sampler = StackSampler(interval=1.0 / args.sample_hz)
     store = None
     if getattr(args, "artifact_store", None):
         from .store import ArtifactStore
@@ -712,14 +712,14 @@ def _run_query(args: argparse.Namespace, *, journal: bool = False,
                         sp.args["tokens"] = len(tokens)
                 elif store is not None and args.engine != "seq":
                     prep = prepare_xml(store, content, args.chunks, tracer=tracer)
-                with sampler:
+                with sampler or nullcontext():
                     result = _execute(engine, args, content, tokens, prep=prep)
     finally:
         if store is not None:
             set_artifact_store(None)
     yield argparse.Namespace(
         content=content, as_json=as_json, result=result, tracer=tracer,
-        journal=jr, profile=profile, store=store,
+        journal=jr, sampler=sampler, store=store,
         mode=f"gap ({engine.mode})" if args.engine == "gap" else args.engine,
     )
     registry = None
@@ -746,15 +746,23 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print(render_sections([Section("layers (self time)",
                                         ("layer", "self ms", "share"),
                                         layer_rows(spans))]))
-        if run.profile is not None:
-            _print_sample_profile(args, run.profile)
+        if run.sampler is not None:
+            _print_sample_profile(args, run.sampler)
     return 0
 
 
-def _print_sample_profile(args: argparse.Namespace, profile) -> None:
-    """``repro profile --sample`` output: layer table, folded stacks, flame."""
+def _print_sample_profile(args: argparse.Namespace, sampler) -> None:
+    """``repro profile --sample`` output: layer table, folded stacks, flame.
+
+    The header gives the requested rate and the achieved one: the
+    sampler thread waits for the GIL behind the evaluating thread, so
+    it wakes less often than asked.
+    """
+    profile = sampler.profile
     print(f"# stack samples: {profile.total} at {args.sample_hz:g} Hz "
-          f"({len(profile)} distinct stack(s))")
+          f"({len(profile)} distinct stack(s)); achieved "
+          f"{sampler.achieved_hz():.0f} Hz ({sampler.samples} sample(s) "
+          f"in {sampler.seconds * 1e3:.1f} ms)")
     if profile.total:
         print(render_sections(sample_sections(profile)))
         print("# collapsed stacks (flamegraph folded format)")
@@ -850,7 +858,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .service import QueryService, ServiceConfig, serve
+    from .service import QueryService, serve
 
     if args.log_level:
         configure_logging(args.log_level)

@@ -52,6 +52,7 @@ from ..transducer.pipeline import (
 )
 from ..transducer.policies import BaselinePolicy, ELIMINATE_PAPER
 from ..xpath.automaton import build_automaton
+from ..xpath.compile_tables import KernelTables, compiled_tables
 from ..xpath.filtering import apply_filters
 from ..xpath.rewrite import compile_queries
 from ..xmlstream.incremental import IncrementalLexer
@@ -438,6 +439,9 @@ class GapEngine(_EngineBase):
             complete = False
         self._tree = tree
         self._complete = complete and tree is not None
+        #: the exact-entry runs' tables, compiled on the first such run
+        #: and kept, so a warm engine's runs skip the compile cache
+        self._exact_tables: KernelTables | None = None
 
     @staticmethod
     def _resolve_grammar(
@@ -496,9 +500,18 @@ class GapEngine(_EngineBase):
         """A GAP pipeline, or with ``exact`` one for chunks that run from
         known entry configurations: those read only the transition and
         accept tables, which every policy compiles alike, so the
-        baseline's serve and the feasible table is not inferred."""
+        baseline's serve, the engine keeps them, and the feasible table
+        is not inferred."""
+        tracer = tracer if tracer is not None else self.tracer
+        journal = journal if journal is not None else self.journal
+        tables = None
         if exact:
             policy = BaselinePolicy(self.automaton)
+            tables = self._exact_tables
+            if tables is None:
+                with tracer.span("xpath.compile", cat="phase"):
+                    tables = self._exact_tables = compiled_tables(
+                        self.automaton, None, self.anchor_sids, journal=journal)
         else:
             policy = GapPolicy(
                 self.automaton,
@@ -507,11 +520,9 @@ class GapEngine(_EngineBase):
                 switch_to_stack=self.switch_to_stack,
             )
         return ParallelPipeline(
-            self.automaton, policy, self.anchor_sids, self.backend,
-            tracer if tracer is not None else self.tracer,
+            self.automaton, policy, self.anchor_sids, self.backend, tracer,
             resilience=self.resilience, faults=self.faults,
-            journal=journal if journal is not None else self.journal,
-            memo=self.memo and not exact,
+            journal=journal, memo=self.memo and not exact, tables=tables,
         )
 
     def run(

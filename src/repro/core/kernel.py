@@ -745,8 +745,9 @@ class DenseRunner:
         """``symmap[name_ids[i]]``: row ``i``'s symbol, mapped once per run.
 
         Only the tags the tables intern are looked up, in the string
-        table's index (each string appears once in the table); every
+        table's tag index (each string appears once in the table); every
         other string, text runs and unqueried tags, keeps ``other_sym``.
+        Only START/END rows read their symbol.
         """
         T = self.tables
         other_sym = T.other_sym
@@ -758,7 +759,7 @@ class DenseRunner:
             sym_of = T.sym_ids.get
             return {k: sym_of(names[k], other_sym) for k in set(cols.name_ids)}
         symmap = [other_sym] * len(names)
-        get = cols.ids().get
+        get = cols.tag_ids().get
         for tag, sym in T.sym_ids.items():
             k = get(tag)
             if k is not None:

@@ -182,6 +182,7 @@ class StackSampler:
         self._thread: threading.Thread | None = None
         self.samples = 0
         self.started_mono: float | None = None
+        self.stopped_mono: float | None = None
 
     def sample_once(self, frames: Mapping[int, object] | None = None) -> int:
         """Take one sample of every eligible thread; returns stacks folded."""
@@ -205,6 +206,7 @@ class StackSampler:
         if self._thread is None:
             self._stop.clear()
             self.started_mono = time.monotonic()
+            self.stopped_mono = None
             self._thread = threading.Thread(
                 target=self._run, name="repro-stack-sampler", daemon=True
             )
@@ -216,6 +218,21 @@ class StackSampler:
         thread, self._thread = self._thread, None
         if thread is not None:
             thread.join(timeout=timeout)
+            self.stopped_mono = time.monotonic()
+
+    @property
+    def seconds(self) -> float:
+        """Wall seconds sampled: from start to stop (or to now)."""
+        if self.started_mono is None:
+            return 0.0
+        end = time.monotonic() if self._thread is not None else self.stopped_mono
+        return end - self.started_mono
+
+    def achieved_hz(self) -> float:
+        """Samples per sampled wall second: below ``1 / interval`` when
+        the sampler waits for the GIL behind a busy thread."""
+        seconds = self.seconds
+        return self.samples / seconds if seconds > 0 else 0.0
 
     def __enter__(self) -> "StackSampler":
         return self.start()

@@ -5,14 +5,17 @@ each worker lexes and runs its own byte range.  The backend decides
 *where* that per-chunk work executes:
 
 * :class:`SerialBackend` — in-process loop, in order.  The default
-  for engines: CPython's GIL serialises the byte-crunching loops, so
-  one thread is as fast as several, and the simulated-cluster model
-  (:mod:`repro.parallel.simcluster`) derives multicore speedups from
-  the per-chunk work counters rather than from wall-clock.
-* :class:`ThreadBackend` — a thread pool.  The query service's
-  default: its chunk tasks run beside the service's own threads
-  (batching, I/O, telemetry).  The GIL serialises the CPU work, so no
-  speed-up over serial is expected from it.
+  for engines and for the query service: CPython's GIL serialises the
+  byte-crunching loops, so one thread is as fast as several, and the
+  simulated-cluster model (:mod:`repro.parallel.simcluster`) derives
+  multicore speedups from the per-chunk work counters rather than
+  from wall-clock.  In the service a merged pass's chunks run on the
+  scheduler worker that took the request; the workers already serve
+  concurrent requests.
+* :class:`ThreadBackend` — a thread pool, selectable everywhere.  The
+  GIL serialises the CPU work, so no speed-up over serial is expected
+  from it, and each chunk's hand-off to the pool is a cost of its own
+  (docs/PERFORMANCE.md, § The service request path).
 
 A process pool was measured and removed: on a 2-vCPU host no shape of
 it reached 1.3x over serial, because shipping chunk results back ate
@@ -166,7 +169,7 @@ class SerialBackend(Backend):
 
 
 class ThreadBackend(Backend):
-    """Thread-pool backend: the service default (GIL-bound for CPU work)."""
+    """Thread-pool backend (GIL-bound for CPU work)."""
 
     name = "thread"
 

@@ -278,12 +278,15 @@ class DocumentRegistry:
         grammar, grammar_key = self._shared_grammar(grammar, text)
         if _looks_like_json(text):
             tokens = prepare_json(self.store, text)
+            tokens.index_tags_only()  # kept for good: no text-run index
             return DocumentRecord(
                 doc_id=doc_id, name=name or doc_id, kind="json", text=text,
                 grammar=grammar, n_chunks=n_chunks, tokens=tokens,
                 grammar_key=grammar_key,
             )
         chunks, chunk_tokens, chunk_paths = prepare_xml(self.store, text, n_chunks)
+        for cols in chunk_tokens:
+            cols.index_tags_only()  # kept for good: no text-run index
         return DocumentRecord(
             doc_id=doc_id, name=name or doc_id, kind="xml", text=text,
             grammar=grammar, n_chunks=n_chunks, chunks=chunks,

@@ -11,7 +11,9 @@ driver use it):
   merged-automaton pass;
 * a bounded LRU of **warm engines** keyed on ``(grammar, chunk width,
   merged query set)`` keeps the compiled automaton, feasible table and
-  dense kernel tables hot across batches; an engine holds nothing per
+  dense kernel tables hot across batches (a warm engine holds its
+  exact-path tables, so a request on a registered document consults
+  neither the compile cache nor the store); an engine holds nothing per
   document, so documents that share a grammar share its engines, and
   each grammar's syntax tree is built once.  Engines receive the service's
   single backend *instance* — the service constructs it by name, owns
@@ -82,6 +84,9 @@ _BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 #: the p-levels every latency surface reports
 _QUANTILES = (0.5, 0.95, 0.99)
 
+#: every final status ``repro_service_requests_total`` counts
+_REQUEST_STATUSES = ("ok", "rejected", "expired", "error", "not_found")
+
 #: layers inside a batch's execution that ``/metrics`` reports per batch
 _EXEC_LAYERS = ("core.kernel", "xpath.filtering")
 
@@ -91,7 +96,11 @@ class ServiceConfig:
     """Every service knob in one picklable record (CLI flags map 1:1).
 
     ``backend`` is a backend *name* — the service constructs and owns
-    the instance.  ``workers`` threads pull requests from the bounded
+    the instance.  ``"serial"`` (the default) runs a merged pass's
+    chunks on the worker thread that took the request: the GIL
+    serialises CPU work, so a chunk pool adds hand-off cost and no
+    parallelism, and concurrent requests already run on the
+    ``workers``.  ``workers`` threads pull requests from the bounded
     queue (``max_queue``); a worker runs a request as soon as it is
     free and merges into the same pass up to ``max_batch`` requests
     that are already waiting; nothing waits for companions.
@@ -101,7 +110,7 @@ class ServiceConfig:
     supervision (both ``None`` = unsupervised).
     """
 
-    backend: str = "thread"
+    backend: str = "serial"
     n_chunks: int = 8
     #: structural-repetition memoization in the kernel, opt-in
     memo: bool = False
@@ -122,8 +131,8 @@ class ServiceConfig:
     #: slow-log ring capacity (old entries fall off the back)
     slow_log_size: int = 128
     #: directory for the persistent artifact store (``None`` = off):
-    #: compiled tables write through, document splits/token caches are
-    #: cache-aside, so a restarted service warm-starts from disk
+    #: document splits/token caches are cache-aside, so a restarted
+    #: service warm-starts from disk; requests never touch it
     artifact_store: str | None = None
     #: telemetry collector: background thread snapshotting metrics +
     #: scheduler into the time-series store every ``collect_interval``
@@ -168,8 +177,9 @@ class QueryService:
         self.journal = Journal(limit=self.config.journal_limit)
         self._obs_lock = threading.Lock()
         # the persistent artifact tier: one store instance shared by
-        # the registry (cache-aside) and — via the process-global hook
-        # in compile_tables — every engine compilation (write-through)
+        # the registry (cache-aside), the stream checkpoints and — via
+        # the process-global hook in compile_tables — the opt-in memo's
+        # snapshots; a request with the memo off reads and writes none
         self.store = None
         self._installed_store = False
         if self.config.artifact_store is not None:
@@ -220,6 +230,22 @@ class QueryService:
             "repro_service_request_seconds",
             "Request latency from admission to response",
         )
+        # the per-request counters, created once so no request pays
+        # the registry's name/label validation
+        self._c_requests = {
+            status: self.metrics.counter(
+                "repro_service_requests_total", "Requests by final status",
+                status=status)
+            for status in _REQUEST_STATUSES
+        }
+        self._c_batches = self.metrics.counter(
+            "repro_service_batches_total", "Merged-automaton passes executed")
+        self._c_engine_cache = {
+            event: self.metrics.counter(
+                "repro_service_engine_cache_total", "Warm-engine cache lookups",
+                event=event)
+            for event in ("hit", "miss")
+        }
         # one histogram per request layer, keyed like the trace's stages
         self._stage_hists = {
             stage_key(layer): self.metrics.histogram(
@@ -494,9 +520,7 @@ class QueryService:
         stages = [req.trace.stage_seconds() for req in live] if tracing else []
         with self._obs_lock:
             self._count_request("ok", len(live))
-            self.metrics.counter(
-                "repro_service_batches_total", "Merged-automaton passes executed"
-            ).inc()
+            self._c_batches.inc()
             self._h_batch_size.observe(len(live))
             self._h_batch_seconds.observe(exec_s)
             for req in live:
@@ -692,19 +716,13 @@ class QueryService:
         return sampler.profile.to_dict()
 
     def _count_request(self, status: str, amount: int = 1) -> None:
-        self.metrics.counter(
-            "repro_service_requests_total", "Requests by final status",
-            status=status,
-        ).inc(amount)
+        self._c_requests[status].inc(amount)
 
     def _count_engine_cache(self, event: str) -> None:
         # lock order is always _engine_lock -> _obs_lock (metrics_text
         # reads the engine count before taking _obs_lock, never inside)
         with self._obs_lock:
-            self.metrics.counter(
-                "repro_service_engine_cache_total", "Warm-engine cache lookups",
-                event=event,
-            ).inc()
+            self._c_engine_cache[event].inc()
 
     def metrics_text(self) -> str:
         """The ``/metrics`` payload: refresh gauges, render Prometheus text.

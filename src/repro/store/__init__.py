@@ -1,11 +1,12 @@
-"""Persistent compiled-artifact store — warm starts at fleet scale.
+"""Persistent artifact store — warm starts for restarted workers.
 
 See :mod:`repro.store.artifacts` for the on-disk contract (atomic
 publication, checksum-verified reads, version-stamped invalidation),
 :mod:`repro.store.codec` for the compact binary artifact encodings,
 and :mod:`repro.store.docprep` for cache-aside document preparation.
-The write-through wiring under the structural compile cache lives in
-:mod:`repro.xpath.compile_tables` (``set_artifact_store``).
+Only the opt-in structural memo reaches the store through the
+process-global hook in :mod:`repro.xpath.compile_tables`
+(``set_artifact_store``); compiled tables are not stored.
 """
 
 from .artifacts import ArtifactInfo, ArtifactStore, KINDS

@@ -1,17 +1,21 @@
 """Disk-backed artifact store — warm starts for restarted workers.
 
-Every expensive precomputation (compiled kernel tables, feasible-path
-tables, chunk splits, pre-lexed token caches) normally lives in
-per-process in-memory LRUs, so a restarted or freshly sharded worker
-re-lexes and recompiles everything.  The store persists those artifacts
-under content-hash keys so the *next* process skips the work:
+The expensive per-document preparation (chunk splits with their entry
+paths, pre-lexed token caches) normally lives in per-process memory,
+so a restarted or freshly sharded worker re-splits and re-lexes
+everything.  The store persists those artifacts under content-hash
+keys so the *next* process skips the work:
 
-* **write-through** under the structural compile cache
-  (:mod:`repro.xpath.compile_tables`): a compile-cache miss that
-  compiles also publishes the encoded tables;
-* **cache-aside** under the service :class:`DocumentRegistry`: chunk
-  splits and token caches are looked up by document content hash
-  before lexing, and published after.
+* **cache-aside** under the service :class:`DocumentRegistry` (and
+  ``--artifact-store`` one-shots): chunk splits and token caches are
+  looked up by document content hash before lexing, and published
+  after — at registration, never on a query;
+* stream checkpoints (:mod:`repro.stream`) and the opt-in structural
+  memo's snapshots (:mod:`repro.xpath.subseq`).
+
+Compiled kernel tables are not stored: compiling a merged query set
+takes less time than reading it back, and far less than an fsynced
+write (docs/PERFORMANCE.md, "Artifact store").
 
 Layout on disk::
 

@@ -3,8 +3,6 @@
 Everything the pipeline precomputes and the artifact store persists is
 encoded here, by hand, into a small deterministic binary form:
 
-* :class:`~repro.xpath.compile_tables.KernelTables` — the dense query
-  automaton + feasibility rows (the structural compile cache's value);
 * :class:`~repro.core.inference.FeasibleTable` — the grammar-inferred
   feasible-path table in its object form;
 * chunk splits (:class:`~repro.xmlstream.chunking.Chunk` lists, with
@@ -20,9 +18,12 @@ drift — every decoder bound-checks every read and raises
 translates into a clean cache miss.  The encoding is also far more
 compact than a pickled object graph: token names are interned through
 a per-chunk string table (XML markup is overwhelmingly repetitive), numeric
-columns are stored as flat ``array`` buffers, and derivable fields
-(``accept_flags``, ``start_flags``, ``start_sets``, ``all_states``) are
-rebuilt on decode instead of stored.
+columns are stored as flat ``array`` buffers.
+
+:func:`encode_kernel_tables` has no decoder: compiled
+:class:`~repro.xpath.compile_tables.KernelTables` are not stored
+(compiling them costs less than reading them back), and the opt-in
+structural memo only hashes the encoding to key its snapshots.
 
 Native byte order and itemsize are stamped into every ``array`` column;
 an artifact written by an incompatible interpreter build decodes as a
@@ -46,13 +47,12 @@ from itertools import accumulate
 from ..core.inference import FeasibleTable
 from ..xmlstream.chunking import Chunk
 from ..xmlstream.tokens import TokenColumns
-from ..xpath.compile_tables import KernelTables, start_flags
+from ..xpath.compile_tables import KernelTables
 
 __all__ = [
     "CodecError",
     "SCHEMAS",
     "encode_kernel_tables",
-    "decode_kernel_tables",
     "encode_feasible_table",
     "decode_feasible_table",
     "encode_chunks",
@@ -76,7 +76,6 @@ class CodecError(ValueError):
 #: kind's version when its encoding changes shape and every stale
 #: artifact of that kind becomes a clean miss on the next read
 SCHEMAS = {
-    "tables": 2,     # KernelTables (compile-cache write-through)
     "feasible": 1,   # FeasibleTable (object form)
     "split": 2,      # chunk lists + entry paths (document registry)
     "tokens": 2,     # pre-lexed token columns (document registry)
@@ -223,35 +222,13 @@ def _opt_blob(w: _Writer, data: bytes | None) -> None:
         w.blob(data)
 
 
-def _read_opt_blob(r: _Reader) -> bytes | None:
-    flag = r.u8()
-    if flag == 0:
-        return None
-    if flag != 1:
-        raise CodecError(f"bad optional flag {flag}")
-    return r.blob()
-
-
 # ---------------------------------------------------------------------------
 # KernelTables
 # ---------------------------------------------------------------------------
 
 
-def _sets_from_rows(rows: tuple[bytes | None, ...]):
-    """Rebuild the pre-sorted state tuples from the membership bitmaps.
-
-    The compiler derives both from the same frozenset (the tuple is the
-    bitmap's set bits in ascending order), so only the bitmap is
-    stored.
-    """
-    return tuple(
-        None if row is None
-        else tuple(i for i, bit in enumerate(row) if bit)
-        for row in rows
-    )
-
-
 def encode_kernel_tables(t: KernelTables) -> bytes:
+    """A deterministic encoding of ``t``; derivable fields are left out."""
     w = _Writer()
     w.u32(t.n_states)
     w.u32(t.n_symbols)
@@ -284,87 +261,6 @@ def encode_kernel_tables(t: KernelTables) -> bytes:
     w.u8(1 if t.has_table else 0)
     w.u8(1 if t.complete else 0)
     return w.done()
-
-
-def _check_dead(dead: int, trans: array, n_symbols: int, accepts, close_accepts) -> None:
-    """A stored dead state must be what the kernel's skip assumes.
-
-    The single-stack loop jumps over every row below a START that
-    enters ``dead``, so a ``dead`` that could leave itself, accept or
-    close would drop events; such an artifact is refused (→ miss).
-    """
-    if dead == -1:
-        return
-    if not 0 <= dead < len(accepts):
-        raise CodecError(f"dead state {dead} out of range")
-    row = trans[dead * n_symbols:(dead + 1) * n_symbols]
-    if row.count(dead) != n_symbols:
-        raise CodecError(f"dead state {dead} is not absorbing")
-    if accepts[dead] or close_accepts[dead]:
-        raise CodecError(f"dead state {dead} accepts or closes")
-
-
-def decode_kernel_tables(payload: bytes) -> KernelTables:
-    r = _Reader(payload)
-    n_states = r.u32()
-    n_symbols = r.u32()
-    initial = r.u32()
-    other_sym = r.u32()
-    n_tags = r.u32()
-    if n_tags != n_symbols - 1 or other_sym != n_tags:
-        raise CodecError(
-            f"symbol table inconsistent ({n_tags} tags, {n_symbols} symbols, "
-            f"other at {other_sym})"
-        )
-    sym_ids = {r.string(): i for i in range(n_tags)}
-    if len(sym_ids) != n_tags:
-        raise CodecError("duplicate tag in symbol table")
-    trans = r.int_array()
-    if len(trans) != n_states * n_symbols:
-        raise CodecError(
-            f"transition table has {len(trans)} entries, expected "
-            f"{n_states * n_symbols}"
-        )
-    accepts = tuple(r.ints() for _ in range(r.u32()))
-    close_accepts = tuple(r.ints() for _ in range(r.u32()))
-    if len(accepts) != n_states or len(close_accepts) != n_states:
-        raise CodecError("accept rows do not cover every state")
-    dead = r.i64()
-    _check_dead(dead, trans, n_symbols, accepts, close_accepts)
-    start_rows = tuple(_read_opt_blob(r) for _ in range(r.u32()))
-    end_rows = tuple(_read_opt_blob(r) for _ in range(r.u32()))
-    if len(start_rows) != n_symbols or len(end_rows) != n_symbols:
-        raise CodecError("feasibility rows do not cover every symbol")
-    for row in (*start_rows, *end_rows):
-        if row is not None and len(row) != n_states:
-            raise CodecError("feasibility bitmap width != n_states")
-    text_set = tuple(r.ints()) if r.u8() else None
-    has_table = bool(r.u8())
-    complete = bool(r.u8())
-    r.expect_end()
-    accept_flags = bytes(1 if a else 0 for a in accepts)
-    return KernelTables(
-        n_states=n_states,
-        n_symbols=n_symbols,
-        initial=initial,
-        sym_ids=sym_ids,
-        other_sym=other_sym,
-        trans=trans,
-        accepts=accepts,
-        accept_flags=accept_flags,
-        close_accepts=close_accepts,
-        close_flags=bytes(1 if a else 0 for a in close_accepts),
-        dead=dead,
-        start_flags=start_flags(accept_flags, dead),
-        start_rows=start_rows,
-        start_sets=_sets_from_rows(start_rows),
-        end_rows=end_rows,
-        end_sets=_sets_from_rows(end_rows),
-        text_set=text_set,
-        all_states=tuple(range(n_states)),
-        has_table=has_table,
-        complete=complete,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,7 @@ chunk's open-element path (its exact entry context).  These helpers
 look them up in an
 :class:`~repro.store.artifacts.ArtifactStore` by **document content
 hash** before computing, and publish what they compute — the classic
-cache-aside pattern, complementing the write-through wiring under the
-compile cache.
+cache-aside pattern.
 
 Decoded artifacts are sanity-checked against the document they claim
 to describe (chunk coverage, token-run count, one entry path per

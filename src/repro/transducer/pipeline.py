@@ -34,6 +34,7 @@ from ..parallel.backend import Backend, SerialBackend
 from ..parallel.faults import FaultPlane, NO_FAULTS, apply_faults, parse_fault_spec
 from ..parallel.resilience import ResilienceReport, RetryPolicy, supervised_map
 from ..xpath.automaton import QueryAutomaton
+from ..xpath.compile_tables import KernelTables
 from ..xpath.events import MatchEvent
 from ..xmlstream.chunking import Chunk, split_chunks
 from ..xmlstream.lexer import lex_range, lex_windows
@@ -83,9 +84,8 @@ class _Ctx:
     #: still honours ``REPRO_FAULTS``, ``NO_FAULTS`` disables injection
     #: entirely (the resilience fallback runs with the latter)
     faults: FaultPlane | None = None
-    #: precompiled kernel tables (:class:`repro.xpath.compile_tables.KernelTables`)
-    #: — typed loosely to keep this module import-free of :mod:`repro.core`
-    tables: object = None
+    #: precompiled kernel tables
+    tables: KernelTables | None = None
     #: structural-repetition memoization for the kernel: workers
     #: resolve the shared per-tables :class:`repro.xpath.subseq.MemoTable`
     #: from the registry (the table itself holds a lock)
@@ -259,6 +259,8 @@ class ParallelPipeline:
     The policy must compile to kernel tables
     (:func:`repro.core.kernel.tables_for_policy`); any other raises
     :class:`repro.core.engine.EngineError` here, at construction.
+    ``tables`` hands in the policy's tables compiled beforehand (an
+    engine that keeps them): the pipeline then compiles nothing.
     """
 
     def __init__(
@@ -272,6 +274,7 @@ class ParallelPipeline:
         faults: FaultPlane | str | None = None,
         journal: Journal | None = None,
         memo: bool = False,
+        tables: KernelTables | None = None,
     ) -> None:
         self.automaton = automaton
         self.policy = policy
@@ -281,13 +284,15 @@ class ParallelPipeline:
         self.resilience = resilience
         self.faults = parse_fault_spec(faults) if isinstance(faults, str) else faults
         self.journal = journal if journal is not None else NULL_JOURNAL
-        # compile once per pipeline through the structural cache
-        from ..core.kernel import tables_for_policy
+        if tables is None:
+            # compile once per pipeline through the structural cache
+            from ..core.kernel import tables_for_policy
 
-        with self.tracer.span("xpath.compile", cat="phase"):
-            self._tables = tables_for_policy(
-                automaton, policy, anchor_sids, journal=self.journal
-            )
+            with self.tracer.span("xpath.compile", cat="phase"):
+                tables = tables_for_policy(
+                    automaton, policy, anchor_sids, journal=self.journal
+                )
+        self._tables = tables
         # structural-repetition memoization (opt-in; observationally
         # identical to memo-off — see :mod:`repro.xpath.subseq`).  Off
         # by default: its planning costs more than the kernel time it

@@ -43,7 +43,7 @@ from __future__ import annotations
 import enum
 from array import array
 from collections.abc import Iterable, Sequence
-from itertools import repeat
+from itertools import compress, repeat
 from struct import pack
 from typing import NamedTuple
 
@@ -127,6 +127,9 @@ _new = tuple.__new__
 #: enum constructor when views are built
 _KINDS = (TokenKind.START, TokenKind.END, TokenKind.TEXT)
 
+#: ``kinds.translate(_IS_TAG)``: 1 on START/END rows, 0 on TEXT rows
+_IS_TAG = bytes([1, 1, 0]) + bytes(253)
+
 
 class TokenColumns(Sequence):
     """A token sequence stored as three parallel columns.
@@ -143,9 +146,11 @@ class TokenColumns(Sequence):
     compare equal to any sequence of the same tokens (a list, a tuple,
     other columns).  Appending rows (:meth:`append`, :meth:`extend`)
     interns names through ``_ids``, which is built on the first append.
+    Columns that take no more rows (a registered document's) drop that
+    index and keep only :meth:`tag_ids`'s (:meth:`index_tags_only`).
     """
 
-    __slots__ = ("kinds", "name_ids", "offsets", "names", "_ids")
+    __slots__ = ("kinds", "name_ids", "offsets", "names", "_ids", "_tags")
 
     def __init__(
         self,
@@ -159,6 +164,7 @@ class TokenColumns(Sequence):
         self.offsets = array("q") if offsets is None else offsets
         self.names = [] if names is None else names
         self._ids: dict[str, int] | None = None if names else {}
+        self._tags: dict[str, int] | None = None
 
     # -- building ----------------------------------------------------------
 
@@ -167,7 +173,30 @@ class TokenColumns(Sequence):
         ids = self._ids
         if ids is None:
             ids = self._ids = {s: i for i, s in enumerate(self.names)}
+            self._tags = None
         return ids
+
+    def tag_ids(self) -> dict[str, int]:
+        """An index that finds at least every START/END name of these rows.
+
+        The full index while one exists (columns being built keep it);
+        otherwise one over the tag rows only, built once, so columns
+        kept for long never index their text runs.
+        """
+        ids = self._ids
+        if ids is None:
+            ids = self._tags
+            if ids is None:
+                names = self.names
+                tags = set(compress(self.name_ids, self.kinds.translate(_IS_TAG)))
+                ids = self._tags = {names[k]: k for k in tags}
+        return ids
+
+    def index_tags_only(self) -> None:
+        """Keep only the tag names indexed, for columns that take no more
+        rows (a registered document's): its slices share this index."""
+        self._ids = None
+        self.tag_ids()
 
     def intern(self, name: str) -> int:
         """The id of ``name`` in the string table, adding it if new."""
@@ -204,6 +233,7 @@ class TokenColumns(Sequence):
         self.kinds += tokens.kinds
         self.name_ids += ids
         self.offsets += tokens.offsets
+        self._tags = None
 
     @classmethod
     def from_tokens(cls, tokens: Iterable[Token]) -> "TokenColumns":
@@ -235,6 +265,7 @@ class TokenColumns(Sequence):
             part = TokenColumns(self.kinds[i], self.name_ids[i],
                                 self.offsets[i], self.names)
             part._ids = self._ids  # one table, one index
+            part._tags = self._tags  # a superset of the slice's tags
             return part
         return _new(Token, (_KINDS[self.kinds[i]], self.names[self.name_ids[i]],
                             self.offsets[i]))

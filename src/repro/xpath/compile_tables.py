@@ -39,7 +39,11 @@ construction entirely: re-running an engine, or constructing a new
 engine over the same query/grammar pair, reuses the compiled arrays.
 Learning new grammar (speculative mode) produces a structurally
 different table and therefore a cache miss, which is the invalidation
-path (pinned by ``tests/test_table_compile.py``).
+path (pinned by ``tests/test_table_compile.py``).  The cache lives in
+memory only: compiling a merged query set costs less than reading the
+tables back from an artifact store.  An engine that runs registered
+documents keeps its exact-entry tables itself and skips even the
+cache lookup (``GapEngine._pipeline``).
 """
 
 from __future__ import annotations
@@ -115,14 +119,6 @@ class KernelTables:
         return self.sym_ids.get(tag, self.other_sym)
 
 
-def start_flags(accept_flags: bytes, dead: int) -> bytes:
-    """``KernelTables.start_flags`` from the accept flags and dead state."""
-    flags = bytearray(accept_flags)
-    if dead >= 0:
-        flags[dead] = 2  # the dead state accepts nothing
-    return bytes(flags)
-
-
 def compile_tables(
     automaton: QueryAutomaton,
     table: "FeasibleTable | None" = None,
@@ -159,6 +155,9 @@ def compile_tables(
         tuple(sid for sid in a if sid in anchor_sids) for a in accepts
     )
     close_flags = bytes(1 if a else 0 for a in close_accepts)
+    start_flags = bytearray(accept_flags)
+    if automaton.dead >= 0:
+        start_flags[automaton.dead] = 2  # the dead state accepts nothing
 
     def feas_rows(lookup: dict[str, frozenset[int]], complete: bool):
         rows: list[bytes | None] = []
@@ -208,7 +207,7 @@ def compile_tables(
         close_accepts=close_accepts,
         close_flags=close_flags,
         dead=automaton.dead,
-        start_flags=start_flags(accept_flags, automaton.dead),
+        start_flags=bytes(start_flags),
         start_rows=start_rows,
         start_sets=start_sets,
         end_rows=end_rows,
@@ -227,25 +226,22 @@ def compile_tables(
 _cache: OrderedDict[tuple, KernelTables] = OrderedDict()
 _hits = 0
 _misses = 0
-_compiles = 0
 #: guards every _cache/_hits/_misses access — the query service
 #: compiles from multiple scheduler worker threads, and OrderedDict
 #: move_to_end/popitem during a concurrent lookup corrupts the dict
 _cache_lock = threading.Lock()
 
-#: optional persistent tier under the in-memory cache (see
-#: :mod:`repro.store`): an in-memory miss consults the store before
-#: compiling, and a genuine compile writes through.  Typed loosely to
-#: keep this module import-free of :mod:`repro.store` at load time.
+#: the artifact store the opt-in structural memo persists its
+#: snapshots to (:mod:`repro.xpath.subseq`); compiled tables are never
+#: stored — compiling costs less than reading them back.  Typed
+#: loosely to keep this module import-free of :mod:`repro.store`.
 _store = None
 
 
 def set_artifact_store(store) -> None:
-    """Install (or with ``None`` remove) the persistent artifact store.
+    """Install (or with ``None`` remove) the memo's artifact store.
 
-    Process-global, like the cache it backs: every ``compiled_tables``
-    call in the process — service scheduler threads, CLI one-shots,
-    benchmark drivers — shares the same persistent tier.
+    Process-global, like the memo tables it persists.
     """
     global _store
     with _cache_lock:
@@ -253,36 +249,9 @@ def set_artifact_store(store) -> None:
 
 
 def get_artifact_store():
-    """The installed persistent store, or ``None``."""
+    """The installed artifact store, or ``None``."""
     with _cache_lock:
         return _store
-
-
-def _store_key(key: tuple) -> str:
-    """The structural cache key, hashed for the persistent store.
-
-    ``key`` is a nest of str/int/bool/None tuples, so its ``repr`` is
-    deterministic across processes and interpreter runs — exactly the
-    property the in-memory key relies on for equality, lifted to a
-    stable content hash.
-    """
-    from hashlib import sha256
-
-    return sha256(repr(key).encode("utf-8")).hexdigest()
-
-
-def _store_get(store, skey: str) -> "KernelTables | None":
-    """Decode a stored compilation; any defect is a clean miss."""
-    from ..store import codec
-
-    payload = store.get("tables", skey)
-    if payload is None:
-        return None
-    try:
-        return codec.decode_kernel_tables(payload)
-    except codec.CodecError as exc:
-        store.invalidate("tables", skey, f"decode:{exc}")
-        return None
 
 
 def _automaton_key(a: QueryAutomaton) -> tuple:
@@ -329,7 +298,7 @@ def compiled_tables(
     harmless (equal content) and cheaper than holding the lock across
     a full table compilation.
     """
-    global _hits, _misses, _compiles
+    global _hits, _misses
     key = (
         _automaton_key(automaton),
         _table_key(table),
@@ -340,32 +309,16 @@ def compiled_tables(
         if cached is not None:
             _hits += 1
             _cache.move_to_end(key)
-            size = len(_cache)
         else:
             _misses += 1
-            size = len(_cache)
-        store = _store
+        size = len(_cache)
     if cached is not None:
         if journal.enabled:
             journal.record("cache_hit", size=size)
         return cached
     if journal.enabled:
         journal.record("cache_miss", size=size)
-    # persistent tier: a warm store turns the miss into a decode
-    # (hit/miss/invalid accounting lives in the store itself)
-    tables = None
-    skey = ""
-    if store is not None:
-        skey = _store_key(key)
-        tables = _store_get(store, skey)
-    if tables is None:
-        tables = compile_tables(automaton, table, anchor_sids)
-        with _cache_lock:
-            _compiles += 1
-        if store is not None:
-            from ..store import codec
-
-            store.put("tables", skey, codec.encode_kernel_tables(tables))
+    tables = compile_tables(automaton, table, anchor_sids)
     with _cache_lock:
         _cache[key] = tables
         _cache.move_to_end(key)
@@ -375,9 +328,7 @@ def compiled_tables(
 
 
 def compile_cache_info() -> dict:
-    """Cache statistics: hits/misses/size plus ``compiles`` — the number
-    of genuine table compilations (a warm artifact store turns misses
-    into decodes, so ``compiles`` stays at zero on a warm start).
+    """Cache statistics: hits/misses/size (each miss is one compile).
 
     The ``memo`` key aggregates the structural-repetition memo layer
     (:mod:`repro.xpath.subseq`) that rides on the compiled tables:
@@ -389,7 +340,6 @@ def compile_cache_info() -> dict:
             "hits": _hits,
             "misses": _misses,
             "size": len(_cache),
-            "compiles": _compiles,
         }
     from .subseq import memo_info
 
@@ -399,9 +349,8 @@ def compile_cache_info() -> dict:
 
 def clear_compile_cache() -> None:
     """Drop all cached tables and reset the hit/miss counters."""
-    global _hits, _misses, _compiles
+    global _hits, _misses
     with _cache_lock:
         _cache.clear()
         _hits = 0
         _misses = 0
-        _compiles = 0

@@ -103,6 +103,13 @@ class TestQueryCommand:
         choices = r"\(choose from '?serial'?, '?thread'?\)"
         assert re.search(r"invalid choice: '?process'? " + choices, err), err
 
+    def test_serve_backend_defaults_to_the_service_config(self):
+        from repro.cli import _build_parser
+        from repro.service import ServiceConfig
+
+        args = _build_parser().parse_args(["serve"])
+        assert args.backend == ServiceConfig().backend == "serial"
+
 
 class TestFormatStat:
     def test_integral_floats_print_as_ints(self):
@@ -241,7 +248,16 @@ class TestProfileSample:
     """``repro profile --sample``: one sampler around the run, every engine."""
 
     SAMPLES_HEADER = re.compile(
-        r"^# stack samples: \d+ at 500 Hz \(\d+ distinct stack\(s\)\)$", re.M)
+        r"^# stack samples: \d+ at 500 Hz \(\d+ distinct stack\(s\)\); "
+        r"achieved (\d+) Hz \((\d+) sample\(s\) in ([\d.]+) ms\)$", re.M)
+
+    def assert_achieved_rate(self, out):
+        """The achieved rate is the samples over the sampled wall time."""
+        m = self.SAMPLES_HEADER.search(out)
+        assert m, out
+        hz, samples, ms = int(m[1]), int(m[2]), float(m[3])
+        assert samples >= 1 and ms > 0
+        assert abs(hz - samples / (ms / 1e3)) <= 1 + hz * 0.01, m[0]
 
     @pytest.mark.parametrize("flags", [["-e", "seq"], [], ["--backend", "thread"]],
                              ids=["seq", "gap-serial", "gap-thread"])
@@ -250,7 +266,7 @@ class TestProfileSample:
                    "--sample", "--sample-hz", "500", *flags])
         out = capsys.readouterr().out
         assert rc == 0
-        assert self.SAMPLES_HEADER.search(out), out
+        self.assert_achieved_rate(out)
         assert "samples by layer" in out
         assert "hottest frames (leaf)" in out
         assert "# collapsed stacks (flamegraph folded format)" in out
@@ -261,7 +277,7 @@ class TestProfileSample:
                    "--sample-hz", "500", "--flame", str(flame)])
         out = capsys.readouterr().out
         assert rc == 0
-        assert self.SAMPLES_HEADER.search(out), out
+        self.assert_achieved_rate(out)
         assert f"# flame view written to {flame}" in out
         assert flame.read_text(encoding="utf-8").lower().startswith("<!doctype html>")
 

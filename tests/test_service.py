@@ -28,6 +28,7 @@ Pins the serving-layer contracts of :mod:`repro.service`:
 
 from __future__ import annotations
 
+import itertools
 import threading
 from types import SimpleNamespace
 
@@ -588,6 +589,113 @@ class TestLifecycle:
         assert threading.active_count() > before
         svc.close()
         assert threading.active_count() <= before + 1  # a worker may linger briefly
+
+
+# ---------------------------------------------------------------------------
+# the request path: no chunk pool, no compile-cache lookup, no disk
+# ---------------------------------------------------------------------------
+
+
+#: more distinct FEED query sets than any test below asks for
+_FEED_QUERY_SETS = [
+    list(qs) for qs in itertools.combinations(
+        ["/feed/entry/title", "//id", "/feed/id", "//title", "/feed/entry/id",
+         "//entry", "/feed/entry", "//feed"], 3)
+]
+
+
+class TestRequestPath:
+    def test_serial_is_the_default_backend(self):
+        assert ServiceConfig().backend == "serial"
+        svc = QueryService(ServiceConfig(collector=False))
+        try:
+            assert svc._backend.name == "serial"
+        finally:
+            svc.close()
+
+    def test_chunks_run_on_the_worker_that_took_the_request(self, monkeypatch):
+        import repro.transducer.pipeline as pipeline
+
+        seen: list[tuple[int, str]] = []
+        run_one_chunk = pipeline._run_one_chunk
+
+        def spy(ctx, chunk, attempt=0):
+            seen.append((threading.get_ident(), threading.current_thread().name))
+            return run_one_chunk(ctx, chunk, attempt)
+
+        monkeypatch.setattr(pipeline, "_run_one_chunk", spy)
+        with QueryService(ServiceConfig(n_chunks=4, workers=2,
+                                        collector=False)) as svc:
+            doc = svc.register(FEED_XML, grammar=FEED_DTD)
+            runs: list[int] = []
+            run = svc._run
+
+            def traced_run(engine, record, tracer=None):
+                runs.append(threading.get_ident())
+                start = len(seen)
+                result = run(engine, record, tracer)
+                assert {ident for ident, _ in seen[start:]} == {runs[-1]}
+                return result
+
+            svc._run = traced_run
+            for qs in (["//id"], ["//title"], ["//id"]):
+                svc.query(doc.doc_id, qs)
+        assert len(runs) == 3 and len(seen) == 3 * len(doc.chunks)
+        assert all(name.startswith("repro-svc-worker-") for _, name in seen)
+
+    def test_warm_engine_skips_the_compile_cache(self, monkeypatch):
+        import repro.core.engine as engine_mod
+        import repro.core.kernel as kernel_mod
+
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(engine_mod, "compiled_tables",
+                            counting(engine_mod.compiled_tables))
+        monkeypatch.setattr(kernel_mod, "compiled_tables",
+                            counting(kernel_mod.compiled_tables))
+        with QueryService(small_config()) as svc:
+            doc = svc.register(FEED_XML, grammar=FEED_DTD)
+            first = svc.query(doc.doc_id, ["//id", "//title"])
+            assert calls == ["compiled_tables"]  # the engine's one compile
+            for _ in range(50):
+                again = svc.query(doc.doc_id, ["//title", "//id"])
+                assert again["matches"] == first["matches"]
+            assert calls == ["compiled_tables"]
+
+    def test_requests_neither_read_nor_write_the_store(self, tmp_path):
+        config = small_config(artifact_store=str(tmp_path / "store"),
+                              collector=False)
+        with QueryService(config) as svc:
+            doc = svc.register(FEED_XML, grammar=FEED_DTD)
+            registered = svc.store.counters()
+            assert registered["writes"] == 2  # split, tokens
+            for qs in _FEED_QUERY_SETS[:50]:
+                response = svc.query(doc.doc_id, qs)
+                for q in qs:
+                    assert response["matches"][q] == oracle_matches(
+                        FEED_XML, FEED_DTD, q)
+            assert svc.varz()["engine_cache"]["miss"] == 50
+            assert svc.store.counters() == registered
+
+    def test_supervision_on_the_serial_default(self, monkeypatch):
+        """``chunk_timeout`` still bounds a hung chunk: the serial
+        backend runs each supervised chunk on a daemon thread."""
+        want = {q: oracle_matches(FEED_XML, FEED_DTD, q) for q in ("//id", "//title")}
+        monkeypatch.setenv("REPRO_FAULTS", "chunk:1:raise,chunk:2:hang:delay=2")
+        config = ServiceConfig(n_chunks=4, workers=1, collector=False,
+                               chunk_timeout=0.3, max_retries=1)
+        with QueryService(config) as svc:
+            doc = svc.register(FEED_XML, grammar=FEED_DTD)
+            response = svc.query(doc.doc_id, list(want))
+        assert response["matches"] == want
+        assert response["stats"]["retries"] > 0
+        assert response["stats"]["timeouts"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,8 @@
 
 Pins the contracts of :mod:`repro.store`:
 
-* **codec exactness** — serialize→deserialize of compiled kernel
-  tables, feasible-path tables, chunk splits and token caches is the
-  identity, across hypothesis-generated grammars/documents and for
+* **codec exactness** — serialize→deserialize of feasible-path
+  tables, chunk splits and token caches is the identity, across hypothesis-generated grammars/documents and for
   both XML and JSON inputs; a run from stored artifacts is equal to a
   fresh run on matches *and* every deterministic counter;
 * **corruption safety** — truncated, bit-flipped, zero-filled and
@@ -14,15 +13,15 @@ Pins the contracts of :mod:`repro.store`:
 * **concurrency** — racing multi-process writers publish atomically
   (readers see a complete payload or nothing, never a torn file), and
   a fresh process with a warm store reproduces a cold process's
-  matches and counters exactly while skipping lex and compile work
-  entirely (no ``xmlstream.lex`` spans, ``compiles == 0``, store hits > 0);
+  matches and counters exactly while skipping split and lex work
+  entirely (no ``xmlstream.lex`` spans, a hit per split and tokens
+  artifact); queries never read or write the store;
 * **admission errors** — :class:`RegistryFull` reports capacity and
   the rejected document's content hash, through HTTP 429 included.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import struct
@@ -51,12 +50,7 @@ from repro.store import codec
 from repro.store.artifacts import _HEADER
 from repro.xmlstream.chunking import split_chunks
 from repro.xmlstream.lexer import lex_range
-from repro.xpath.compile_tables import (
-    clear_compile_cache,
-    compile_cache_info,
-    compile_tables,
-    set_artifact_store,
-)
+from repro.xpath.compile_tables import clear_compile_cache, set_artifact_store
 
 from tests.conftest import FEED_DTD, FEED_XML, RUNNING_DTD, RUNNING_QUERY, RUNNING_XML
 from tests.test_properties import documents, queries
@@ -92,27 +86,6 @@ def _clean_compile_cache():
 
 
 class TestCodecRoundTrip:
-    @given(data=st.data(), doc=documents())
-    @HYP
-    def test_kernel_tables_exact(self, data, doc):
-        grammar, _text = doc
-        qs = [data.draw(queries(grammar)) for _ in range(2)]
-        engine = GapEngine(qs, grammar=grammar)
-        tables = compile_tables(
-            engine.automaton, engine.table, engine.anchor_sids)
-        decoded = codec.decode_kernel_tables(codec.encode_kernel_tables(tables))
-        assert decoded == tables  # every field, arrays included
-
-    @given(data=st.data(), doc=documents())
-    @HYP
-    def test_baseline_tables_exact(self, data, doc):
-        grammar, _text = doc
-        q = data.draw(queries(grammar, allow_predicates=False))
-        engine = GapEngine([q], grammar=grammar)
-        tables = compile_tables(engine.automaton)  # no feasibility rows
-        decoded = codec.decode_kernel_tables(codec.encode_kernel_tables(tables))
-        assert decoded == tables
-
     @given(doc=documents())
     @HYP
     def test_feasible_table_exact(self, doc):
@@ -153,36 +126,6 @@ class TestCodecRoundTrip:
                 codec.decode_chunks(payload[:cut])
 
 
-def _with_dead(tables, dead: int):
-    """``tables`` claiming ``dead`` as the dead state (the encoder stores
-    ``dead`` and derives ``start_flags`` on decode)."""
-    return dataclasses.replace(tables, dead=dead)
-
-
-class TestDeadStateValidation:
-    """The kernel skips every row below a START that enters ``dead``, so
-    a stored ``dead`` that could leave itself, accept or close is
-    refused on decode."""
-
-    def test_real_dead_state_round_trips(self):
-        engine = GapEngine(["/a/b"])
-        tables = compile_tables(engine.automaton)
-        assert tables.dead >= 0
-        assert codec.decode_kernel_tables(codec.encode_kernel_tables(tables)) == tables
-
-    @pytest.mark.parametrize("query,dead,reason", [
-        ("/a/b", 0, "not absorbing"),       # the initial state moves on <a>
-        ("//*", 1, "accepts"),              # absorbing, but accepts every tag
-        ("/a/b", 99, "out of range"),
-        ("/a/b", -2, "out of range"),
-    ])
-    def test_forged_dead_state_rejected(self, query, dead, reason):
-        tables = compile_tables(GapEngine([query]).automaton)
-        payload = codec.encode_kernel_tables(_with_dead(tables, dead))
-        with pytest.raises(CodecError, match=reason):
-            codec.decode_kernel_tables(payload)
-
-
 class TestStoredRunEquivalence:
     """A run from stored artifacts ≡ a fresh run, XML and JSON."""
 
@@ -219,7 +162,6 @@ class TestStoredRunEquivalence:
         warm = run()
         assert store.counters()["hits"] > 0
         assert store.counters()["invalid"] == 0
-        assert compile_cache_info()["compiles"] == 0  # decoded, not compiled
         for run_result in (cold, warm):
             assert run_result.matches == fresh.matches
             assert run_result.stats.summary() == fresh.stats.summary()
@@ -269,7 +211,7 @@ def _seed_store(root: str):
     finally:
         set_artifact_store(None)
     files = [i.path for i in store.scan()]
-    assert len(files) == 3  # tables, split, tokens
+    assert len(files) == 2  # split, tokens
     return result, files
 
 
@@ -300,15 +242,15 @@ class TestCorruption:
         assert result.stats.summary() == oracle.stats.summary()
         counters = store.counters()
         assert counters["hits"] == 0
-        assert counters["invalid"] == 3, counters  # one per corrupted artifact
-        assert counters["writes"] == 3  # every artifact republished
+        assert counters["invalid"] == 2, counters  # one per corrupted artifact
+        assert counters["writes"] == 2  # every artifact republished
         # metrics and journal carry the evidence
         invalid_metric = [
             m.value for m in metrics if m.name == "repro_store_invalid_total"
         ]
-        assert invalid_metric == [3.0]
+        assert invalid_metric == [2.0]
         events = journal.by_kind("store_invalid")
-        assert len(events) == 3
+        assert len(events) == 2
         assert all(ev.args.get("reason") for ev in events)
 
         # the republished artifacts verify clean and hit on re-read
@@ -331,42 +273,7 @@ class TestCorruption:
         for info in store.scan():
             assert not info.valid
             assert store.get(info.kind, info.key) is None
-        assert store.counters()["invalid"] == 3
-
-
-@pytest.mark.parametrize("forged", ["non_absorbing", "accepting"])
-class TestForgedDeadState:
-    """The corruption matrix's semantic case: a well-formed, checksummed
-    tables artifact whose ``dead`` names a state the skip would drop
-    events under is a clean miss, recompiled and republished."""
-
-    def test_clean_miss_and_recovery(self, tmp_path, forged):
-        root = str(tmp_path / "store")
-        oracle, _files = _seed_store(root)
-        store = ArtifactStore(root)
-        (info,) = [i for i in store.scan() if i.kind == "tables"]
-        tables = codec.decode_kernel_tables(store.get("tables", info.key))
-        if forged == "non_absorbing":
-            dead = tables.initial
-        else:
-            dead = next(s for s, acc in enumerate(tables.accepts) if acc)
-        assert store.put("tables", info.key,
-                         codec.encode_kernel_tables(_with_dead(tables, dead)))
-        clear_compile_cache()
-
-        store = ArtifactStore(root)
-        set_artifact_store(store)
-        engine = GapEngine([RUNNING_QUERY, "//c"], grammar=RUNNING_DTD,
-                           n_chunks=4, backend="serial")
-        chunks, toks, _paths = prepare_xml(store, RUNNING_XML, 4)
-        result = engine.run(RUNNING_XML, chunks=chunks, chunk_tokens=toks)
-        assert result.matches == oracle.matches
-        assert result.stats.summary() == oracle.stats.summary()
-        counters = store.counters()
-        assert counters["invalid"] == 1, counters
-        assert counters["writes"] == 1  # the tables, recompiled
-        assert compile_cache_info()["compiles"] == 1
-        assert codec.decode_kernel_tables(store.get("tables", info.key)) == tables
+        assert store.counters()["invalid"] == 2
 
 
 class TestStoreMechanics:
@@ -387,7 +294,7 @@ class TestStoreMechanics:
 
     def test_miss_on_absent(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
-        assert store.get("tables", "cd" * 16) is None
+        assert store.get("split", "cd" * 16) is None
         assert store.counters() == {
             "hits": 0, "misses": 1, "writes": 0, "invalid": 0}
 
@@ -512,7 +419,7 @@ from repro.core.engine import GapEngine
 from repro.grammar import parse_dtd
 from repro.obs.tracer import Tracer
 from repro.store import ArtifactStore, prepare_xml
-from repro.xpath.compile_tables import compile_cache_info, set_artifact_store
+from repro.xpath.compile_tables import set_artifact_store
 
 doc_path, store_dir, backend = sys.argv[1], sys.argv[2], sys.argv[3]
 text = open(doc_path).read()
@@ -529,7 +436,6 @@ print(json.dumps({
     "matches": {q: list(v) for q, v in result.matches.items()},
     "stats": result.stats.summary(),
     "spans": sorted({s.name for s in tracer.spans}),
-    "compile": compile_cache_info(),
     "store": store.counters(),
 }))
 """
@@ -558,11 +464,10 @@ def _differential(tmp_path, backend: str) -> None:
     assert warm["matches"] == cold["matches"]
     assert warm["stats"] == cold["stats"]
     # the cold process did the work; the warm one provably skipped it
-    assert cold["compile"]["compiles"] >= 1
-    assert cold["store"]["writes"] >= 3
+    assert cold["store"]["writes"] == 2  # split, tokens
     assert "xmlstream.lex" in cold["spans"] and "xmlstream.split" in cold["spans"]
-    assert warm["compile"]["compiles"] == 0
-    assert warm["store"]["hits"] >= 3
+    assert warm["store"]["hits"] == 2
+    assert warm["store"]["writes"] == 0
     assert warm["store"]["invalid"] == 0
     assert "xmlstream.lex" not in warm["spans"]
 
@@ -648,16 +553,17 @@ class TestServiceWarmStart:
         )
         with QueryService(config) as svc:
             doc = svc.register(FEED_XML, grammar=FEED_DTD)
+            assert svc.store.counters()["writes"] == 2  # split, tokens
             first = svc.query(doc.doc_id, ["//id"])
-            assert svc.varz()["store"]["writes"] >= 3
+            assert svc.varz()["store"]["writes"] == 2  # the query wrote nothing
         clear_compile_cache()  # the "restart": new process state
         with QueryService(config) as svc:
             doc = svc.register(FEED_XML, grammar=FEED_DTD)
             second = svc.query(doc.doc_id, ["//id"])
             varz = svc.varz()
-            assert varz["store"]["hits"] >= 3
+            assert varz["store"]["hits"] == 2  # split, tokens
+            assert varz["store"]["writes"] == 0
             assert varz["store"]["invalid"] == 0
-            assert varz["compile_cache"]["compiles"] == 0
             assert second["matches"] == first["matches"]
             assert second["stats"] == first["stats"]
             metrics = svc.metrics_text()

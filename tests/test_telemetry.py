@@ -29,6 +29,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -358,6 +359,17 @@ class TestSampler:
         frames = {7: _outer_frame(), 8: _outer_frame(), me: _outer_frame()}
         assert sampler.sample_once(frames=frames) == 2
         assert sampler.samples == 1
+
+    def test_achieved_rate_is_samples_over_sampled_seconds(self):
+        sampler = StackSampler(interval=0.002)
+        assert sampler.seconds == 0.0 and sampler.achieved_hz() == 0.0
+        with sampler:
+            time.sleep(0.05)
+        assert sampler.stopped_mono is not None
+        seconds = sampler.stopped_mono - sampler.started_mono
+        assert sampler.seconds == seconds >= 0.05
+        assert sampler.achieved_hz() == sampler.samples / seconds
+        assert sampler.achieved_hz() <= 1.0 / 0.002 * 1.5
 
     def test_collapsed_is_order_independent(self):
         stacks = [("a:f", "b:g"), ("a:f",), ("c:h", "d:i", "e:j")]

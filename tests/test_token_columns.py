@@ -317,6 +317,72 @@ class TestKernelOnColumnsAndLists:
                 assert symmap == [T.sym_ids.get(n, T.other_sym) for n in cols.names]
 
 
+class TestRegisteredColumnsIndexTagsOnly:
+    """A registered document's columns live as long as the document, so
+    the index they keep holds its tag names, not its text runs."""
+
+    XML = ("<feed><id>title</id><entry><title>id</title><id>7</id></entry>"
+           "<entry><title>t\u00e9</title></entry><id>x y</id></feed>")
+    QUERIES = [["//title", "/feed/entry/id"], ["//*"], ["//id"]]
+
+    @staticmethod
+    def tag_names(cols):
+        return {cols.names[k] for k, kind in zip(cols.name_ids, cols.kinds)
+                if kind != TokenKind.TEXT}
+
+    @pytest.mark.parametrize("store", [False, True], ids=["lexed", "decoded"])
+    def test_index_holds_start_end_names_and_symbols_are_unchanged(
+            self, tmp_path, store):
+        if store:  # a warm registration decodes the stored columns
+            DocumentRegistry(store=ArtifactStore(str(tmp_path))).register(
+                self.XML, n_chunks=3)
+        registry = DocumentRegistry(
+            store=ArtifactStore(str(tmp_path)) if store else None)
+        record = registry.register(self.XML, n_chunks=3)
+        assert len(record.chunk_tokens) == 3
+        texts = set()
+        for cols in record.chunk_tokens:
+            texts |= {cols.names[k] for k, kind in zip(cols.name_ids, cols.kinds)
+                      if kind == TokenKind.TEXT}
+        assert {"title", "id", "7", "x y"} <= texts  # text runs, some tag-named
+        for qs in self.QUERIES:
+            runner = GapEngine(qs)._pipeline(exact=True).chunk_runner()
+            for c, cols in zip(record.chunks, record.chunk_tokens):
+                fresh = lex_range(self.XML, c.begin, c.end)
+                symmap, want = runner._symbols(cols), runner._symbols(fresh)
+                for k, kind in zip(cols.name_ids, cols.kinds):
+                    if kind != TokenKind.TEXT:
+                        assert symmap[k] == want[k]
+                assert cols._ids is None
+                assert set(cols.tag_ids()) == self.tag_names(cols)
+
+    def test_service_requests_leave_only_the_tag_index(self):
+        from repro.service import QueryService, ServiceConfig
+
+        config = ServiceConfig(n_chunks=3, workers=1, collector=False)
+        with QueryService(config) as svc:
+            doc = svc.register(self.XML)
+            for qs in self.QUERIES:
+                response = svc.query(doc.doc_id, qs)
+                for q in qs:
+                    assert response["matches"][q] == \
+                        SequentialEngine([q]).run(self.XML).matches[q]
+            for cols in svc.registry.get(doc.doc_id).chunk_tokens:
+                assert cols._ids is None
+                assert set(cols.tag_ids()) == self.tag_names(cols)
+
+    def test_building_columns_keep_the_full_index(self):
+        cols = lex_range(self.XML, 0, len(self.XML))
+        assert cols.tag_ids() is cols.ids()
+        assert "x y" in cols.tag_ids()
+        cols.index_tags_only()
+        assert set(cols.tag_ids()) == self.tag_names(cols)
+        # appending rows rebuilds the full index first
+        cols.append(Token(TokenKind.TEXT, "x y", len(self.XML)))
+        assert cols.names.count("x y") == 1
+        assert cols.tag_ids() is cols.ids() and "x y" in cols.tag_ids()
+
+
 class TestStreamSealBuffer:
     def test_one_large_piece_many_small_chunks(self):
         # one piece seals many chunks; the buffer's string table is
