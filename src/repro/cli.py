@@ -323,8 +323,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ta.add_argument("-q", "--query", action="append", required=True,
                     dest="queries", help="XPath query (repeatable)")
     ta.add_argument("-g", "--grammar", metavar="FILE",
-                    help="DTD or XSD file (feasible-path mid-stream entry; "
-                         "omit for speculative mode)")
+                    help="DTD or XSD file (parsed, and part of a --connect "
+                         "stream's identity; it does not change how chunks run)")
     ta.add_argument("-f", "--follow", action="store_true",
                     help="keep watching for appended bytes (like tail -f); "
                          "Ctrl-C stops without finalizing")
@@ -342,7 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          "checkpointed stream after a daemon restart)")
     ta.add_argument("--stats", action="store_true",
                     help="print work counters to stderr when the stream ends")
-    _add_memo_arg(ta)
     ta.set_defaults(func=_cmd_tail)
 
     st = sub.add_parser(
@@ -1005,8 +1004,7 @@ def _cmd_tail(args: argparse.Namespace) -> int:
 
     session = StreamSession(
         args.queries, grammar=grammar, kind=kind, root_name=args.root,
-        chunk_bytes=args.chunk_bytes, memo=args.memo,
-        track_matches=False,
+        chunk_bytes=args.chunk_bytes, track_matches=False,
     )
     seq = 0
 

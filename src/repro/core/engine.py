@@ -574,17 +574,12 @@ class GapEngine(_EngineBase):
         learn: bool = False,
         tracer: Tracer | None = None,
         journal: Journal | None = None,
-        edges: list[int] | None = None,
     ) -> QueryResult:
-        """Parallel GAP evaluation over pre-tokenised columns (e.g. JSON).
-
-        ``edges`` replays explicit chunk boundaries (token indices) —
-        see :meth:`ParallelPipeline.run_tokens`.
-        """
+        """Parallel GAP evaluation over pre-tokenised columns (e.g. JSON)."""
         decoder = self._token_decoder(tokens)
         result = self._result(
             self._pipeline(tracer, journal).run_tokens(
-                tokens, n_chunks or self.n_chunks, edges=edges),
+                tokens, n_chunks or self.n_chunks),
             decoder=decoder, tracer=tracer,
         )
         if learn:

@@ -299,7 +299,6 @@ class QueryService:
             chunk_bytes=self.config.stream_chunk_bytes,
             delta_buffer=self.config.stream_delta_buffer,
             max_streams=self.config.max_streams,
-            memo=self.config.memo,
         )
         self._closed = False
         # monotonic anchor for uptime (NTP-step safe); the wall-clock

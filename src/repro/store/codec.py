@@ -3,8 +3,6 @@
 Everything the pipeline precomputes and the artifact store persists is
 encoded here, by hand, into a small deterministic binary form:
 
-* :class:`~repro.core.inference.FeasibleTable` — the grammar-inferred
-  feasible-path table in its object form;
 * chunk splits (:class:`~repro.xmlstream.chunking.Chunk` lists, with
   each chunk's open-element path at its start) and pre-lexed token
   caches (one :class:`~repro.xmlstream.tokens.TokenColumns`
@@ -44,7 +42,6 @@ from array import array
 from collections.abc import Iterable
 from itertools import accumulate
 
-from ..core.inference import FeasibleTable
 from ..xmlstream.chunking import Chunk
 from ..xmlstream.tokens import TokenColumns
 from ..xpath.compile_tables import KernelTables
@@ -53,8 +50,6 @@ __all__ = [
     "CodecError",
     "SCHEMAS",
     "encode_kernel_tables",
-    "encode_feasible_table",
-    "decode_feasible_table",
     "encode_chunks",
     "decode_chunks",
     "encode_chunk_tokens",
@@ -76,7 +71,6 @@ class CodecError(ValueError):
 #: kind's version when its encoding changes shape and every stale
 #: artifact of that kind becomes a clean miss on the next read
 SCHEMAS = {
-    "feasible": 1,   # FeasibleTable (object form)
     "split": 2,      # chunk lists + entry paths (document registry)
     "tokens": 2,     # pre-lexed token columns (document registry)
     "subseq": 1,     # interned-subsequence memo snapshots (dense kernel)
@@ -261,46 +255,6 @@ def encode_kernel_tables(t: KernelTables) -> bytes:
     w.u8(1 if t.has_table else 0)
     w.u8(1 if t.complete else 0)
     return w.done()
-
-
-# ---------------------------------------------------------------------------
-# FeasibleTable
-# ---------------------------------------------------------------------------
-
-
-def _encode_feas_map(w: _Writer, mapping: dict[str, frozenset[int]]) -> None:
-    w.u32(len(mapping))
-    for tag in sorted(mapping):
-        w.string(tag)
-        w.ints(sorted(mapping[tag]))
-
-
-def _decode_feas_map(r: _Reader) -> dict[str, frozenset[int]]:
-    return {r.string(): frozenset(r.ints()) for _ in range(r.u32())}
-
-
-def encode_feasible_table(t: FeasibleTable) -> bytes:
-    w = _Writer()
-    w.u8(1 if t.complete else 0)
-    _encode_feas_map(w, t.before_start)
-    _encode_feas_map(w, t.before_end)
-    w.ints(sorted(t.text_states))
-    return w.done()
-
-
-def decode_feasible_table(payload: bytes) -> FeasibleTable:
-    r = _Reader(payload)
-    complete = bool(r.u8())
-    before_start = _decode_feas_map(r)
-    before_end = _decode_feas_map(r)
-    text_states = frozenset(r.ints())
-    r.expect_end()
-    return FeasibleTable(
-        before_start=before_start,
-        before_end=before_end,
-        text_states=text_states,
-        complete=complete,
-    )
 
 
 # ---------------------------------------------------------------------------

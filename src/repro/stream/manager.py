@@ -103,7 +103,6 @@ class StreamManager:
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         delta_buffer: int = 256,
         max_streams: int = 16,
-        memo: bool = False,
     ) -> None:
         self.store = store
         self.journal = journal if journal is not None else NULL_JOURNAL
@@ -111,7 +110,6 @@ class StreamManager:
         self.chunk_bytes = int(chunk_bytes)
         self.delta_buffer = int(delta_buffer)
         self.max_streams = int(max_streams)
-        self.memo = memo
         self._lock = threading.Lock()
         self._streams: dict[str, StreamState] = {}
         self._closed = False
@@ -193,8 +191,7 @@ class StreamManager:
         # lock; the double-check below resolves races on the same id
         session = StreamSession(
             queries, grammar=grammar, kind=kind, root_name=root_name,
-            chunk_bytes=size, memo=self.memo,
-            track_matches=False,
+            chunk_bytes=size, track_matches=False,
         )
         resumed = False
         next_seq, dropped = 1, 0

@@ -1,24 +1,27 @@
 """One live stream: incremental lex → seal → evaluate → match deltas.
 
 :class:`StreamSession` is the streaming counterpart of one
-``GapEngine.run()`` call, unrolled over time.  It mirrors the batch
-token pipeline operation-for-operation so that a finalized stream is
-byte-identical — matches *and* work counters — to a one-shot batch run
-over the concatenated bytes with the same chunk boundaries:
+``GapEngine.run()`` call, unrolled over time.  A stream seals its
+chunks one after another, so each chunk's entry configuration is known
+before it runs: it is the ``(state, stack)`` the previous seal ended
+in (the automaton's initial configuration for chunk 0).  Every sealed
+chunk therefore runs the sequential loop from that exact entry
+(:meth:`DenseRunner.run_chunk` with ``entry``, the path registered
+documents take), and its one mapping entry's final state and stack
+become the carried configuration.  There is no mid-stream speculation,
+no join search and no misspeculation recovery, and the feasible-path
+table is never inferred; the grammar identifies the stream (its checkpoint key)
+and is parsed, but does not change how it runs.
 
-* sealed chunks are executed by the pipeline's own chunk runner
-  (:meth:`ParallelPipeline.chunk_runner`), chunk 0 from the initial
-  configuration, later chunks with ``start_states=None`` so the
-  feasible-path table supplies the candidate entry paths — the paper's
-  mid-stream entry, no history replay;
-* each sealed chunk is joined onto the carried ``(state, stack)`` with
-  the same :func:`~repro.transducer.mapping.join_results` the batch
-  pipeline uses (the join is per-chunk sequential, so feeding it one
-  chunk at a time accumulates identical counters: join steps,
-  misspeculations, reprocessed tokens);
-* reprocessing after a misspeculation only ever needs the current
-  chunk's tokens (recovery ranges lie inside the chunk being joined),
-  so resident token state stays bounded by one chunk.
+A finalized XML stream equals, on matches *and* work counters, the
+exact-entry batch run over the same sealed partition:
+``GapEngine.run(doc, chunks=…, chunk_tokens=…, chunk_paths=…)`` with
+each chunk's open-element path (:func:`repro.store.docprep.chunk_paths`).
+A JSON stream's matches equal ``GapEngine.run_tokens``, and its token
+counters those of ``SequentialEngine.run_tokens``.  An end tag that
+underflows the carried stack raises
+:class:`~repro.transducer.mapping.StackUnderflow` at its offset, as a
+sequential run does.
 
 Matches are emitted incrementally by :class:`DeltaFilter`, which runs
 the filter phase over anchor-*balanced* segments of the event stream:
@@ -36,15 +39,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
 
 from ..core.engine import GapEngine
 from ..jsonstream.incremental import IncrementalJSONTokenizer
 from ..jsonstream.tokenizer import DEFAULT_ROOT
 from ..obs.journal import Journal, NULL_JOURNAL
 from ..transducer.counters import WorkCounters
-from ..transducer.mapping import join_results
-from ..transducer.pipeline import reprocess_range
+from ..transducer.mapping import join_exact
 from ..xmlstream.incremental import IncrementalLexer
 from ..xmlstream.tokens import TokenColumns, TokenKind
 from ..xpath.events import EventKind, MatchEvent
@@ -174,7 +175,6 @@ class StreamSession:
         kind: str = "xml",
         root_name: str = DEFAULT_ROOT,
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-        memo: bool = False,
         journal: Journal | None = None,
         track_matches: bool = True,
     ) -> None:
@@ -186,18 +186,17 @@ class StreamSession:
         self.root_name = root_name
         self.chunk_bytes = int(chunk_bytes)
         self.journal = journal if journal is not None else NULL_JOURNAL
-        self.engine = GapEngine(queries, grammar=grammar, memo=memo,
-                                journal=self.journal)
+        self.engine = GapEngine(queries, grammar=grammar, journal=self.journal)
         if self.engine.has_value_predicates:
             raise StreamError(
                 "continuous queries cannot use value predicates ([a = 'x']): "
                 "their filter needs document text a bounded-memory stream "
                 "does not retain — use the batch engines for those"
             )
-        pipe = self.engine._pipeline(journal=self.journal)
-        self._pipe = pipe
-        self._runner = pipe.chunk_runner()
-        self._strict = not pipe.policy.speculative
+        # every chunk runs from its exact entry, so only the transition
+        # and accept tables are read: the feasible table is never built
+        self._runner = self.engine._pipeline(
+            journal=self.journal, exact=True).chunk_runner()
         self._filter = DeltaFilter(self.engine.compiled, self.engine.queries,
                                    self.engine.anchor_sids)
         if kind == "xml":
@@ -210,7 +209,7 @@ class StreamSession:
         self._fed = 0                # total bytes fed
         # evaluator state carried across sealed chunks
         self._state = self.engine.automaton.initial
-        self._stack: list[int] = []
+        self._stack: tuple[int, ...] = ()
         self._chunk_index = 0
         self.totals = WorkCounters()
         self.finalized = False
@@ -279,8 +278,8 @@ class StreamSession:
         """End of stream: flush the lexer, seal the last chunk.
 
         After this the session's :attr:`totals` (and :attr:`matches`,
-        when tracked) are byte-identical to a batch run over the same
-        bytes with the same chunk boundaries.
+        when tracked) equal those of an exact-entry batch run over the
+        same bytes with the same chunk boundaries.
         """
         if self.finalized:
             raise StreamError("finalize() called twice")
@@ -312,8 +311,9 @@ class StreamSession:
 
         XML chunks must begin on a tag (they re-lex from ``<`` after a
         checkpoint restart, and match the batch splitter's alignment);
-        JSON boundaries need strictly-increasing offsets so reprocess
-        slicing is unambiguous (a wrapper START and its scalar TEXT
+        JSON boundaries need strictly-increasing offsets so every
+        token, and so every delta's matches, lies inside its chunk's
+        span ``[begin, end)`` (a wrapper START and its scalar TEXT
         share an offset).
         """
         if self.kind == "xml":
@@ -367,22 +367,12 @@ class StreamSession:
         ci = self._chunk_index
         if self.sealed_log is not None:
             self.sealed_log.append((begin, end, tuple(part)))
-        start = (frozenset((self.engine.automaton.initial,))
-                 if ci == 0 else None)
+        carried = (self._state, self._stack)
         result = self._runner.run_chunk(part, ci, begin, end,
-                                        start_states=start,
-                                        journal=self.journal)
+                                        journal=self.journal, entry=carried)
         self.totals.merge(result.counters)
-
-        # recovery ranges lie inside the chunk being joined, so the
-        # chunk's own tokens suffice — same cut as the batch token pipeline
-        reprocess = partial(reprocess_range, self._runner, part,
-                            journal=self.journal)
-        state, stack, events = join_results(
-            (self._state, self._stack, []), [result], reprocess, self.totals,
-            strict=self._strict, journal=self.journal,
-        )
-        self._state, self._stack = state, stack
+        self._state, self._stack, events = join_exact(
+            carried, [result], self.totals)
         self._chunk_index += 1
         self._tokens = self._tokens[upto:]
         self._next_begin = end
@@ -433,7 +423,7 @@ class StreamSession:
         self._next_begin = snap["next_begin"]
         self._fed = snap["fed"]
         self._state = snap["state"]
-        self._stack = list(snap["stack"])
+        self._stack = tuple(snap["stack"])
         self._chunk_index = snap["chunk_index"]
         self.totals = WorkCounters(**snap["counters"])
         self._filter.restore(snap["filter"])

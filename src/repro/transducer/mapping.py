@@ -285,35 +285,37 @@ def join_results(
 
 
 def join_exact(
-    initial: int,
+    start: tuple[int, tuple[int, ...]],
     chunks: list[ChunkResult],
     counters: WorkCounters,
-) -> tuple[int, list[MatchEvent]]:
+) -> tuple[int, tuple[int, ...], list[MatchEvent]]:
     """Join chunks that each ran from their exact entry configuration.
 
     Such a chunk (:meth:`repro.core.kernel.DenseRunner.run_chunk` with
     ``entry``) has one mapping entry, keyed by its entry state, whose
     events already carry absolute depths: the join is concatenation in
-    chunk order.  Each chunk must start where the previous one ended
-    (same state, same depth); a mismatch means the entry contexts do
-    not belong to this document and raises :class:`JoinError`.
+    chunk order.  The first chunk must start from ``start``, the
+    configuration ``(state, stack)`` before it, and each later chunk
+    where the previous one ended (same state, same depth); a mismatch
+    means the entry contexts do not belong to this document and raises
+    :class:`JoinError`.
 
-    Returns the final state and the ordered event list.
+    Returns the final state and stack and the ordered event list.
     """
-    state, depth = initial, 0
+    state, stack = start
     events: list[MatchEvent] = []
     for chunk in chunks:
         counters.join_steps += 1
         main = chunk.main
         entry = main.segments[0].entries.get(state) if main is not None else None
-        if entry is None or main.restart_depth != depth:
+        if entry is None or main.restart_depth != len(stack):
             raise JoinError(
                 f"chunk {chunk.index} does not start from the configuration "
-                f"its predecessor ended in (state={state}, depth={depth})"
+                f"its predecessor ended in (state={state}, depth={len(stack)})"
             )
         events += entry.events
-        state, depth = entry.final_state, len(entry.pushed)
-    return state, events
+        state, stack = entry.final_state, entry.pushed
+    return state, stack, events
 
 
 def _recover(

@@ -130,9 +130,9 @@ def reprocess_range(
     ``[begin, end)`` from ``(state, stack)`` through ``runner.run_from``.
 
     ``tokens`` are columns with sorted offsets covering the range: its
-    own (``lex_range``) or a longer run (a token-mode document, a
-    sealed stream chunk), cut by offset.  ``skip_end`` drops a leading
-    END at exactly ``begin``, a divergence the join already resolved.
+    own (``lex_range``) or a longer run (a token-mode document), cut by
+    offset.  ``skip_end`` drops a leading END at exactly ``begin``, a
+    divergence the join already resolved.
     """
     with tracer.span("transducer.mapping", cat="phase", reprocess=True) as sp:
         offsets = tokens.offsets
@@ -311,8 +311,10 @@ class ParallelPipeline:
 
         Exposed for callers that drive chunks one at a time instead of
         through :meth:`run`/:meth:`run_tokens` — the streaming
-        subsystem evaluates each sealed chunk with exactly this runner
-        so its counters stay byte-identical to a batch run.
+        subsystem runs each sealed chunk from its carried configuration
+        with the runner of an exact pipeline
+        (``GapEngine._pipeline(exact=True)``), so its counters equal an
+        exact-entry batch run's.
         """
         return _make_runner(self.automaton, self.policy, self.anchor_sids,
                             self._tables, memo=self.memo)
@@ -333,8 +335,7 @@ class ParallelPipeline:
             entries.append((state, tuple(stack)))
         return tuple(entries)
 
-    def run_tokens(self, tokens: TokenColumns, n_chunks: int,
-                   edges: list[int] | None = None) -> ParallelRunResult:
+    def run_tokens(self, tokens: TokenColumns, n_chunks: int) -> ParallelRunResult:
         """Execute the three phases over a materialised token sequence.
 
         The token-mode pipeline serves inputs that are not
@@ -345,11 +346,6 @@ class ParallelPipeline:
         by offset.  Tokenisation itself is a sequential
         preprocessing step in this mode (parallel JSON lexing is its
         own research problem and out of scope).
-
-        ``edges`` overrides the boundary computation with an explicit
-        sorted edge list (``[0, …, len(tokens)]``, interior cuts on
-        strictly-increasing offsets) — the stream-vs-batch differential
-        uses it to replay a stream's sealed chunk boundaries.
         """
         if not tokens:
             return ParallelRunResult(
@@ -361,28 +357,17 @@ class ParallelPipeline:
                 "token-mode execution requires non-decreasing offsets"
             )
         end_sentinel = offsets[-1] + 1
-        if edges is None:
-            # chunk boundaries must fall on strictly-increasing offsets
-            # so that offset-based reprocess slicing is unambiguous (a
-            # wrapper START and its scalar TEXT may share an offset)
-            cuts_set = set()
-            for k in range(1, n_chunks):
-                cut = len(tokens) * k // n_chunks
-                while 0 < cut < len(tokens) and offsets[cut] == offsets[cut - 1]:
-                    cut += 1
-                if 0 < cut < len(tokens):
-                    cuts_set.add(cut)
-            cuts = sorted(cuts_set)
-            edges = [0, *cuts, len(tokens)]
-        else:
-            if edges[0] != 0 or edges[-1] != len(tokens) or \
-                    any(b <= a for a, b in zip(edges, edges[1:])):
-                raise ValueError("edges must be sorted, 0-led and end at len(tokens)")
-            for cut in edges[1:-1]:
-                if offsets[cut] == offsets[cut - 1]:
-                    raise ValueError(
-                        f"edge {cut} does not fall on a strictly-increasing offset"
-                    )
+        # chunk boundaries must fall on strictly-increasing offsets
+        # so that offset-based reprocess slicing is unambiguous (a
+        # wrapper START and its scalar TEXT may share an offset)
+        cuts = set()
+        for k in range(1, n_chunks):
+            cut = len(tokens) * k // n_chunks
+            while 0 < cut < len(tokens) and offsets[cut] == offsets[cut - 1]:
+                cut += 1
+            if 0 < cut < len(tokens):
+                cuts.add(cut)
+        edges = [0, *sorted(cuts), len(tokens)]
 
         tracer = self.tracer
         journal = self.journal
@@ -515,7 +500,8 @@ class ParallelPipeline:
         strict = not self.policy.speculative and self.resilience is None
         with tracer.span("transducer.mapping", cat="phase") as sp:
             if entries is not None:
-                state, events = join_exact(self.automaton.initial, results, totals)
+                state, _stack, events = join_exact(
+                    (self.automaton.initial, ()), results, totals)
             else:
                 state, _stack, events = join_results(
                     (self.automaton.initial, [], []), results, reprocess, totals,

@@ -8,11 +8,26 @@ import pytest
 
 from repro.datasets import ALL_DATASETS
 from repro.grammar import parse_dtd
+from repro.store.docprep import chunk_paths
+from repro.xmlstream import lex_range
+from repro.xmlstream.chunking import Chunk
 
 
 def non_ascii(text):
     """Non-ASCII character data before every letter that follows a tag."""
     return re.sub(r">(?=[A-Za-z])", ">Zoë·東京 𝔛 ", text)
+
+
+def sealed_batch(engine, doc, session):
+    """``engine``'s exact-entry run of ``doc`` over the chunks an XML
+    stream sealed (``session.sealed_log``), each chunk from its
+    open-element path: the batch run a finalized stream equals on
+    matches and on every work counter."""
+    chunks = [Chunk(i, begin, end)
+              for i, (begin, end, _) in enumerate(session.sealed_log)]
+    tokens = tuple(lex_range(doc, c.begin, c.end) for c in chunks)
+    return engine.run(doc, chunks=chunks, chunk_tokens=tokens,
+                      chunk_paths=chunk_paths(tokens))
 
 
 #: the paper's running example (Figure 4-a): recursive grammar

@@ -169,6 +169,41 @@ class TestGenerateCommand:
             main(["generate", "martian"])
 
 
+class TestTailCommand:
+    def test_local_deltas_equal_batch_matches(self, tmp_path, capsys):
+        from repro import GapEngine
+        from repro.datasets import ALL_DATASETS
+        from repro.stream import StreamSession
+
+        data = ALL_DATASETS["dblp"]
+        doc = data.generate(scale=0.2, seed=3)
+        queries = list(data.queries.values())[:3]
+        path, dtd = tmp_path / "dblp.xml", tmp_path / "dblp.dtd"
+        path.write_text(doc, encoding="utf-8")
+        dtd.write_text(data.dtd, encoding="utf-8")
+        rc = main(["tail", str(path), "-g", str(dtd), "--chunk-bytes", "512",
+                   "--stats", *(arg for q in queries for arg in ("-q", q))])
+        out, err = capsys.readouterr()
+        assert rc == 0
+        got: dict[str, list[int]] = {}
+        for seq, line in enumerate(out.splitlines(), 1):
+            delta = json.loads(line)
+            assert delta["seq"] == seq
+            for q, offsets in delta["matches"].items():
+                got.setdefault(q, []).extend(offsets)
+        batch = GapEngine(queries, grammar=data.dtd).run(doc)
+        assert got == {q: v for q, v in batch.matches.items() if v}
+        assert got
+
+        # the seal points do not depend on how the file was read
+        session = StreamSession(queries, grammar=data.dtd, chunk_bytes=512)
+        session.feed(doc)
+        session.finalize()
+        stats = dict(re.findall(r"^# (\w+): (\d+)$", err, re.M))
+        assert stats == {k: str(v) for k, v in session.totals.as_dict().items()}
+        assert f"{session.chunks_sealed} chunks" in err
+
+
 class TestSpeedupCommand:
     def test_speedup_runs(self, capsys):
         rc = main(["speedup", "dblp", "-Q", "4", "-s", "2", "-c", "8"])

@@ -38,9 +38,9 @@ from repro.store import prepare_xml
 from repro.stream import StreamSession
 from repro.transducer import BaselinePolicy, StackUnderflow, WorkCounters
 from repro.xmlstream import lex_range
-from repro.xmlstream.chunking import Chunk
 from repro.xpath import build_document, evaluate_offsets
 
+from tests.conftest import sealed_batch
 from tests.object_kernel import object_kernel, run_sequential
 
 CHUNK_COUNTS = (1, 2, 7)
@@ -386,10 +386,8 @@ class TestEngines:
                         session.finalize()):
                     for q, offs in delta.matches.items():
                         found.setdefault(q, []).extend(offs)
-                chunks = [Chunk(k, b, e)
-                          for k, (b, e, _) in enumerate(session.sealed_log)]
-                batch = GapEngine(qs).run(LONG, chunks=chunks)
-                return session, found, batch
+                return session, found, sealed_batch(GapEngine(qs), LONG,
+                                                    session)
 
             if patched:
                 with object_kernel():

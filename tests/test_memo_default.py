@@ -2,7 +2,8 @@
 
 ``memo=True`` (``--memo`` on the CLI) still selects it; the opt-in path
 stays covered by ``tests/test_memo_differential.py`` and by the
-memo-parametrized stream and service tests.
+memo-parametrized service tests.  Streams have no memo knob: every
+sealed chunk runs from its exact entry, which never consults the memo.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from repro import GapEngine, PPTransducerEngine
 from repro.cli import _build_parser
 from repro.datasets import ALL_DATASETS, generate_query_set
 from repro.service import ServiceConfig
-from repro.stream import StreamManager, StreamSession
+from repro.stream import StreamSession
 from repro.xpath import memo_info
 
 from tests.conftest import FEED_DTD
@@ -29,9 +30,6 @@ class TestDefaultsAreOff:
     def test_service_config(self):
         assert ServiceConfig().memo is False
 
-    def test_stream_manager(self):
-        assert StreamManager().memo is False
-
     def test_stream_session(self):
         session = StreamSession(["//title"], grammar=FEED_DTD)
         assert session.engine.memo is False
@@ -40,7 +38,6 @@ class TestDefaultsAreOff:
         ["query", "doc.xml", "-q", "//a"],
         ["speedup", "xmark"],
         ["serve"],
-        ["tail", "doc.xml", "-q", "//a"],
     ])
     def test_cli_parser(self, argv):
         parser = _build_parser()

@@ -2,9 +2,9 @@
 
 Pins the contracts of :mod:`repro.store`:
 
-* **codec exactness** — serialize→deserialize of feasible-path
-  tables, chunk splits and token caches is the identity, across hypothesis-generated grammars/documents and for
-  both XML and JSON inputs; a run from stored artifacts is equal to a
+* **codec exactness** — serialize→deserialize of chunk splits and
+  token caches is the identity, across hypothesis-generated documents
+  and for both XML and JSON inputs; a run from stored artifacts is equal to a
   fresh run on matches *and* every deterministic counter;
 * **corruption safety** — truncated, bit-flipped, zero-filled and
   version-bumped artifacts read as clean misses (counted in
@@ -86,15 +86,6 @@ def _clean_compile_cache():
 
 
 class TestCodecRoundTrip:
-    @given(doc=documents())
-    @HYP
-    def test_feasible_table_exact(self, doc):
-        grammar, _text = doc
-        engine = GapEngine(["//" + grammar.root], grammar=grammar)
-        table = engine.table  # inferred feasibility (complete grammar)
-        decoded = codec.decode_feasible_table(codec.encode_feasible_table(table))
-        assert decoded == table
-
     @given(doc=documents(), n_chunks=st.integers(min_value=1, max_value=9))
     @HYP
     def test_chunks_and_tokens_exact(self, doc, n_chunks):

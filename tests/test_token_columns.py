@@ -41,7 +41,6 @@ from repro.service.registry import DocumentRegistry
 from repro.store import ArtifactStore, codec, prepare_json
 from repro.stream import StreamSession
 from repro.xmlstream import (
-    Chunk,
     IncrementalLexer,
     LexError,
     Token,
@@ -53,7 +52,7 @@ from repro.xmlstream import (
     split_chunks,
 )
 
-from tests.conftest import FEED_DTD, FEED_XML, non_ascii
+from tests.conftest import FEED_DTD, FEED_XML, non_ascii, sealed_batch
 from tests.lexer_oracles import oracle_lex, oracle_lex_range, oracle_tag_offsets
 from tests.test_incremental import DOCS
 from tests.test_json_incremental import DOCS as JSON_DOCS
@@ -398,9 +397,7 @@ class TestStreamSealBuffer:
         assert len(buf.names) <= 2 * len(buf)
         session.feed(doc[len(doc) - 10 :])
         session.finalize()
-        chunks = [Chunk(i, b, e)
-                  for i, (b, e, _) in enumerate(session.sealed_log)]
-        batch = GapEngine(queries, grammar=data.dtd).run(doc, chunks=chunks)
+        batch = sealed_batch(GapEngine(queries, grammar=data.dtd), doc, session)
         for q in queries:
             assert session.matches[q] == list(batch.matches[q])
         assert session.totals.as_dict() == batch.stats.counters.as_dict()
