@@ -52,7 +52,7 @@ from ..transducer.pipeline import (
 )
 from ..transducer.policies import BaselinePolicy, ELIMINATE_PAPER
 from ..xpath.automaton import build_automaton
-from ..xpath.compile_tables import KernelTables, compiled_tables
+from ..xpath.compile_tables import KernelTables
 from ..xpath.filtering import apply_filters
 from ..xpath.rewrite import compile_queries
 from ..xmlstream.incremental import IncrementalLexer
@@ -439,9 +439,10 @@ class GapEngine(_EngineBase):
             complete = False
         self._tree = tree
         self._complete = complete and tree is not None
-        #: the exact-entry runs' tables, compiled on the first such run
-        #: and kept, so a warm engine's runs skip the compile cache
-        self._exact_tables: KernelTables | None = None
+        #: kernel tables by pipeline kind (``exact`` or GAP), compiled on
+        #: the first such run and kept, so a warm engine's runs skip the
+        #: compile cache; the GAP entry goes wherever the table does
+        self._tables: dict[bool, KernelTables] = {}
 
     @staticmethod
     def _resolve_grammar(
@@ -470,6 +471,7 @@ class GapEngine(_EngineBase):
             if self.tracer.enabled:
                 sp.args.update(bytes=len(xml_text), documents=self.learner.documents_observed)
         self._table = None  # invalidate
+        self._tables.pop(False, None)
 
     @property
     def mode(self) -> str:
@@ -500,18 +502,12 @@ class GapEngine(_EngineBase):
         """A GAP pipeline, or with ``exact`` one for chunks that run from
         known entry configurations: those read only the transition and
         accept tables, which every policy compiles alike, so the
-        baseline's serve, the engine keeps them, and the feasible table
-        is not inferred."""
+        baseline's serve and the feasible table is not inferred.  The
+        engine keeps both kinds of tables after their first run."""
         tracer = tracer if tracer is not None else self.tracer
         journal = journal if journal is not None else self.journal
-        tables = None
         if exact:
             policy = BaselinePolicy(self.automaton)
-            tables = self._exact_tables
-            if tables is None:
-                with tracer.span("xpath.compile", cat="phase"):
-                    tables = self._exact_tables = compiled_tables(
-                        self.automaton, None, self.anchor_sids, journal=journal)
         else:
             policy = GapPolicy(
                 self.automaton,
@@ -519,6 +515,14 @@ class GapEngine(_EngineBase):
                 eliminate=self.eliminate,
                 switch_to_stack=self.switch_to_stack,
             )
+        tables = self._tables.get(exact)
+        if tables is None:
+            # deferred import: repro.core.kernel imports this module
+            from .kernel import tables_for_policy
+
+            with tracer.span("xpath.compile", cat="phase"):
+                tables = self._tables[exact] = tables_for_policy(
+                    self.automaton, policy, self.anchor_sids, journal=journal)
         return ParallelPipeline(
             self.automaton, policy, self.anchor_sids, self.backend, tracer,
             resilience=self.resilience, faults=self.faults,
@@ -595,6 +599,7 @@ class GapEngine(_EngineBase):
             if self.tracer.enabled:
                 sp.args.update(tokens=len(tokens), documents=self.learner.documents_observed)
         self._table = None
+        self._tables.pop(False, None)
 
 
 def query(

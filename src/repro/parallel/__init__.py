@@ -1,14 +1,6 @@
 """Parallel substrate: backends, resilience, fault injection, simulation."""
 
-from .backend import (
-    Backend,
-    SerialBackend,
-    TaskFailure,
-    TaskOutcome,
-    TaskTimeout,
-    ThreadBackend,
-    get_backend,
-)
+from .backend import Backend, SerialBackend, ThreadBackend, get_backend
 from .cost_model import CostModel, DEFAULT_COST_MODEL
 from .faults import (
     FaultPlane,
@@ -21,6 +13,9 @@ from .resilience import (
     ResilienceError,
     ResilienceReport,
     RetryPolicy,
+    TaskFailure,
+    TaskOutcome,
+    TaskTimeout,
     supervised_map,
 )
 from .simcluster import SimReport, SimulatedCluster

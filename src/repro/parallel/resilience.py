@@ -8,20 +8,25 @@ degrade the run, not fail it.
 
 The recovery ladder for a failed chunk:
 
-1. **retry** — up to ``max_retries`` more attempts through the same
-   backend, with exponential backoff plus deterministic jitter between
-   rounds;
-2. **fallback** — a final, fault-injection-free re-execution on the
-   serial path in the supervising process.
+1. **retry** — up to ``max_retries`` more attempts, with exponential
+   backoff plus deterministic jitter between rounds;
+2. **fallback** — a final, fault-injection-free re-execution in the
+   supervising thread.
 
-All attempts of one round run in parallel (one supervised batch per
-round), so sibling chunks never wait on a failed one beyond the round
-boundary, and a completed chunk's result is never discarded or
-recomputed.  Every attempt is bounded by ``chunk_timeout``, giving the
-hard bound: a hung chunk blocks at most
-``chunk_timeout × (max_retries + 1)`` plus backoff, after which the
-fallback (which cannot hang — injection is disabled there) finishes
-the work.
+Supervision does not depend on the execution backend.  A round runs
+its attempts in chunk order on one daemon worker thread, each under a
+deadline of ``chunk_timeout``; the supervising thread waits on the
+reply.  An attempt that misses its deadline is abandoned together with
+its thread — a daemon thread cannot be killed, but it can no longer
+block the run or interpreter exit — and a replacement thread takes the
+next attempt.  So a run with no hung chunk starts one thread, and each
+hang costs one more.  With ``chunk_timeout=None`` the attempts run
+inline on the supervising thread (a hang then blocks).
+
+A completed chunk's result is never discarded or recomputed, and a
+hung chunk blocks at most ``chunk_timeout × (max_retries + 1)`` plus
+backoff, after which the fallback (which cannot hang — injection is
+disabled there) finishes the work.
 
 Validation is pluggable: the pipeline passes a callback that checks a
 chunk result's integrity (index/range agreement, mapping presence), so
@@ -32,7 +37,9 @@ exception instead of poisoning the join.
 from __future__ import annotations
 
 import logging
+import queue
 import random
+import threading
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -41,12 +48,14 @@ from typing import Any
 from ..obs.journal import NULL_JOURNAL
 from ..obs.logsetup import get_logger
 from ..obs.tracer import NULL_TRACER
-from .backend import Backend, TaskOutcome, TaskTimeout
 
 __all__ = [
     "RetryPolicy",
     "ResilienceError",
     "ResilienceReport",
+    "TaskFailure",
+    "TaskOutcome",
+    "TaskTimeout",
     "supervised_map",
 ]
 
@@ -105,6 +114,83 @@ class ResilienceReport:
         self.events.append((index, attempt, event, detail))
 
 
+class TaskFailure(RuntimeError):
+    """A supervised task failed; ``index`` names the failing item."""
+
+    def __init__(self, index: int, message: str) -> None:
+        super().__init__(message)
+        self.index = index
+
+
+class TaskTimeout(TaskFailure):
+    """A supervised task exceeded its deadline."""
+
+    def __init__(self, index: int, timeout: float) -> None:
+        super().__init__(index, f"task {index} exceeded its {timeout:g}s deadline")
+        self.timeout = timeout
+
+
+@dataclass(slots=True)
+class TaskOutcome:
+    """Result of one supervised task: a value or a classified error."""
+
+    index: int
+    value: Any = None
+    error: BaseException | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None
+
+
+def _serve(inbox: queue.SimpleQueue) -> None:
+    """Worker loop: run each ``(fn, ctx, work, reply)`` until ``None``."""
+    while (task := inbox.get()) is not None:
+        fn, ctx, work, reply = task
+        try:
+            reply.put((True, fn(ctx, work)))
+        except BaseException as exc:  # ship the real error to the caller
+            reply.put((False, exc))
+
+
+class _Attempts:
+    """Runs attempts one at a time on a daemon worker, each with a deadline.
+
+    The worker thread starts on the first attempt; a timed-out attempt
+    abandons it (it exits once its call returns) and the next attempt
+    starts a replacement.  Without a timeout attempts run inline.
+    """
+
+    def __init__(self, timeout: float | None) -> None:
+        self.timeout = timeout
+        self._inbox: queue.SimpleQueue | None = None
+
+    def run(self, ctx: Any, fn: Callable, work: Any, index: int) -> TaskOutcome:
+        if self.timeout is None:
+            try:
+                return TaskOutcome(index, value=fn(ctx, work))
+            except Exception as exc:
+                return TaskOutcome(index, error=exc)
+        if self._inbox is None:
+            self._inbox = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(self._inbox,), daemon=True,
+                             name="repro-supervised").start()
+        reply: queue.SimpleQueue = queue.SimpleQueue()
+        self._inbox.put((fn, ctx, work, reply))
+        try:
+            ok, payload = reply.get(timeout=self.timeout)
+        except queue.Empty:
+            self.close()
+            return TaskOutcome(index, error=TaskTimeout(index, self.timeout))
+        return TaskOutcome(index, value=payload) if ok else TaskOutcome(index, error=payload)
+
+    def close(self) -> None:
+        """Let the current worker exit after its call, if it has one."""
+        if self._inbox is not None:
+            self._inbox.put(None)
+            self._inbox = None
+
+
 class ResilienceError(RuntimeError):
     """Every rung of the recovery ladder failed for some chunk."""
 
@@ -122,7 +208,6 @@ def _classify(error: BaseException) -> str:
 
 
 def supervised_map(
-    backend: Backend,
     ctx: Any,
     fn: Callable[[Any, tuple[Any, int]], Any],
     items: Sequence[Any],
@@ -137,9 +222,10 @@ def supervised_map(
 
     ``fn(ctx, (item, attempt))`` executes one attempt — the attempt
     number rides with the item so fault rules (and any other
-    attempt-aware logic) see it without shared state.  ``validate(result, item)`` returns an error string for a
-    corrupt result, ``None`` for a good one.  ``fallback(item)`` is the
-    last rung; it should execute fault-free and serially.
+    attempt-aware logic) see it without shared state.
+    ``validate(result, item)`` returns an error string for a corrupt
+    result, ``None`` for a good one.  ``fallback(item)`` is the last
+    rung; it runs on the calling thread and should execute fault-free.
 
     Returns the ordered results plus a :class:`ResilienceReport`;
     raises :class:`ResilienceError` only when a chunk exhausts retries
@@ -151,30 +237,23 @@ def supervised_map(
     pending = list(range(n))
     last_error: dict[int, BaseException | str] = {}
     attempt = 0
+    attempts = _Attempts(policy.chunk_timeout)
 
     while pending and attempt <= policy.max_retries:
         if attempt > 0:
             delay = policy.backoff(attempt)
             if delay > 0:
                 sleep(delay)
-        handles = []
-        if attempt > 0 and tracer.enabled:
-            # one retry span per re-attempted chunk; they run
-            # concurrently inside the round, so equal extents are honest
-            for i in pending:
-                h = tracer.span("parallel.backend", cat="resilience",
-                                recovery="retry", chunk=i)
-                sp = h.__enter__()
-                sp.args.update(attempt=attempt, cause=str(last_error.get(i, "")))
-                handles.append(h)
-        try:
-            outcomes: list[TaskOutcome] = backend.map_supervised(
-                ctx, fn, [(items[i], attempt) for i in pending],
-                timeout=policy.chunk_timeout,
-            )
-        finally:
-            for h in handles:
-                h.__exit__(None, None, None)
+        outcomes: list[TaskOutcome] = []
+        for slot in pending:
+            if attempt == 0:
+                outcomes.append(attempts.run(ctx, fn, (items[slot], 0), slot))
+                continue
+            # one retry span per re-attempted chunk, around its attempt
+            with tracer.span("parallel.backend", cat="resilience",
+                             recovery="retry", chunk=slot) as sp:
+                sp.args.update(attempt=attempt, cause=str(last_error.get(slot, "")))
+                outcomes.append(attempts.run(ctx, fn, (items[slot], attempt), slot))
 
         still_failed: list[int] = []
         for slot, outcome in zip(pending, outcomes):
@@ -208,6 +287,7 @@ def supervised_map(
                                len(still_failed), attempt + 1, still_failed)
         pending = still_failed
         attempt += 1
+    attempts.close()
 
     for slot in pending:
         cause = last_error.get(slot, "unknown failure")

@@ -18,6 +18,12 @@ after a reconnect), a gap raises ``409``-mapped :class:`StreamConflict`
 — so "resume from the server's offset" is the entire client-side
 recovery protocol.
 
+Malformed input breaks a stream: the failing append publishes and
+checkpoints the chunks it sealed before the bad one, then raises
+``400``-mapped :class:`StreamError` naming the offset, as does every
+later append (resends included) and ``finalize``; ``delete`` still
+removes it.
+
 Exactly-once across restart: checkpoints are written *before* the
 append's deltas are published (outbox pattern — see
 :mod:`repro.stream.checkpoint`).
@@ -247,6 +253,10 @@ class StreamManager:
             if state.finalized:
                 raise StreamError(f"stream {stream_id} is finalized")
             session = state.session
+            if session.error is not None:
+                # refuse before the resend check: a broken stream
+                # acknowledges nothing, not even bytes it already has
+                raise StreamError(session.error)
             have = session.offset
             if offset is not None:
                 if offset > have:
@@ -259,7 +269,13 @@ class StreamManager:
                             "deltas": 0}
                 data = data[skip:]
             sealed_before = session.chunks_sealed
-            deltas = session.feed(data)
+            try:
+                deltas = session.feed(data)
+            except StreamError as exc:
+                # the chunks sealed before malformed input still count
+                self._publish(state, exc.deltas,
+                              session.chunks_sealed - sealed_before)
+                raise
             sealed = session.chunks_sealed - sealed_before
             self._publish(state, deltas, sealed)
             state.appends += 1
@@ -280,7 +296,12 @@ class StreamManager:
                 raise StreamError(f"stream {stream_id} is finalized")
             session = state.session
             sealed_before = session.chunks_sealed
-            deltas = session.finalize()
+            try:
+                deltas = session.finalize()
+            except StreamError as exc:
+                self._publish(state, exc.deltas,
+                              session.chunks_sealed - sealed_before)
+                raise
             state.finalized = True
             self._publish(state, deltas, session.chunks_sealed - sealed_before,
                           final=True)

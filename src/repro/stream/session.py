@@ -18,10 +18,13 @@ exact-entry batch run over the same sealed partition:
 ``GapEngine.run(doc, chunks=…, chunk_tokens=…, chunk_paths=…)`` with
 each chunk's open-element path (:func:`repro.store.docprep.chunk_paths`).
 A JSON stream's matches equal ``GapEngine.run_tokens``, and its token
-counters those of ``SequentialEngine.run_tokens``.  An end tag that
-underflows the carried stack raises
-:class:`~repro.transducer.mapping.StackUnderflow` at its offset, as a
-sequential run does.
+counters those of ``SequentialEngine.run_tokens``.
+
+Malformed input — a lexical error, or an end tag that underflows the
+carried stack — breaks the stream: the failing call raises
+:class:`StreamError` naming the offset, carrying the deltas of the
+chunks it sealed before the bad one, and every later ``feed`` or
+``finalize`` raises the same error.
 
 Matches are emitted incrementally by :class:`DeltaFilter`, which runs
 the filter phase over anchor-*balanced* segments of the event stream:
@@ -41,12 +44,13 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from ..core.engine import GapEngine
-from ..jsonstream.incremental import IncrementalJSONTokenizer
+from ..jsonstream.incremental import IncrementalJSONTokenizer, JSONError
 from ..jsonstream.tokenizer import DEFAULT_ROOT
 from ..obs.journal import Journal, NULL_JOURNAL
 from ..transducer.counters import WorkCounters
-from ..transducer.mapping import join_exact
+from ..transducer.mapping import StackUnderflow, join_exact
 from ..xmlstream.incremental import IncrementalLexer
+from ..xmlstream.lexer import LexError
 from ..xmlstream.tokens import TokenColumns, TokenKind
 from ..xpath.events import EventKind, MatchEvent
 from ..xpath.filtering import apply_filters
@@ -61,8 +65,21 @@ KINDS = ("xml", "json")
 DEFAULT_CHUNK_BYTES = 1 << 16
 
 
+#: the errors of malformed input; each carries the offset it names
+_MALFORMED = (LexError, JSONError, StackUnderflow)
+
+
 class StreamError(RuntimeError):
-    """Raised for stream misuse (bad kind, value predicates, closed)."""
+    """Raised for stream misuse (bad kind, value predicates, closed) and
+    for malformed input.
+
+    ``deltas`` holds the matches of the chunks a failing call sealed
+    before the malformed one: they are valid and still to be delivered.
+    """
+
+    def __init__(self, message: str, deltas: list | None = None) -> None:
+        super().__init__(message)
+        self.deltas = deltas or []
 
 
 @dataclass(slots=True)
@@ -213,6 +230,8 @@ class StreamSession:
         self._chunk_index = 0
         self.totals = WorkCounters()
         self.finalized = False
+        #: why the stream is broken (malformed input), else ``None``
+        self.error: str | None = None
         #: cumulative matches (query → offsets); ``None`` when
         #: ``track_matches=False`` (server tails: deltas only)
         self.matches: dict[str, list[int]] | None = (
@@ -270,9 +289,15 @@ class StreamSession:
         """Append bytes; returns a delta per chunk this piece sealed."""
         if self.finalized:
             raise StreamError("feed() after finalize()")
+        self._check_intact()
         self._fed += len(piece)
-        self._tokens.extend(self._lexer.feed(piece))
-        return self._seal_ready()
+        deltas: list[StreamDelta] = []
+        try:
+            self._tokens.extend(self._lexer.feed(piece))
+            self._seal_ready(deltas)
+        except _MALFORMED as exc:
+            raise self._broken(exc, deltas) from exc
+        return deltas
 
     def finalize(self) -> list[StreamDelta]:
         """End of stream: flush the lexer, seal the last chunk.
@@ -283,15 +308,21 @@ class StreamSession:
         """
         if self.finalized:
             raise StreamError("finalize() called twice")
-        self._tokens.extend(self._lexer.close())
-        deltas = self._seal_ready()
-        # XML chunks end at the byte length; the token-mode pipeline's
-        # final chunk ends one past the last offset (the JSON root END
-        # sits *at* the byte length) — mirror each convention exactly
-        end = self._fed
-        if self.kind == "json" and self._tokens:
-            end = self._tokens.offsets[-1] + 1
-        last = self._seal(len(self._tokens), end)
+        self._check_intact()
+        deltas: list[StreamDelta] = []
+        try:
+            self._tokens.extend(self._lexer.close())
+            self._seal_ready(deltas)
+            # XML chunks end at the byte length; the token-mode
+            # pipeline's final chunk ends one past the last offset (the
+            # JSON root END sits *at* the byte length) — mirror each
+            # convention exactly
+            end = self._fed
+            if self.kind == "json" and self._tokens:
+                end = self._tokens.offsets[-1] + 1
+            last = self._seal(len(self._tokens), end)
+        except _MALFORMED as exc:
+            raise self._broken(exc, deltas) from exc
         if last is not None:
             deltas.append(last)
         tail = self._filter.flush()
@@ -303,6 +334,15 @@ class StreamSession:
                                       end=self._fed, matches=tail))
         self.finalized = True
         return deltas
+
+    def _check_intact(self) -> None:
+        if self.error is not None:
+            raise StreamError(self.error)
+
+    def _broken(self, exc: Exception, deltas: list[StreamDelta]) -> StreamError:
+        """Mark the stream broken by ``exc``; the error to raise."""
+        self.error = f"stream broken by malformed input: {exc}"
+        return StreamError(self.error, deltas)
 
     # -- sealing + evaluation ------------------------------------------
 
@@ -321,9 +361,9 @@ class StreamSession:
         offsets = self._tokens.offsets
         return idx > 0 and offsets[idx] > offsets[idx - 1]
 
-    def _seal_ready(self) -> list[StreamDelta]:
-        """Seal every chunk whose span has reached the target size."""
-        deltas: list[StreamDelta] = []
+    def _seal_ready(self, deltas: list[StreamDelta]) -> None:
+        """Seal every chunk whose span has reached the target size,
+        appending their deltas to ``deltas``."""
         while True:
             # the first token at or past the target size where a chunk
             # may begin (offsets never decrease)
@@ -333,7 +373,7 @@ class StreamSession:
                 cut += 1
             if cut >= len(offsets):
                 self._compact()
-                return deltas
+                return
             delta = self._seal(cut, offsets[cut])
             if delta is not None:
                 deltas.append(delta)
@@ -365,11 +405,11 @@ class StreamSession:
             self._next_begin = end
             return None
         ci = self._chunk_index
-        if self.sealed_log is not None:
-            self.sealed_log.append((begin, end, tuple(part)))
         carried = (self._state, self._stack)
         result = self._runner.run_chunk(part, ci, begin, end,
                                         journal=self.journal, entry=carried)
+        if self.sealed_log is not None:
+            self.sealed_log.append((begin, end, tuple(part)))
         self.totals.merge(result.counters)
         self._state, self._stack, events = join_exact(
             carried, [result], self.totals)
@@ -405,6 +445,7 @@ class StreamSession:
             "chunk_index": self._chunk_index,
             "counters": self.totals.as_dict(),
             "filter": self._filter.state(),
+            "error": self.error,
         }
 
     def restore(self, snap: dict) -> None:
@@ -427,3 +468,4 @@ class StreamSession:
         self._chunk_index = snap["chunk_index"]
         self.totals = WorkCounters(**snap["counters"])
         self._filter.restore(snap["filter"])
+        self.error = snap.get("error")

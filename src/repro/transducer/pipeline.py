@@ -4,17 +4,24 @@ This module glues the substrates together into the structure of
 Section 2.3:
 
 1. **split** — cut the document into tag-aligned chunks
-   (:mod:`repro.xmlstream.chunking`);
+   (:mod:`repro.xmlstream.chunking`), or cut pre-tokenised input (a
+   JSON document's columns) into contiguous column slices;
 2. **parallel** — run the chunk kernel (:class:`repro.core.kernel.DenseRunner`)
-   on every chunk through an execution backend; chunk 0 starts from
-   the known initial configuration, the rest from whatever the policy
-   allows — or, when each chunk's open-element path is known (a
+   on every chunk through an execution backend, or under supervision
+   (:func:`repro.parallel.resilience.supervised_map`); chunk 0 starts
+   from the known initial configuration, the rest from whatever the
+   policy allows — or, when each chunk's open-element path is known (a
    registered document), every chunk from its exact configuration;
 3. **join** — link the chunk mappings in document order
    (:mod:`repro.transducer.mapping`), reprocessing misspeculated
    ranges with the sequential transducer
    (:meth:`repro.core.kernel.DenseRunner.run_from`, through
    :func:`reprocess_range`); exact chunks are concatenated.
+
+Text (:meth:`ParallelPipeline.run`) and token input
+(:meth:`ParallelPipeline.run_tokens`) differ only in the split: phases
+2 and 3 are one method for both, and the one value that differs there
+is the columns a misspeculated range re-runs over.
 
 With a :class:`~repro.transducer.policies.BaselinePolicy` this *is*
 the PP-Transducer (Ogden et al., VLDB'13); with the GAP policies from
@@ -26,7 +33,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 from ..obs.journal import Journal, NULL_JOURNAL
 from ..obs.tracer import NULL_TRACER, Tracer
@@ -340,10 +346,13 @@ class ParallelPipeline:
 
         The token-mode pipeline serves inputs that are not
         chunk-lexable text — JSON documents tokenised by
-        :mod:`repro.jsonstream` — by splitting the token columns into
-        contiguous chunks.  Token offsets must be non-decreasing (the
-        JSON tokeniser guarantees this); reprocessing cuts the columns
-        by offset.  Tokenisation itself is a sequential
+        :mod:`repro.jsonstream` — by cutting the token columns into
+        contiguous chunks, each handed to the workers pre-lexed; from
+        there it is :meth:`run`'s parallel phase and join, with the
+        same backend, supervision and fault plane.  Token offsets must
+        be non-decreasing (the JSON tokeniser guarantees this); a
+        misspeculated range re-runs over the document's own columns,
+        cut by offset.  Tokenisation itself is a sequential
         preprocessing step in this mode (parallel JSON lexing is its
         own research problem and out of scope).
         """
@@ -356,7 +365,6 @@ class ParallelPipeline:
             raise ValueError(
                 "token-mode execution requires non-decreasing offsets"
             )
-        end_sentinel = offsets[-1] + 1
         # chunk boundaries must fall on strictly-increasing offsets
         # so that offset-based reprocess slicing is unambiguous (a
         # wrapper START and its scalar TEXT may share an offset)
@@ -368,46 +376,12 @@ class ParallelPipeline:
             if 0 < cut < len(tokens):
                 cuts.add(cut)
         edges = [0, *sorted(cuts), len(tokens)]
-
-        tracer = self.tracer
-        journal = self.journal
-        runner = self.chunk_runner()
-        results: list[ChunkResult] = []
-        for ci, (i0, i1) in enumerate(zip(edges, edges[1:])):
-            begin = offsets[i0]
-            end = offsets[i1] if i1 < len(tokens) else end_sentinel
-            start = frozenset((self.automaton.initial,)) if ci == 0 else None
-            with tracer.span("core.kernel", cat="chunk", chunk=ci) as sp:
-                r = runner.run_chunk(
-                    tokens[i0:i1], ci, begin, end, start_states=start, journal=journal
-                )
-                if tracer.enabled:
-                    _snapshot_chunk_counters(sp, r.counters)
-            results.append(r)
-
-        totals = WorkCounters()
-        per_chunk: list[WorkCounters] = []
-        for r in results:
-            per_chunk.append(r.counters)
-            totals.merge(r.counters)
-
-        reprocess = partial(reprocess_range, runner, tokens,
-                            tracer=tracer, journal=journal)
-
-        strict = not self.policy.speculative
-        with tracer.span("transducer.mapping", cat="phase") as sp:
-            state, _stack, events = join_results(
-                (self.automaton.initial, [], []), results, reprocess, totals,
-                strict=strict, journal=journal,
-            )
-            sp.args.update(
-                misspeculations=totals.misspeculations,
-                reprocessed_tokens=totals.reprocessed_tokens,
-            )
-        self._persist_memo()
-        return ParallelRunResult(
-            events=events, final_state=state, counters=totals, chunk_counters=per_chunk
-        )
+        # the last chunk ends one past the last offset
+        ends = [*(offsets[i] for i in edges[1:-1]), offsets[-1] + 1]
+        chunks = [Chunk(ci, offsets[i0], end)
+                  for ci, (i0, end) in enumerate(zip(edges, ends))]
+        columns = tuple(tokens[i0:i1] for i0, i1 in zip(edges, edges[1:]))
+        return self._drive("", chunks, columns, None, tokens)
 
     def run(
         self,
@@ -436,8 +410,6 @@ class ParallelPipeline:
         (:func:`~repro.transducer.mapping.join_exact`).  The policy's
         feasibility rows are not read.
         """
-        tracer = self.tracer
-        journal = self.journal
         for name, per_chunk in (("chunk_tokens", chunk_tokens),
                                 ("chunk_paths", chunk_paths)):
             if per_chunk is None:
@@ -450,10 +422,29 @@ class ParallelPipeline:
                     f"({len(per_chunk)} != {len(chunks)})"
                 )
         entries = self._entries(chunk_paths) if chunk_paths is not None else None
-        with tracer.span("xmlstream.split", cat="phase") as sp:
+        with self.tracer.span("xmlstream.split", cat="phase") as sp:
             if chunks is None:
                 chunks = split_chunks(text, n_chunks)
             sp.args["n_chunks"] = len(chunks)
+        return self._drive(text, chunks, chunk_tokens, entries, None)
+
+    def _drive(
+        self,
+        text: str,
+        chunks: list[Chunk],
+        chunk_tokens: tuple | None,
+        entries: tuple | None,
+        document: TokenColumns | None,
+    ) -> ParallelRunResult:
+        """The parallel phase and the join over framed chunks.
+
+        Each chunk runs from ``chunk_tokens`` (or lexes its range of
+        ``text``) and, with ``entries``, from its exact configuration.
+        ``document`` is the columns a misspeculated range re-runs over;
+        ``None`` lexes the range from ``text``.
+        """
+        tracer = self.tracer
+        journal = self.journal
         ctx = _Ctx(text, self.automaton, self.policy, self.anchor_sids,
                    trace=tracer.enabled, journal=journal.enabled,
                    faults=self.faults, tables=self._tables,
@@ -463,8 +454,7 @@ class ParallelPipeline:
             if self.resilience is not None:
                 fallback_ctx = replace(ctx, faults=NO_FAULTS)
                 results, report = supervised_map(
-                    self.backend, ctx, _run_one_chunk_attempt, chunks,
-                    self.resilience,
+                    ctx, _run_one_chunk_attempt, chunks, self.resilience,
                     validate=_validate_chunk_result,
                     fallback=lambda chunk: _run_one_chunk(fallback_ctx, chunk),
                     tracer=tracer,
@@ -491,7 +481,8 @@ class ParallelPipeline:
 
         def reprocess(begin: int, end: int, state: int, stack: list[int],
                       skip_end: bool):
-            return reprocess_range(self.chunk_runner(), lex_range(text, begin, end),
+            tokens = lex_range(text, begin, end) if document is None else document
+            return reprocess_range(self.chunk_runner(), tokens,
                                    begin, end, state, stack, skip_end, tracer, journal)
 
         # supervision relaxes the strict join: an incomplete mapping is

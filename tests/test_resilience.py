@@ -8,12 +8,16 @@ up in the run's counters and metrics.
 
 from __future__ import annotations
 
+import json
 import math
+import threading
+import time
 
 import pytest
 
 from repro import GapEngine, SequentialEngine
 from repro.cli import main as cli_main
+from repro.jsonstream import tokenize_json
 from repro.obs.metrics import collect_run_metrics
 from repro.obs.tracer import Tracer
 from repro.parallel import (
@@ -22,11 +26,11 @@ from repro.parallel import (
     ResilienceError,
     RetryPolicy,
     SerialBackend,
+    TaskTimeout,
     ThreadBackend,
     parse_fault_spec,
     supervised_map,
 )
-from repro.parallel.backend import TaskTimeout
 from repro.parallel.faults import FaultRule, apply_faults
 
 from tests.conftest import FEED_DTD
@@ -40,6 +44,13 @@ XML = (
     )
     + "<id>the-feed</id></feed>"
 )
+
+JSON_QUERIES = ["/json/feed/entry/id", "//title"]
+
+JSON_TOKENS = tokenize_json(json.dumps({"feed": {
+    "entry": [{"id": f"e{i:03d}", "title": f"title {i}"} for i in range(48)],
+    "id": "the-feed",
+}}))
 
 #: quick policy: tight timeout, cheap backoff, deterministic
 POLICY = RetryPolicy(max_retries=2, chunk_timeout=1.0, backoff_base=0.001, backoff_max=0.01)
@@ -160,15 +171,14 @@ def _always_fail(ctx, work):
 
 class TestSupervisedMap:
     def test_clean_run_touches_nothing(self):
-        results, report = supervised_map(
-            SerialBackend(), None, _identity, [10, 11, 12], POLICY)
+        results, report = supervised_map(None, _identity, [10, 11, 12], POLICY)
         assert results == [10, 11, 12]
         assert (report.retries, report.timeouts, report.fallbacks) == (0, 0, 0)
 
     def test_retry_recovers_and_is_counted(self):
         sleeps = []
-        results, report = supervised_map(
-            SerialBackend(), None, _flaky, [1, 2, 3], POLICY, sleep=sleeps.append)
+        results, report = supervised_map(None, _flaky, [1, 2, 3], POLICY,
+                                         sleep=sleeps.append)
         assert results == [1, 2, 3]
         assert report.retries == 3 and report.fallbacks == 0
         assert len(sleeps) == 1  # one backoff before the single retry round
@@ -182,14 +192,14 @@ class TestSupervisedMap:
             return -item if attempt == 0 else item
 
         results, report = supervised_map(
-            SerialBackend(), None, fn, [5, 6], POLICY,
+            None, fn, [5, 6], POLICY,
             validate=bad_on_first, sleep=lambda _s: None)
         assert results == [5, 6]
         assert report.invalid_results == 2 and report.retries == 2
 
     def test_fallback_after_exhausted_retries(self):
         results, report = supervised_map(
-            SerialBackend(), None, _always_fail, [7], POLICY,
+            None, _always_fail, [7], POLICY,
             fallback=lambda item: item * 100, sleep=lambda _s: None)
         assert results == [700]
         assert report.retries == POLICY.max_retries
@@ -197,7 +207,7 @@ class TestSupervisedMap:
 
     def test_resilience_error_without_fallback(self):
         with pytest.raises(ResilienceError) as err:
-            supervised_map(SerialBackend(), None, _always_fail, [7], POLICY,
+            supervised_map(None, _always_fail, [7], POLICY,
                            sleep=lambda _s: None)
         assert err.value.index == 0
         assert err.value.attempts == POLICY.max_retries + 1
@@ -207,25 +217,24 @@ class TestSupervisedMap:
             raise OSError("fallback broken too")
 
         with pytest.raises(ResilienceError):
-            supervised_map(SerialBackend(), None, _always_fail, [7], POLICY,
+            supervised_map(None, _always_fail, [7], POLICY,
                            fallback=broken_fallback, sleep=lambda _s: None)
 
     def test_timeout_classified(self):
         def hang(ctx, work):
-            import time
             item, attempt = work
             if attempt == 0:
                 time.sleep(5)
             return item
 
         policy = RetryPolicy(max_retries=1, chunk_timeout=0.1, backoff_base=0.001)
-        results, report = supervised_map(SerialBackend(), None, hang, [4], policy)
+        results, report = supervised_map(None, hang, [4], policy)
         assert results == [4]
         assert report.timeouts == 1 and report.retries == 1
 
     def test_retry_spans_emitted(self):
         tracer = Tracer()
-        supervised_map(SerialBackend(), None, _flaky, [1, 2], POLICY,
+        supervised_map(None, _flaky, [1, 2], POLICY,
                        tracer=tracer, sleep=lambda _s: None)
         spans = [s for s in tracer.spans if s.cat == "resilience"]
         assert {s.name for s in spans} == {"parallel.backend"}
@@ -234,7 +243,8 @@ class TestSupervisedMap:
 
 
 # ---------------------------------------------------------------------------
-# the fault matrix: action x backend, engine results identical to no-fault
+# the fault matrix: action x backend x input, engine results identical to
+# no-fault
 
 
 SERIAL_THREAD_CASES = [
@@ -244,22 +254,40 @@ SERIAL_THREAD_CASES = [
     ("delay", "chunk:2:delay:delay=0.01:times=inf", None),
 ]
 
+#: the two inputs of the one pipeline: XML text and JSON token columns
+INPUTS = ["xml", "json"]
+
+
+def _matrix_run(kind, backend, faults, policy=POLICY, n_chunks=6):
+    """One GapEngine run on ``kind`` input, and its oracle."""
+    if kind == "xml":
+        result = _engine(backend, faults, policy).run(XML, n_chunks=n_chunks)
+        expected = SequentialEngine(QUERIES).run(XML)
+    else:
+        engine = GapEngine(JSON_QUERIES, backend=backend, resilience=policy,
+                           faults=faults)
+        result = engine.run_tokens(JSON_TOKENS, n_chunks=n_chunks)
+        expected = SequentialEngine(JSON_QUERIES).run_tokens(JSON_TOKENS)
+    return result, expected.offsets_by_id
+
 
 class TestFaultMatrix:
+    @pytest.mark.parametrize("kind", INPUTS)
     @pytest.mark.parametrize("action,spec,counter", SERIAL_THREAD_CASES,
                              ids=[c[0] for c in SERIAL_THREAD_CASES])
-    def test_serial(self, action, spec, counter, baseline):
-        result = _engine(SerialBackend(), spec).run(XML, n_chunks=6)
-        assert result.offsets_by_id == baseline
+    def test_serial(self, action, spec, counter, kind):
+        result, expected = _matrix_run(kind, SerialBackend(), spec)
+        assert result.offsets_by_id == expected
         if counter is not None:
             assert getattr(result.stats.counters, counter) > 0
 
+    @pytest.mark.parametrize("kind", INPUTS)
     @pytest.mark.parametrize("action,spec,counter", SERIAL_THREAD_CASES,
                              ids=[c[0] for c in SERIAL_THREAD_CASES])
-    def test_thread(self, action, spec, counter, baseline):
+    def test_thread(self, action, spec, counter, kind):
         with ThreadBackend(max_workers=3) as backend:
-            result = _engine(backend, spec).run(XML, n_chunks=6)
-        assert result.offsets_by_id == baseline
+            result, expected = _matrix_run(kind, backend, spec)
+        assert result.offsets_by_id == expected
         if counter is not None:
             assert getattr(result.stats.counters, counter) > 0
 
@@ -270,11 +298,10 @@ class TestFaultMatrix:
         counters = result.stats.counters
         assert counters.retries > 0 and counters.timeouts > 0
 
-    def test_unsupervised_run_propagates_faults(self):
-        engine = GapEngine(QUERIES, grammar=FEED_DTD, backend=SerialBackend(),
-                           faults="chunk:2:raise")
+    @pytest.mark.parametrize("kind", INPUTS)
+    def test_unsupervised_run_propagates_faults(self, kind):
         with pytest.raises(InjectedFault):
-            engine.run(XML, n_chunks=6)
+            _matrix_run(kind, SerialBackend(), "chunk:2:raise", policy=None)
 
     def test_env_plane_reaches_workers(self, baseline, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "chunk:1:raise")
@@ -283,46 +310,92 @@ class TestFaultMatrix:
         assert result.stats.counters.retries == 1
 
 
+class TestSupervisorThreads:
+    """Supervision runs a run's attempts on one worker thread, and starts
+    another only when a timeout abandons the current one."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        names = []
+        real = threading.Thread.start
+
+        def spy(thread):
+            names.append(thread.name)
+            return real(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        return names
+
+    @pytest.mark.parametrize("kind", INPUTS)
+    def test_clean_run_starts_one_thread(self, kind, started):
+        result, expected = _matrix_run(kind, SerialBackend(), None, n_chunks=8)
+        assert result.offsets_by_id == expected
+        assert result.stats.counters.chunks == 8
+        assert len(started) <= 1
+
+    @pytest.mark.parametrize("kind", INPUTS)
+    def test_hang_starts_one_replacement(self, kind, started):
+        result, expected = _matrix_run(kind, SerialBackend(), f"chunk:3:hang:{HANG}",
+                                       n_chunks=8)
+        assert result.offsets_by_id == expected
+        assert result.stats.counters.timeouts == 1
+        assert len(started) <= 2
+
+    def test_no_timeout_runs_inline(self, started, baseline):
+        policy = RetryPolicy(max_retries=1, chunk_timeout=None, backoff_base=0.001)
+        result = _engine(SerialBackend(), "chunk:2:raise", policy).run(XML, n_chunks=8)
+        assert result.offsets_by_id == baseline
+        assert result.stats.counters.retries == 1
+        assert started == []
+
+
 # ---------------------------------------------------------------------------
-# ThreadBackend failure surfacing (supervised and unsupervised paths)
+# failure surfacing: the supervisor, and the thread backend's unsupervised
+# path
 
 
-def _boom_on_two(ctx, item):
+def _boom_on_two(ctx, work):
+    item, _attempt = work
     if item == 2:
         raise ValueError("boom")
     return item
 
 
-def _hang_on_one(ctx, item):
-    if item == 1:
-        import time
-        time.sleep(5)
-    return item
-
-
 class TestThreadBackendFailures:
     def test_task_exception_surfaces_failing_index(self):
-        with ThreadBackend(max_workers=2) as backend:
-            outcomes = backend.map_supervised(None, _boom_on_two, [0, 1, 2, 3, 4])
-            assert [o.index for o in outcomes] == [0, 1, 2, 3, 4]
-            assert [o.ok for o in outcomes] == [True, True, False, True, True]
-            assert isinstance(outcomes[2].error, ValueError)
-            assert [o.value for o in outcomes if o.ok] == [0, 1, 3, 4]
-            # the backend stays usable after a failed task
-            assert backend.map_with_context(None, _boom_on_two, [0, 1]) == [0, 1]
+        policy = RetryPolicy(max_retries=0, chunk_timeout=1.0)
+        with pytest.raises(ResilienceError) as err:
+            supervised_map(None, _boom_on_two, [0, 1, 2, 3, 4], policy)
+        assert err.value.index == 2
+        assert isinstance(err.value.__cause__, ValueError)
+        # with a fallback the siblings keep their own results
+        results, report = supervised_map(None, _boom_on_two, [0, 1, 2, 3, 4],
+                                         policy, fallback=lambda item: -item)
+        assert results == [0, 1, -2, 3, 4]
+        assert report.events == [(2, 0, "error", "boom"), (2, 1, "fallback", "boom")]
 
     def test_hung_task_times_out_and_is_abandoned(self):
-        import time
+        ran_on = {}
 
-        with ThreadBackend(max_workers=2) as backend:
-            t0 = time.monotonic()
-            outcomes = backend.map_supervised(None, _hang_on_one, [0, 1, 2],
-                                              timeout=0.2)
-        # neither the map nor close() waited for the sleeping task
+        def hang_on_one(ctx, work):
+            item, _attempt = work
+            ran_on[item] = threading.current_thread()
+            if item == 1:
+                time.sleep(5)
+            return item
+
+        policy = RetryPolicy(max_retries=0, chunk_timeout=0.2)
+        t0 = time.monotonic()
+        results, report = supervised_map(None, hang_on_one, [0, 1, 2], policy,
+                                         fallback=lambda item: item)
+        # the map did not wait for the sleeping task
         assert time.monotonic() - t0 < 3.0
-        assert [o.ok for o in outcomes] == [True, False, True]
-        assert isinstance(outcomes[1].error, TaskTimeout)
-        assert outcomes[1].error.index == 1
+        assert results == [0, 1, 2] and report.timeouts == 1
+        assert [e[:3] for e in report.events] == [(1, 0, "timeout"), (1, 1, "fallback")]
+        assert report.events[0][3] == str(TaskTimeout(1, 0.2))
+        # the hung worker was abandoned: a replacement ran the next item
+        assert ran_on[1] is ran_on[0]
+        assert ran_on[2] is not ran_on[1] and ran_on[1].is_alive()
 
     def test_supervision_recovers_from_failing_task(self):
         def fn(ctx, work):
@@ -332,9 +405,8 @@ class TestThreadBackendFailures:
             return item
 
         policy = RetryPolicy(max_retries=1, chunk_timeout=5.0, backoff_base=0.001)
-        with ThreadBackend(max_workers=2) as backend:
-            results, report = supervised_map(
-                backend, None, fn, [0, 1, 2, 3], policy, fallback=lambda item: -1)
+        results, report = supervised_map(None, fn, [0, 1, 2, 3], policy,
+                                         fallback=lambda item: -1)
         assert results == [0, 1, 2, 3]
         assert report.retries == 1 and report.fallbacks == 0
 
@@ -423,8 +495,6 @@ class TestCliAcceptance:
 
 class TestTimingBound:
     def test_hang_bounded_by_timeout_times_attempts(self, baseline):
-        import time
-
         policy = RetryPolicy(max_retries=1, chunk_timeout=0.3,
                              backoff_base=0.001, backoff_max=0.01)
         engine = _engine(SerialBackend(), "chunk:2:hang:delay=30:times=inf",

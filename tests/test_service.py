@@ -644,7 +644,6 @@ class TestRequestPath:
         assert all(name.startswith("repro-svc-worker-") for _, name in seen)
 
     def test_warm_engine_skips_the_compile_cache(self, monkeypatch):
-        import repro.core.engine as engine_mod
         import repro.core.kernel as kernel_mod
 
         calls = []
@@ -655,8 +654,7 @@ class TestRequestPath:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(engine_mod, "compiled_tables",
-                            counting(engine_mod.compiled_tables))
+        # engines compile every kind of table through the kernel module
         monkeypatch.setattr(kernel_mod, "compiled_tables",
                             counting(kernel_mod.compiled_tables))
         with QueryService(small_config()) as svc:
@@ -684,8 +682,8 @@ class TestRequestPath:
             assert svc.store.counters() == registered
 
     def test_supervision_on_the_serial_default(self, monkeypatch):
-        """``chunk_timeout`` still bounds a hung chunk: the serial
-        backend runs each supervised chunk on a daemon thread."""
+        """``chunk_timeout`` still bounds a hung chunk: the supervisor
+        runs the attempts on a daemon worker thread, whatever the backend."""
         want = {q: oracle_matches(FEED_XML, FEED_DTD, q) for q in ("//id", "//title")}
         monkeypatch.setenv("REPRO_FAULTS", "chunk:1:raise,chunk:2:hang:delay=2")
         config = ServiceConfig(n_chunks=4, workers=1, collector=False,

@@ -184,9 +184,13 @@ class TestCarriedConfiguration:
         head = "<feed><entry><id>1</id></entry></feed>"
         doc = head + "</feed><feed><id>2</id></feed>"
         session = StreamSession(XML_QUERIES, grammar=grammar, chunk_bytes=16)
-        with pytest.raises(StackUnderflow) as err:
+        with pytest.raises(StreamError) as err:
             collect(session, pieces_of(doc, 1, lo=1, hi=9))
-        assert err.value.offset == len(head)
+        assert isinstance(err.value.__cause__, StackUnderflow)
+        assert err.value.__cause__.offset == len(head)
+        # the stream stays broken, naming the same offset
+        with pytest.raises(StreamError, match=f"at offset {len(head)}$"):
+            session.finalize()
 
     def test_never_infers_the_feasible_table(self, monkeypatch):
         import repro.core.engine as engine_module
@@ -531,6 +535,47 @@ class TestStreamManager:
             [published - 1, published]
         mgr.close()
 
+    def test_malformed_append_publishes_then_refuses(self, tmp_path):
+        """An end tag past the root breaks the stream: the chunks sealed
+        before it still publish and checkpoint, then every write is a
+        StreamError naming its offset, and delete still works."""
+        queries = ["/feed/entry/id", "//id"]
+        head = "<feed><entry><id>1</id></entry>"
+        tail = ("<entry><id>2</id></entry></feed></feed>"
+                "<feed><entry><id>3</id></entry></feed>")
+        bad = f"at offset {(head + tail).index('</feed></feed>') + 7}$"
+        mgr = self.make(tmp_path, chunk_bytes=16)
+        state, _ = mgr.create("bad", queries)
+        sid = state.stream_id
+        mgr.append(sid, head, offset=0)
+        with pytest.raises(StreamError, match=bad) as err:
+            mgr.append(sid, tail, offset=len(head))
+        assert isinstance(err.value.__cause__, StackUnderflow)
+        # the failing append's good chunks were delivered and persisted
+        out = mgr.read_deltas(sid, since=0, max_n=100)
+        got = merged_matches(StreamDelta(**{k: d[k] for k in (
+            "chunk", "begin", "end", "matches")}) for d in out["deltas"])
+        assert got == {q: [13, 38] for q in queries}
+        record = load_checkpoint(mgr.store, state.key)
+        assert record["next_seq"] == state.hub.next_seq
+        assert record["session"]["next_begin"] == state.session.committed
+        for call in (lambda: mgr.append(sid, tail, offset=len(head)),
+                     lambda: mgr.append(sid, "<feed/>"),
+                     lambda: mgr.finalize(sid)):
+            with pytest.raises(StreamError, match=bad):
+                call()
+        # a restart resumes the broken stream broken
+        mgr2 = self.make(tmp_path, chunk_bytes=16)
+        state2, resumed = mgr2.create("bad", queries)
+        assert resumed
+        with pytest.raises(StreamError, match=bad):
+            mgr2.append(sid, tail, offset=len(head))
+        mgr2.close()
+        assert mgr.delete(sid) == {"deleted": sid}
+        with pytest.raises(UnknownStream):
+            mgr.get(sid)
+        mgr.close()
+
     def test_stats_and_series_surface(self):
         mgr = self.make(metrics=__import__(
             "repro.obs.metrics", fromlist=["MetricsRegistry"]
@@ -605,6 +650,26 @@ class TestStreamHTTP:
             assert got == {q: list(v)
                            for q, v in batch.matches.items() if v}
             assert [s["stream_id"] for s in client.streams()] == [sid]
+        finally:
+            self.stop(client, thread)
+
+    def test_malformed_append_is_a_400(self):
+        client, thread = self.start()
+        try:
+            sid = client.stream_create(
+                "bad", ["//id"], chunk_bytes=16)["stream_id"]
+            head = "<feed><id>1</id></feed>"
+            client.stream_append(sid, head, offset=0)
+            tail = "</feed><feed><id>2</id></feed><feed><id>3</id></feed>"
+            for _ in range(2):  # the failing append, then its resend
+                with pytest.raises(ServiceError) as err:
+                    client.stream_append(sid, tail, offset=len(head))
+                assert err.value.status == 400
+                assert f"at offset {len(head)}" in str(err.value)
+            with pytest.raises(ServiceError) as err:
+                client.stream_finalize(sid)
+            assert err.value.status == 400
+            assert client.stream_delete(sid) == {"deleted": sid}
         finally:
             self.stop(client, thread)
 

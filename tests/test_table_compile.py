@@ -224,6 +224,35 @@ class TestCompileCache:
         assert info == {"hits": 0, "misses": 0, "size": 0}
 
 
+class TestEngineKeepsTables:
+    """A warm :class:`GapEngine` runs from the tables its first run
+    compiled; learning drops the GAP tables, so the next run compiles
+    exactly once."""
+
+    def test_warm_run_tokens_skip_the_compile_cache(self, monkeypatch):
+        import repro.core.kernel as kernel_mod
+        from repro.jsonstream import tokenize_json
+
+        calls = []
+        real = kernel_mod.compiled_tables
+        monkeypatch.setattr(kernel_mod, "compiled_tables",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        tokens = tokenize_json('{"feed": {"entry": [{"id": 1}, {"id": 2}]}}')
+        engine = GapEngine(["//id"])
+        first = engine.run_tokens(tokens).matches
+        assert len(calls) == 1
+        calls.clear()
+        for _ in range(50):
+            assert engine.run_tokens(tokens).matches == first
+        assert calls == []
+        engine.learn_tokens(tokens)
+        assert engine.run_tokens(tokens).matches == first
+        assert len(calls) == 1
+        engine.learn("<json><feed><entry><id>1</id></entry></feed></json>")
+        assert engine.run_tokens(tokens).matches == first
+        assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # thread safety (the query service compiles from scheduler workers)
 # ---------------------------------------------------------------------------
