@@ -90,7 +90,7 @@ from contextlib import contextmanager, nullcontext
 from .core.engine import GapEngine, PPTransducerEngine, SequentialEngine, element_at
 from .core.inference import infer_feasible_paths
 from .datasets import ALL_DATASETS, dataset_by_name, generate_query_set
-from .grammar import build_syntax_tree, is_xsd, parse_dtd, parse_xsd
+from .grammar import build_syntax_tree, parse_dtd
 from .jsonstream import json_value_at, tokenize_json
 from .obs import (
     Journal,
@@ -122,7 +122,7 @@ from .obs.report import (
 from .obs.tracer import NULL_TRACER
 from .parallel import SimulatedCluster
 from .service import ServiceConfig
-from .store import prepare_json, prepare_xml
+from .store.docprep import looks_like_json, parse_grammar, prepare_json, prepare_xml
 from .xpath.compile_tables import compile_cache_info, set_artifact_store
 
 __all__ = ["main"]
@@ -448,18 +448,6 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_grammar(text: str):
-    if text.lstrip()[:1] == "{":
-        from .jsonstream import json_schema_to_grammar
-
-        return json_schema_to_grammar(text)
-    return parse_xsd(text) if is_xsd(text) else parse_dtd(text)
-
-
-def _looks_like_json(text: str) -> bool:
-    return text.lstrip()[:1] in ("{", "[")
-
-
 def _format_stat(value: float) -> str:
     """Ints as ints, floats at full precision (no ``%g`` truncation)."""
     if isinstance(value, float) and value.is_integer():
@@ -525,7 +513,7 @@ def _build_query_engine(args: argparse.Namespace, content: str, as_json: bool, t
         )
     grammar = None
     if args.grammar:
-        grammar = _load_grammar(_read(args.grammar))
+        grammar = parse_grammar(_read(args.grammar))
     elif not as_json and "<!DOCTYPE" in content[:65536] and not args.learn:
         grammar = parse_dtd(content)
     engine = GapEngine(
@@ -536,7 +524,7 @@ def _build_query_engine(args: argparse.Namespace, content: str, as_json: bool, t
     )
     for prior in args.learn:
         prior_text = _read(prior)
-        if _looks_like_json(prior_text):
+        if looks_like_json(prior_text):
             engine.learn_tokens(tokenize_json(prior_text))
         else:
             engine.learn(prior_text)
@@ -588,7 +576,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    grammar = _load_grammar(_read(args.grammar))
+    grammar = parse_grammar(_read(args.grammar))
     print(f"grammar: root <{grammar.root}>, {len(grammar)} element declarations, "
           f"{'complete' if grammar.is_complete() else 'PARTIAL'}")
     tree = build_syntax_tree(grammar)
@@ -686,7 +674,7 @@ def _run_query(args: argparse.Namespace, *, journal: bool = False,
     """
     tracer, jr = _obs_prepare(args, force_trace=trace, force_journal=journal)
     content = _read(args.file)
-    as_json = _looks_like_json(content)
+    as_json = looks_like_json(content)
     sampler = None
     if sample:
         from .obs.sampler import StackSampler

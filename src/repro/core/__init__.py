@@ -19,7 +19,7 @@ from .engine import (
     element_at,
     query,
 )
-from .gap_transducer import GapPolicy, run_gap_transducer
+from .gap_transducer import GapPolicy
 from .inference import FeasibleTable, infer_feasible_paths
 from .kernel import DenseRunner, tables_for_policy
 from .speculative import GrammarLearner, empty_speculative_table
@@ -40,6 +40,5 @@ __all__ = [
     "empty_speculative_table",
     "infer_feasible_paths",
     "query",
-    "run_gap_transducer",
     "tables_for_policy",
 ]

@@ -31,7 +31,8 @@ when the caller wants values rather than positions.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from ..grammar.dtd_parser import parse_dtd
@@ -116,10 +117,6 @@ class QueryResult:
 class _EngineBase:
     """Shared query compilation and result assembly.
 
-    ``minimize`` swaps the merged DFA for its minimal equivalent — an
-    extension knob (the paper's systems share the unminimised
-    construction); see :func:`repro.xpath.automaton.minimize_automaton`.
-
     ``backend`` accepts either a :class:`~repro.parallel.backend.Backend`
     instance (the caller owns and closes it) or a backend *name*
     (``"serial"``/``"thread"``), in which case the engine
@@ -161,7 +158,6 @@ class _EngineBase:
         self,
         queries: list[str],
         backend: Backend | str | None = None,
-        minimize: bool = False,
         tracer: Tracer | None = None,
         resilience: RetryPolicy | None = None,
         faults: FaultPlane | str | None = None,
@@ -173,7 +169,7 @@ class _EngineBase:
         self.memo = bool(memo)
         self.queries = [str(q) for q in queries]
         self.compiled, self.registry = compile_queries(self.queries)
-        self.automaton = build_automaton(self.registry.automaton_inputs(), minimize=minimize)
+        self.automaton = build_automaton(self.registry.automaton_inputs())
         self.anchor_sids = self.registry.anchor_sids()
         self._owns_backend = isinstance(backend, str)
         self.backend = get_backend(backend) if isinstance(backend, str) else backend
@@ -235,22 +231,31 @@ class _EngineBase:
     @staticmethod
     def _text_decoder(text: str):
         """Offset → element text, for value predicates over XML text."""
-        return lambda offset: element_at(text, offset)[1]
+        return lambda offset: element_at(text, offset, max_text=None)[1]
 
     @staticmethod
-    def _token_decoder(tokens: TokenColumns):
+    def _token_decoder(chunk_tokens):
         """Offset → element text, for value predicates over token columns.
 
-        Reads the columns only when a value predicate asks: a run
+        ``chunk_tokens`` is a document's :class:`TokenColumns` in order:
+        one flat sequence (``run_tokens``), or one per chunk (a
+        registered document's), with no offset tied across a chunk
+        edge; an element's rows may run on into later chunks.  The
+        columns are read only when a value predicate asks: a run
         without one pays nothing per token.
         """
-        if not isinstance(tokens, TokenColumns):
-            raise TypeError(
-                "run_tokens takes TokenColumns (as tokenize_json returns "
-                f"them), not {type(tokens).__name__}")
+        for cols in chunk_tokens:
+            if not isinstance(cols, TokenColumns):
+                raise TypeError(
+                    "run_tokens takes TokenColumns (as tokenize_json returns "
+                    f"them), not {type(cols).__name__}")
+        columns = [cols for cols in chunk_tokens if cols]
+        firsts = [cols.offsets[0] for cols in columns]
 
         def decode(offset: int) -> str:
-            kinds, offsets = tokens.kinds, tokens.offsets
+            c = bisect_right(firsts, offset) - 1
+            cols = columns[c] if c >= 0 else TokenColumns()
+            kinds, offsets = cols.kinds, cols.offsets
             n = len(kinds)
             i = bisect_left(offsets, offset)
             while i < n and not (kinds[i] == TokenKind.START and offsets[i] == offset):
@@ -259,15 +264,18 @@ class _EngineBase:
                 raise ValueError(f"no element starts at offset {offset}")
             depth = 0
             parts: list[str] = []
-            for k in range(i, n):
-                if kinds[k] == TokenKind.START:
-                    depth += 1
-                elif kinds[k] == TokenKind.END:
-                    depth -= 1
-                    if depth == 0:
-                        break
-                elif depth == 1:
-                    parts.append(tokens.names[tokens.name_ids[k]])
+            for cols in columns[c:]:
+                kinds = cols.kinds
+                for k in range(i, len(kinds)):
+                    if kinds[k] == TokenKind.START:
+                        depth += 1
+                    elif kinds[k] == TokenKind.END:
+                        depth -= 1
+                        if depth == 0:
+                            return "".join(parts)
+                    elif depth == 1:
+                        parts.append(cols.names[cols.name_ids[k]])
+                i = 0
             return "".join(parts)
 
         return decode
@@ -285,7 +293,7 @@ class SequentialEngine(_EngineBase):
 
     def run_tokens(self, tokens: TokenColumns) -> QueryResult:
         """Evaluate over pre-tokenised columns (e.g. JSON tokens)."""
-        decoder = self._token_decoder(tokens)
+        decoder = self._token_decoder((tokens,))
         counters = WorkCounters(chunks=1, starting_paths=1)
         if tokens:
             counters.bytes_lexed = tokens.offsets[-1] + 1 - tokens.offsets[0]
@@ -332,14 +340,13 @@ class PPTransducerEngine(_EngineBase):
         queries: list[str],
         n_chunks: int = 4,
         backend: Backend | str | None = None,
-        minimize: bool = False,
         tracer: Tracer | None = None,
         resilience: RetryPolicy | None = None,
         faults: FaultPlane | str | None = None,
         journal: Journal | None = None,
         memo: bool = False,
     ) -> None:
-        super().__init__(queries, backend, minimize=minimize, tracer=tracer,
+        super().__init__(queries, backend, tracer=tracer,
                          resilience=resilience, faults=faults,
                          journal=journal, memo=memo)
         self.n_chunks = n_chunks
@@ -366,7 +373,7 @@ class PPTransducerEngine(_EngineBase):
     def run_tokens(self, tokens: TokenColumns,
                    n_chunks: int | None = None) -> QueryResult:
         """Parallel evaluation over pre-tokenised columns (e.g. JSON)."""
-        decoder = self._token_decoder(tokens)
+        decoder = self._token_decoder((tokens,))
         return self._result(
             self._pipeline.run_tokens(tokens, n_chunks or self.n_chunks),
             decoder=decoder,
@@ -411,14 +418,13 @@ class GapEngine(_EngineBase):
         eliminate: str = ELIMINATE_PAPER,
         switch_to_stack: bool = True,
         backend: Backend | str | None = None,
-        minimize: bool = False,
         tracer: Tracer | None = None,
         resilience: RetryPolicy | None = None,
         faults: FaultPlane | str | None = None,
         journal: Journal | None = None,
         memo: bool = False,
     ) -> None:
-        super().__init__(queries, backend, minimize=minimize, tracer=tracer,
+        super().__init__(queries, backend, tracer=tracer,
                          resilience=resilience, faults=faults,
                          journal=journal, memo=memo)
         if mode not in ("auto", "nonspec", "spec"):
@@ -539,6 +545,7 @@ class GapEngine(_EngineBase):
         tracer: Tracer | None = None,
         journal: Journal | None = None,
         chunk_paths: tuple | None = None,
+        decoder: Callable[[int], str] | None = None,
     ) -> QueryResult:
         """Query ``text``; with ``learn=True`` also extend the learned grammar.
 
@@ -556,6 +563,11 @@ class GapEngine(_EngineBase):
         configuration instead of the feasible-path table: one starting
         path per chunk, no switches, and the table is not inferred.
 
+        ``decoder`` maps a match offset to its element's text for value
+        predicates; the default decodes the XML in ``text``.  A
+        registered JSON document supplies one over its chunk columns
+        (``text`` is then the JSON source, which no chunk lexes).
+
         ``tracer``/``journal`` override the engine's defaults *for
         this run only* — a GAP pipeline is constructed per run, so
         concurrent runs of one shared (e.g. service-cached) engine can
@@ -565,30 +577,21 @@ class GapEngine(_EngineBase):
         result = self._result(
             pipeline.run(text, n_chunks or self.n_chunks, chunks=chunks,
                          chunk_tokens=chunk_tokens, chunk_paths=chunk_paths),
-            decoder=self._text_decoder(text), tracer=tracer,
+            decoder=decoder if decoder is not None else self._text_decoder(text),
+            tracer=tracer,
         )
         if learn:
             self.learn(text)
         return result
 
-    def run_tokens(
-        self,
-        tokens: TokenColumns,
-        n_chunks: int | None = None,
-        learn: bool = False,
-        tracer: Tracer | None = None,
-        journal: Journal | None = None,
-    ) -> QueryResult:
+    def run_tokens(self, tokens: TokenColumns,
+                   n_chunks: int | None = None) -> QueryResult:
         """Parallel GAP evaluation over pre-tokenised columns (e.g. JSON)."""
-        decoder = self._token_decoder(tokens)
-        result = self._result(
-            self._pipeline(tracer, journal).run_tokens(
-                tokens, n_chunks or self.n_chunks),
-            decoder=decoder, tracer=tracer,
+        decoder = self._token_decoder((tokens,))
+        return self._result(
+            self._pipeline().run_tokens(tokens, n_chunks or self.n_chunks),
+            decoder=decoder,
         )
-        if learn:
-            self.learn_tokens(tokens)
-        return result
 
     def learn_tokens(self, tokens: list) -> None:
         """Speculative-mode learning from a pre-tokenised prior input."""
@@ -613,13 +616,15 @@ def query(
     return engine.run(text).matches
 
 
-def element_at(text: str, offset: int, max_text: int = 200) -> tuple[str, str]:
+def element_at(text: str, offset: int,
+               max_text: int | None = 200) -> tuple[str, str]:
     """Decode the element at a match offset into ``(tag, text content)``.
 
     Re-lexes from the offset; text content is the concatenated direct
-    character data, truncated to ``max_text`` characters.  The lazy
-    :func:`~repro.xmlstream.lexer.lex` views suffice: reading stops at
-    the element's end, one small window later.
+    character data, truncated to ``max_text`` characters (a display
+    bound; ``None`` keeps it whole, as value predicates need).  The
+    lazy :func:`~repro.xmlstream.lexer.lex` views suffice: reading
+    stops at the element's end, one small window later.
     """
     tokens = lex(text, offset)
     first = next(tokens, None)
@@ -636,6 +641,6 @@ def element_at(text: str, offset: int, max_text: int = 200) -> tuple[str, str]:
                 break
         elif depth == 1:
             parts.append(tok.name)
-            if sum(len(p) for p in parts) >= max_text:
+            if max_text is not None and sum(len(p) for p in parts) >= max_text:
                 break
     return first.name, "".join(parts)[:max_text]

@@ -18,20 +18,17 @@ to full enumeration), plus the ``speculative`` flag switches scenario 3
 from *intersect* to *replace* semantics with path revival (Section
 5.2).
 
-:func:`run_gap_transducer` is the low-level one-shot entry point used
-by benchmarks; applications should prefer :class:`repro.core.engine.GapEngine`.
+Applications run it through :class:`repro.core.engine.GapEngine`.
 """
 
 from __future__ import annotations
 
-from ..parallel.backend import Backend
 from ..xpath.automaton import QueryAutomaton
 from ..xmlstream.tokens import Token
-from ..transducer.pipeline import ParallelPipeline, ParallelRunResult
 from ..transducer.policies import ELIMINATE_NEVER, ELIMINATE_PAPER, PathPolicy
 from .inference import FeasibleTable
 
-__all__ = ["GapPolicy", "run_gap_transducer"]
+__all__ = ["GapPolicy"]
 
 
 class GapPolicy(PathPolicy):
@@ -81,23 +78,3 @@ class GapPolicy(PathPolicy):
 
     def before_start(self, tag: str) -> frozenset[int] | None:
         return self.table.lookup_start(tag)
-
-
-def run_gap_transducer(
-    text: str,
-    automaton: QueryAutomaton,
-    table: FeasibleTable,
-    anchor_sids: frozenset[int] = frozenset(),
-    n_chunks: int = 4,
-    eliminate: str = ELIMINATE_PAPER,
-    switch_to_stack: bool = True,
-    backend: Backend | None = None,
-    journal=None,
-) -> ParallelRunResult:
-    """One-shot GAP run (mode follows the table's completeness)."""
-    policy = GapPolicy(
-        automaton, table, eliminate=eliminate, switch_to_stack=switch_to_stack
-    )
-    pipeline = ParallelPipeline(automaton, policy, anchor_sids, backend,
-                                journal=journal)
-    return pipeline.run(text, n_chunks)

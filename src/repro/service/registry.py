@@ -6,23 +6,29 @@ on each invocation.  The registry is the serving-layer counterpart: a
 document is *ingested* once and the per-document preparation is cached
 for the lifetime of the service:
 
-* **kind sniffing** — XML vs JSON, by content (same rule as the CLI);
+* **kind sniffing** — XML vs JSON, by content
+  (:func:`~repro.store.docprep.looks_like_json`, as the CLI does);
 * **grammar** — an explicit DTD/XSD/JSON-Schema text, or the
   document's inline DOCTYPE.  Each distinct grammar is parsed once and
   its :class:`~repro.grammar.model.Grammar` shared by every document
   that names it, under one ``grammar_key``.  Absent grammar leaves
   engines in speculative mode;
-* **split** — the tag-aligned chunk list
-  (:func:`~repro.xmlstream.chunking.split_chunks`) for the service's
-  configured width;
-* **lex** — one pre-lexed :class:`~repro.xmlstream.tokens.TokenColumns`
-  per chunk (XML) or one for the whole document (JSON), so no request
-  ever tokenises the document again;
-* **entry paths** (XML) — each chunk's open-element path at its start,
-  from which every query set steps its exact entry configuration, so
-  no request infers a chunk's context.  The same pass rejects a
-  document whose end tags close more elements than are open
-  (:class:`~repro.transducer.mapping.StackUnderflow`).
+* **split and lex** — the chunk list for the service's configured
+  width and one pre-lexed :class:`~repro.xmlstream.tokens.TokenColumns`
+  per chunk, so no request ever tokenises the document again.  XML is
+  split at tags (:func:`~repro.xmlstream.chunking.split_chunks`) and
+  lexed per chunk; JSON is tokenised whole and its columns cut by
+  :func:`~repro.xmlstream.chunking.split_tokens`;
+* **entry paths** — each chunk's open-element path at its start, from
+  which every query set steps its exact entry configuration, so no
+  request infers a chunk's context, whatever the document's kind.  The
+  same pass rejects a document whose end tags close more elements than
+  are open (:class:`~repro.transducer.mapping.StackUnderflow`).
+
+Both kinds then run one request path: ``GapEngine.run`` over the
+record's chunks, columns and paths.  A JSON record also carries the
+decoder its value predicates read element text with, since the text
+of a JSON member is in its columns, not in XML markup.
 
 Split, lex and paths go through :mod:`repro.store.docprep`, with or
 without an artifact store.
@@ -43,15 +49,16 @@ control for CPU.  All methods are thread-safe.
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from hashlib import sha256
 
+from ..core.engine import GapEngine
 from ..grammar.dtd_parser import parse_dtd
 from ..grammar.model import Grammar
-from ..grammar.xsd_parser import is_xsd, parse_xsd
-from ..store.docprep import prepare_json, prepare_xml
-from ..xmlstream.chunking import Chunk
-from ..xmlstream.tokens import TokenColumns
+from ..store.docprep import (chunk_paths, looks_like_json, parse_grammar,
+                             prepare_json, prepare_xml)
+from ..xmlstream.chunking import Chunk, split_tokens
 
 __all__ = [
     "DocumentRecord",
@@ -94,18 +101,6 @@ def _digest(text: str) -> str:
     return sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def _looks_like_json(text: str) -> bool:
-    return text.lstrip()[:1] in ("{", "[")
-
-
-def _parse_grammar(text: str) -> Grammar:
-    if text.lstrip()[:1] == "{":
-        from ..jsonstream import json_schema_to_grammar
-
-        return json_schema_to_grammar(text)
-    return parse_xsd(text) if is_xsd(text) else parse_dtd(text)
-
-
 @dataclass(slots=True)
 class DocumentRecord:
     """One ingested document and its cached preparation."""
@@ -116,14 +111,15 @@ class DocumentRecord:
     text: str
     grammar: Grammar | None
     n_chunks: int
-    #: tag-aligned split (XML only; empty for JSON)
+    #: the split: chunk ranges in document order
     chunks: list[Chunk] = field(default_factory=list)
-    #: one pre-lexed TokenColumns per chunk (XML only)
+    #: one pre-lexed TokenColumns per chunk
     chunk_tokens: tuple | None = None
-    #: each chunk's open-element path at its start (XML only)
+    #: each chunk's open-element path at its start
     chunk_paths: tuple | None = None
-    #: the whole document's TokenColumns (JSON only)
-    tokens: TokenColumns | None = None
+    #: offset → element text for value predicates (JSON: over the
+    #: chunk columns); ``None`` decodes the XML text
+    decoder: Callable[[int], str] | None = None
     #: identifies ``grammar`` among the registry's shared grammars
     #: ("" without one); documents with equal keys share the object
     grammar_key: str = ""
@@ -139,7 +135,7 @@ class DocumentRecord:
             "name": self.name,
             "kind": self.kind,
             "bytes": self.n_bytes,
-            "chunks": len(self.chunks) if self.kind == "xml" else 1,
+            "chunks": len(self.chunks),
             "grammar": self.grammar is not None,
         }
 
@@ -256,10 +252,10 @@ class DocumentRegistry:
             with self._lock:
                 shared = self._grammars.get(key)
             if shared is None:
-                shared = _parse_grammar(grammar)
+                shared = parse_grammar(grammar)
         else:
             if grammar is None:
-                if _looks_like_json(text) or "<!DOCTYPE" not in text[:65536]:
+                if looks_like_json(text) or "<!DOCTYPE" not in text[:65536]:
                     return None, ""
                 grammar = parse_dtd(text)
             key = "dtd:" + _digest(grammar.to_dtd())
@@ -276,20 +272,21 @@ class DocumentRegistry:
         n_chunks: int,
     ) -> DocumentRecord:
         grammar, grammar_key = self._shared_grammar(grammar, text)
-        if _looks_like_json(text):
+        kind = "json" if looks_like_json(text) else "xml"
+        decoder = None
+        if kind == "json":
             tokens = prepare_json(self.store, text)
-            tokens.index_tags_only()  # kept for good: no text-run index
-            return DocumentRecord(
-                doc_id=doc_id, name=name or doc_id, kind="json", text=text,
-                grammar=grammar, n_chunks=n_chunks, tokens=tokens,
-                grammar_key=grammar_key,
-            )
-        chunks, chunk_tokens, chunk_paths = prepare_xml(self.store, text, n_chunks)
-        for cols in chunk_tokens:
-            cols.index_tags_only()  # kept for good: no text-run index
+            tokens.index_tags_only()  # kept for good: its slices share it
+            chunks, chunk_tokens = split_tokens(tokens, n_chunks)
+            paths = chunk_paths(chunk_tokens)
+            decoder = GapEngine._token_decoder(chunk_tokens)
+        else:
+            chunks, chunk_tokens, paths = prepare_xml(self.store, text, n_chunks)
+            for cols in chunk_tokens:
+                cols.index_tags_only()  # kept for good: no text-run index
         return DocumentRecord(
-            doc_id=doc_id, name=name or doc_id, kind="xml", text=text,
+            doc_id=doc_id, name=name or doc_id, kind=kind, text=text,
             grammar=grammar, n_chunks=n_chunks, chunks=chunks,
-            chunk_tokens=chunk_tokens, chunk_paths=chunk_paths,
+            chunk_tokens=chunk_tokens, chunk_paths=paths, decoder=decoder,
             grammar_key=grammar_key,
         )

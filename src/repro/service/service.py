@@ -578,11 +578,10 @@ class QueryService:
         )
 
     def _run(self, engine: GapEngine, doc: DocumentRecord, tracer=None):
-        if doc.kind == "json":
-            return engine.run_tokens(doc.tokens, tracer=tracer)
         return engine.run(doc.text, chunks=doc.chunks,
                           chunk_tokens=doc.chunk_tokens,
-                          chunk_paths=doc.chunk_paths, tracer=tracer)
+                          chunk_paths=doc.chunk_paths, decoder=doc.decoder,
+                          tracer=tracer)
 
     def _engine_for(self, doc: DocumentRecord, merged: tuple[str, ...]) -> GapEngine:
         key = (doc.grammar_key, doc.n_chunks, merged)

@@ -20,12 +20,19 @@ Tracer contract: the ``split``/``lex`` phase spans are opened **only
 when the work actually runs**.  A fully warm preparation emits no such
 spans — which is exactly what the warm-start differential test asserts
 to prove the work was skipped rather than merely fast.
+
+Before any of that, :func:`looks_like_json` tells the document's kind
+and :func:`parse_grammar` reads the grammar text it is queried under,
+for the CLI and the service registry alike.
 """
 
 from __future__ import annotations
 
 from hashlib import sha256
 
+from ..grammar.dtd_parser import parse_dtd
+from ..grammar.model import Grammar
+from ..grammar.xsd_parser import is_xsd, parse_xsd
 from ..obs.tracer import NULL_TRACER
 from ..transducer.mapping import StackUnderflow
 from ..xmlstream.chunking import Chunk, split_chunks
@@ -34,10 +41,26 @@ from ..xmlstream.tokens import TokenColumns, TokenKind
 from . import codec
 from .artifacts import ArtifactStore
 
-__all__ = ["chunk_paths", "content_key", "prepare_xml", "prepare_json"]
+__all__ = ["chunk_paths", "content_key", "looks_like_json", "parse_grammar",
+           "prepare_xml", "prepare_json"]
 
 _START = int(TokenKind.START)
 _END = int(TokenKind.END)
+
+
+def looks_like_json(text: str) -> bool:
+    """A document is JSON when its first non-blank character opens an
+    object or an array; anything else is XML."""
+    return text.lstrip()[:1] in ("{", "[")
+
+
+def parse_grammar(text: str) -> Grammar:
+    """A grammar from its text: a JSON Schema, an XML Schema or a DTD."""
+    if text.lstrip()[:1] == "{":
+        from ..jsonstream import json_schema_to_grammar
+
+        return json_schema_to_grammar(text)
+    return parse_xsd(text) if is_xsd(text) else parse_dtd(text)
 
 
 def content_key(text: str, n_chunks: int = 0) -> str:

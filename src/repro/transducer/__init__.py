@@ -19,7 +19,6 @@ from .mapping import (ChunkResult, Cohort, JoinError, Segment, SegmentEntry,
 from .pipeline import (
     ParallelPipeline,
     ParallelRunResult,
-    run_pp_transducer,
     run_sequential_pipeline,
 )
 from .policies import (
@@ -49,7 +48,6 @@ __all__ = [
     "WorkCounters",
     "join_results",
     "merge_groups",
-    "run_pp_transducer",
     "run_sequential_pipeline",
     "segment_entries",
 ]

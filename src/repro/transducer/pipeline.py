@@ -25,8 +25,7 @@ is the columns a misspeculated range re-runs over.
 
 With a :class:`~repro.transducer.policies.BaselinePolicy` this *is*
 the PP-Transducer (Ogden et al., VLDB'13); with the GAP policies from
-:mod:`repro.core` it is the GAP transducer.  The convenience wrapper
-:func:`run_pp_transducer` instantiates the former.
+:mod:`repro.core` it is the GAP transducer.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from ..parallel.resilience import ResilienceReport, RetryPolicy, supervised_map
 from ..xpath.automaton import QueryAutomaton
 from ..xpath.compile_tables import KernelTables
 from ..xpath.events import MatchEvent
-from ..xmlstream.chunking import Chunk, split_chunks
+from ..xmlstream.chunking import Chunk, split_chunks, split_tokens
 from ..xmlstream.lexer import lex_range, lex_windows
 from ..xmlstream.tokens import TokenColumns, TokenKind
 from .counters import WorkCounters
@@ -53,7 +52,6 @@ __all__ = [
     "ParallelRunResult",
     "ParallelPipeline",
     "reprocess_range",
-    "run_pp_transducer",
     "run_sequential_pipeline",
     "run_sequential_windows",
 ]
@@ -347,7 +345,9 @@ class ParallelPipeline:
         The token-mode pipeline serves inputs that are not
         chunk-lexable text — JSON documents tokenised by
         :mod:`repro.jsonstream` — by cutting the token columns into
-        contiguous chunks, each handed to the workers pre-lexed; from
+        contiguous chunks (:func:`~repro.xmlstream.chunking.split_tokens`,
+        the cut a registered JSON document keeps), each handed to the
+        workers pre-lexed; from
         there it is :meth:`run`'s parallel phase and join, with the
         same backend, supervision and fault plane.  Token offsets must
         be non-decreasing (the JSON tokeniser guarantees this); a
@@ -356,31 +356,7 @@ class ParallelPipeline:
         preprocessing step in this mode (parallel JSON lexing is its
         own research problem and out of scope).
         """
-        if not tokens:
-            return ParallelRunResult(
-                events=[], final_state=self.automaton.initial, counters=WorkCounters()
-            )
-        offsets = tokens.offsets
-        if any(b < a for a, b in zip(offsets, offsets[1:])):
-            raise ValueError(
-                "token-mode execution requires non-decreasing offsets"
-            )
-        # chunk boundaries must fall on strictly-increasing offsets
-        # so that offset-based reprocess slicing is unambiguous (a
-        # wrapper START and its scalar TEXT may share an offset)
-        cuts = set()
-        for k in range(1, n_chunks):
-            cut = len(tokens) * k // n_chunks
-            while 0 < cut < len(tokens) and offsets[cut] == offsets[cut - 1]:
-                cut += 1
-            if 0 < cut < len(tokens):
-                cuts.add(cut)
-        edges = [0, *sorted(cuts), len(tokens)]
-        # the last chunk ends one past the last offset
-        ends = [*(offsets[i] for i in edges[1:-1]), offsets[-1] + 1]
-        chunks = [Chunk(ci, offsets[i0], end)
-                  for ci, (i0, end) in enumerate(zip(edges, ends))]
-        columns = tuple(tokens[i0:i1] for i0, i1 in zip(edges, edges[1:]))
+        chunks, columns = split_tokens(tokens, n_chunks)
         return self._drive("", chunks, columns, None, tokens)
 
     def run(
@@ -506,19 +482,6 @@ class ParallelPipeline:
         return ParallelRunResult(
             events=events, final_state=state, counters=totals, chunk_counters=per_chunk
         )
-
-
-def run_pp_transducer(
-    text: str,
-    automaton: QueryAutomaton,
-    anchor_sids: frozenset[int] = frozenset(),
-    n_chunks: int = 4,
-    backend: Backend | None = None,
-) -> ParallelRunResult:
-    """Run the PP-Transducer baseline (Ogden et al., VLDB'13)."""
-    policy = BaselinePolicy(automaton)
-    pipeline = ParallelPipeline(automaton, policy, anchor_sids, backend)
-    return pipeline.run(text, n_chunks)
 
 
 def run_sequential_pipeline(

@@ -35,8 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lexer import tag_offset_at_or_after
+from .tokens import TokenColumns
 
-__all__ = ["Chunk", "split_chunks", "split_at_offsets"]
+__all__ = ["Chunk", "split_chunks", "split_at_offsets", "split_tokens"]
 
 @dataclass(frozen=True, slots=True)
 class Chunk:
@@ -104,3 +105,38 @@ def split_at_offsets(total_len: int, boundaries: list[int]) -> list[Chunk]:
         raise ValueError("boundaries must lie strictly inside the document")
     edges = [0, *boundaries, total_len]
     return [Chunk(i, edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
+
+
+def split_tokens(
+    tokens: TokenColumns, n_chunks: int
+) -> tuple[list[Chunk], tuple[TokenColumns, ...]]:
+    """Cut pre-tokenised input (a JSON document's columns) into at most
+    ``n_chunks`` contiguous chunks: the chunk list and one column slice
+    per chunk.
+
+    Cut points sit at ``len(tokens) * k / n`` rows, each moved forward
+    past rows that share the previous row's offset (a wrapper START and
+    its scalar TEXT may), so no offset ties across a chunk edge and a
+    chunk's range cut by offset is exactly its rows.  A chunk spans
+    from its first row's offset to the next chunk's; the last ends one
+    past the last offset.  Offsets must be non-decreasing (the JSON
+    tokenizer guarantees this); no tokens give no chunks.
+    """
+    if not tokens:
+        return [], ()
+    offsets = tokens.offsets
+    if any(b < a for a, b in zip(offsets, offsets[1:])):
+        raise ValueError("token-mode execution requires non-decreasing offsets")
+    cuts = set()
+    for k in range(1, n_chunks):
+        cut = len(tokens) * k // n_chunks
+        while 0 < cut < len(tokens) and offsets[cut] == offsets[cut - 1]:
+            cut += 1
+        if 0 < cut < len(tokens):
+            cuts.add(cut)
+    edges = [0, *sorted(cuts), len(tokens)]
+    ends = [*(offsets[i] for i in edges[1:-1]), offsets[-1] + 1]
+    chunks = [Chunk(ci, offsets[i0], end)
+              for ci, (i0, end) in enumerate(zip(edges, ends))]
+    columns = tuple(tokens[i0:i1] for i0, i1 in zip(edges, edges[1:]))
+    return chunks, columns

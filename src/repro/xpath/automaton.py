@@ -127,11 +127,9 @@ def minimize_automaton(automaton: QueryAutomaton) -> QueryAutomaton:
     stack only ever holds states that are later *restored verbatim* by
     pops, so replacing every state with its equivalence-class
     representative preserves all transitions, accepts and therefore all
-    emitted events.  It is exposed as an opt-in (`QueryEngine`s take
-    ``minimize=True``) rather than a default because the paper's
-    evaluation — and this reproduction's benchmarks — measure the
-    *unminimised* construction both systems share; an ablation
-    benchmark quantifies what minimisation buys each side.
+    emitted events.  No engine applies it: the workloads' merged
+    automata are already minimal (EXPERIMENTS.md records this negative
+    result), and the tests that call it here pin that.
     """
     n = automaton.n_states
     symbols = sorted(automaton.alphabet)
@@ -194,9 +192,7 @@ def minimize_automaton(automaton: QueryAutomaton) -> QueryAutomaton:
     )
 
 
-def build_automaton(
-    subqueries: list[tuple[int, Path]], minimize: bool = False
-) -> QueryAutomaton:
+def build_automaton(subqueries: list[tuple[int, Path]]) -> QueryAutomaton:
     """Build the merged DFA for ``(sub_id, forward-only path)`` pairs."""
     for sid, path in subqueries:
         if not path.is_forward_only:
@@ -269,7 +265,7 @@ def build_automaton(
         accepts.append(tuple(done))
 
     dead = index.get(frozenset(), -1)
-    automaton = QueryAutomaton(
+    return QueryAutomaton(
         initial=0,
         transitions=transitions,
         other=other,
@@ -277,4 +273,3 @@ def build_automaton(
         alphabet=frozenset(alphabet),
         dead=dead,
     )
-    return minimize_automaton(automaton) if minimize else automaton

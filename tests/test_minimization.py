@@ -1,12 +1,12 @@
-"""Tests for DFA minimization (the opt-in extension).
+"""Tests for DFA minimization (no engine applies it).
 
 An interesting negative result, pinned here: the shared subset
 construction is *already minimal* for every benchmark query workload —
 distinct sub-query ids make accept signatures distinct, so suffix
 sharing cannot merge states.  Minimisation only bites when one
 sub-query id unions several paths, which the public rewriting never
-produces; the feature matters for library users feeding hand-built
-automata (and as a verified invariant of the construction).
+produces; :func:`minimize_automaton` stays for hand-built automata
+(and as a verified invariant of the construction).
 """
 
 from __future__ import annotations
@@ -14,17 +14,14 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import GapEngine, PPTransducerEngine, SequentialEngine
 from repro.datasets import ALL_DATASETS, TABLE4, dataset_by_name, generate_query_set
 from repro.xpath import build_automaton, compile_queries, parse_xpath
 from repro.xpath.automaton import minimize_automaton
 
-from tests.conftest import FEED_DTD, FEED_XML
 
-
-def automaton_for(queries, minimize=False):
+def automaton_for(queries):
     _, registry = compile_queries(list(queries))
-    return build_automaton(registry.automaton_inputs(), minimize=minimize)
+    return build_automaton(registry.automaton_inputs())
 
 
 class TestMinimization:
@@ -66,15 +63,3 @@ class TestMinimization:
         for t in tags:
             s1, s2 = a.step(s1, t), m.step(s2, t)
             assert a.accepts[s1] == m.accepts[s2]
-
-
-class TestEnginesWithMinimization:
-    def test_engines_accept_minimize_flag(self):
-        queries = ["/feed/entry/id", "//title", "/feed/entry[id]/title"]
-        seq = SequentialEngine(queries).run(FEED_XML)
-        for engine in (
-            PPTransducerEngine(queries, minimize=True),
-            GapEngine(queries, grammar=FEED_DTD, minimize=True),
-        ):
-            res = engine.run(FEED_XML, n_chunks=4)
-            assert res.offsets_by_id == seq.offsets_by_id

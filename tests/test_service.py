@@ -204,9 +204,15 @@ class TestRegistry:
         assert rec.grammar is not None and rec.grammar.is_complete
 
     def test_json_kind_tokenises_once(self):
-        rec = DocumentRegistry().register(JSON_DOC)
-        assert rec.kind == "json" and rec.tokens
-        assert rec.describe()["chunks"] == 1
+        from repro.jsonstream import tokenize_json
+
+        rec = DocumentRegistry().register(JSON_DOC, n_chunks=4)
+        assert rec.kind == "json" and rec.decoder is not None
+        # one tokenisation, cut into the chunks a request runs
+        assert [t for cols in rec.chunk_tokens for t in cols] == tokenize_json(JSON_DOC)
+        assert len(rec.chunk_tokens) == len(rec.chunk_paths) == 4
+        assert rec.chunk_paths[0] == () and rec.chunk_paths[1][0] == "json"
+        assert rec.describe()["chunks"] == 4
 
 
 # ---------------------------------------------------------------------------

@@ -319,11 +319,15 @@ class TestStoreMechanics:
         assert store.counters()["hits"] == 2
         assert rec2.chunks == rec.chunks
         assert rec2.chunk_tokens == rec.chunk_tokens
-        # JSON documents cache their flat token list
+        # JSON documents cache their flat token list and cut it again
         reg.register(JSON_DOC, n_chunks=4)
         reg3 = DocumentRegistry(store=store)
         rec3 = reg3.register(JSON_DOC, n_chunks=4)
-        assert rec3.tokens == reg.get(rec3.doc_id).tokens
+        assert store.counters()["hits"] == 3
+        cold = reg.get(rec3.doc_id)
+        assert rec3.chunks == cold.chunks and len(rec3.chunks) == 4
+        assert rec3.chunk_tokens == cold.chunk_tokens
+        assert rec3.chunk_paths == cold.chunk_paths
 
 
 # ---------------------------------------------------------------------------

@@ -438,7 +438,8 @@ class TestJSONColumns:
                          prepare_json(store, self.DOC)):  # warm: decode
             assert prepared == tokens
         for registry in (DocumentRegistry(), DocumentRegistry(store=store)):
-            assert registry.register(self.DOC).tokens == tokens
+            rec = registry.register(self.DOC)
+            assert [t for cols in rec.chunk_tokens for t in cols] == tokens
         gap = GapEngine(self.QUERIES).run_tokens(tokens, n_chunks=3)
         seq = SequentialEngine(self.QUERIES).run_tokens(tokens)
         assert gap.matches == seq.matches

@@ -14,19 +14,19 @@ class TestTokenDecoder:
     def test_decodes_direct_text_only(self):
         doc = "<a>outer<b>inner</b>more</a>"
         tokens = lex_range(doc, 0, len(doc))
-        decode = _EngineBase._token_decoder(tokens)
+        decode = _EngineBase._token_decoder((tokens,))
         assert decode(0) == "outermore"  # <a>: direct text, not <b>'s
 
     def test_decodes_json_member(self):
         doc = '{"k": {"v": "x", "w": 5}}'
         tokens = tokenize_json(doc)
-        decode = _EngineBase._token_decoder(tokens)
+        decode = _EngineBase._token_decoder((tokens,))
         v_start = next(t for t in tokens if t.is_start and t.name == "v")
         assert decode(v_start.offset) == "x"
 
     def test_unknown_offset_raises(self):
         tokens = lex_range("<a>x</a>", 0, 8)
-        decode = _EngineBase._token_decoder(tokens)
+        decode = _EngineBase._token_decoder((tokens,))
         with pytest.raises(ValueError):
             decode(999)
 

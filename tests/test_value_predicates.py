@@ -154,3 +154,41 @@ class TestJsonValuePredicates:
             pp = PPTransducerEngine([q]).run_tokens(tokens, n_chunks=n)
             assert pp.offsets_by_id == seq.offsets_by_id
         assert seq.count(q) == 20
+
+
+
+LONG = "x" * 250
+LONG_XML = (f"<r><a><t>{LONG}</t></a><a><t>y</t></a></r>", f"/r/a[t = '{LONG}']")
+LONG_JSON = (json.dumps({"a": [{"t": LONG}, {"t": "y"}]}), f"/json/a[t = '{LONG}']")
+
+
+def _served(text: str, query: str) -> list[int]:
+    from repro.service import QueryService, ServiceConfig
+
+    with QueryService(ServiceConfig(backend="serial", n_chunks=2, workers=1,
+                                    collector=False)) as svc:
+        doc = svc.register(text)
+        return svc.query(doc.doc_id, [query])["matches"][query]
+
+
+class TestLongText:
+    """``=`` compares an element's whole text, however long: decoding
+    stops at the element's end, not at a display bound."""
+
+    PATHS = {
+        "sequential": (LONG_XML, lambda t, q: SequentialEngine([q]).run(t).matches[q]),
+        "pp": (LONG_XML, lambda t, q: PPTransducerEngine([q]).run(t, n_chunks=2).matches[q]),
+        "gap": (LONG_XML, lambda t, q: GapEngine([q]).run(t, n_chunks=2).matches[q]),
+        "stream": (LONG_XML, lambda t, q: SequentialEngine([q]).run_stream(
+            t[i:i + 16] for i in range(0, len(t), 16)).matches[q]),
+        "registered-xml": (LONG_XML, _served),
+        "registered-json": (LONG_JSON, _served),
+    }
+
+    @pytest.mark.parametrize("path", list(PATHS))
+    def test_value_predicate_reads_whole_text(self, path):
+        (text, query), run = self.PATHS[path]
+        tokens = tokenize_json(text) if path.endswith("json") else lex(text)
+        expected = evaluate_offsets(build_document(tokens), query)
+        assert len(expected) == 1
+        assert run(text, query) == expected
