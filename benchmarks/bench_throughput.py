@@ -17,10 +17,10 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import generate_document
-from repro.core import DenseRunner, GapPolicy, infer_feasible_paths, tables_for_policy
+from repro.core import DenseRunner, infer_feasible_paths, tables_for_policy
 from repro.datasets import dataset_by_name
 from repro.grammar import build_syntax_tree
-from repro.transducer import BaselinePolicy, WorkCounters
+from repro.transducer import PathPolicy, WorkCounters
 from repro.xmlstream import lex_range
 from repro.xpath import build_automaton, parse_xpath
 
@@ -60,7 +60,7 @@ def test_lexer_throughput(corpus, benchmark):
 def test_sequential_pdt_throughput(corpus, benchmark):
     text, automaton, _t = corpus
     tokens = lex_range(text, 0, len(text))
-    runner = kernel_for(automaton, BaselinePolicy(automaton))
+    runner = kernel_for(automaton, PathPolicy.baseline())
     benchmark(lambda: runner.run_from(tokens, automaton.initial, [], WorkCounters()))
     mean = _mean_seconds(benchmark)
     if mean is not None:
@@ -75,14 +75,14 @@ def kernel_for(automaton, policy):
 
 def test_gap_chunk_runner_stack_mode(corpus, half_chunk, benchmark):
     _text, automaton, table = corpus
-    runner = kernel_for(automaton, GapPolicy(automaton, table))
+    runner = kernel_for(automaton, PathPolicy.gap(table))
     tokens, begin, end = half_chunk
     benchmark(lambda: runner.run_chunk(tokens, 1, begin, end))
 
 
 def test_pp_chunk_runner_tree_mode(corpus, half_chunk, benchmark):
     _text, automaton, _t = corpus
-    runner = kernel_for(automaton, BaselinePolicy(automaton))
+    runner = kernel_for(automaton, PathPolicy.baseline())
     tokens, begin, end = half_chunk
     result = benchmark(lambda: runner.run_chunk(tokens, 1, begin, end))
     # sanity: the baseline really ran multi-path

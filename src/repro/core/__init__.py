@@ -1,8 +1,6 @@
 """GAP core — the paper's primary contribution.
 
 * :mod:`~repro.core.inference` — feasible-path inference (Alg. 2);
-* :mod:`~repro.core.gap_transducer` — GAP path policies (dynamic path
-  elimination + runtime data-structure switching);
 * :mod:`~repro.core.speculative` — partial-grammar learning for
   speculative mode;
 * :mod:`~repro.core.kernel` — the dense table-driven chunk kernel;
@@ -19,7 +17,6 @@ from .engine import (
     element_at,
     query,
 )
-from .gap_transducer import GapPolicy
 from .inference import FeasibleTable, infer_feasible_paths
 from .kernel import DenseRunner, tables_for_policy
 from .speculative import GrammarLearner, empty_speculative_table
@@ -30,7 +27,6 @@ __all__ = [
     "EngineError",
     "FeasibleTable",
     "GapEngine",
-    "GapPolicy",
     "GrammarLearner",
     "PPTransducerEngine",
     "QueryResult",

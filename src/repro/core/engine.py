@@ -51,7 +51,7 @@ from ..transducer.pipeline import (
     run_sequential_pipeline,
     run_sequential_windows,
 )
-from ..transducer.policies import BaselinePolicy, ELIMINATE_PAPER
+from ..transducer.policies import ELIMINATE_PAPER, PathPolicy
 from ..xpath.automaton import build_automaton
 from ..xpath.compile_tables import KernelTables
 from ..xpath.filtering import apply_filters
@@ -59,7 +59,6 @@ from ..xpath.rewrite import compile_queries
 from ..xmlstream.incremental import IncrementalLexer
 from ..xmlstream.lexer import lex
 from ..xmlstream.tokens import TokenColumns, TokenKind
-from .gap_transducer import GapPolicy
 from .inference import FeasibleTable, infer_feasible_paths
 from .speculative import GrammarLearner, empty_speculative_table
 from .stats import RunStats
@@ -350,7 +349,7 @@ class PPTransducerEngine(_EngineBase):
                          resilience=resilience, faults=faults,
                          journal=journal, memo=memo)
         self.n_chunks = n_chunks
-        self.policy = BaselinePolicy(self.automaton)
+        self.policy = PathPolicy.baseline()
         self._pipeline = ParallelPipeline(
             self.automaton, self.policy, self.anchor_sids, self.backend, self.tracer,
             resilience=self.resilience, faults=self.faults,
@@ -513,17 +512,14 @@ class GapEngine(_EngineBase):
         tracer = tracer if tracer is not None else self.tracer
         journal = journal if journal is not None else self.journal
         if exact:
-            policy = BaselinePolicy(self.automaton)
+            policy = PathPolicy.baseline()
         else:
-            policy = GapPolicy(
-                self.automaton,
-                self.table,
-                eliminate=self.eliminate,
-                switch_to_stack=self.switch_to_stack,
-            )
+            policy = PathPolicy.gap(self.table, eliminate=self.eliminate,
+                                    switch_to_stack=self.switch_to_stack)
         tables = self._tables.get(exact)
         if tables is None:
-            # deferred import: repro.core.kernel imports this module
+            # looked up per call, so a wrapper patched onto the kernel
+            # module (perfbench/spans.py) times every compile
             from .kernel import tables_for_policy
 
             with tracer.span("xpath.compile", cat="phase"):

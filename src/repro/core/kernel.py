@@ -1,21 +1,21 @@
 """Dense table-driven chunk kernel — the parallel phase of every engine.
 
 :class:`DenseRunner` executes one chunk of the document under a
-:class:`~repro.transducer.policies.PathPolicy`: multi-path execution
-with the three elimination scenarios, speculative revival, divergence
-segmentation and runtime data-structure switching, over the flat
-integer tables of :mod:`repro.xpath.compile_tables`.  Depending on the
-policy it behaves as
+:class:`~repro.transducer.policies.PathPolicy` record: multi-path
+execution with the three elimination scenarios, speculative revival,
+divergence segmentation and runtime data-structure switching, over the
+flat integer tables of :mod:`repro.xpath.compile_tables`.  Depending on
+the policy it behaves as
 
-* the **PP-Transducer** parallel phase (baseline policy: start from
-  every state, enumerate Γ on divergence, never eliminate, never
-  switch data structures),
-* the **GAP transducer** parallel phase (feasible-table policy:
+* the **PP-Transducer** parallel phase (``PathPolicy.baseline()``:
+  start from every state, enumerate Γ on divergence, never eliminate,
+  never switch data structures),
+* the **GAP transducer** parallel phase (``PathPolicy.gap(table)``:
   grammar-restricted starts and divergences, dynamic path elimination,
   runtime data-structure switching), or
-* the **speculative GAP** parallel phase (same, plus replace-semantics
-  at post-divergence checks and path *revival* that enables selective
-  reprocessing).
+* the **speculative GAP** parallel phase (same over a partial table,
+  plus replace-semantics at post-divergence checks and path *revival*
+  that enables selective reprocessing).
 
 Live paths are grouped into :class:`~repro.transducer.doubletree.PathGroup`
 objects, organised into **cohorts** (one chain per synchronisation
@@ -25,9 +25,10 @@ underflow together; each underflow closes the cohort's current
 *segment* (see :mod:`repro.transducer.mapping`) and reopens it keyed
 by the enumerated pop candidates.
 
-Two execution regimes, switched per token:
+Two execution regimes, switched per token (Section 4.3):
 
-* **multi-path phase** — cohorts of path groups advance in lockstep,
+* **multi-path phase** — the double tree of the PP-Transducer: cohorts
+  of path groups advance in lockstep, however many paths are live,
   with feasibility checks answered from precompiled per-symbol rows
   (``bytes`` bitmaps indexed by state) and DFA moves from one flat
   ``array('i')`` lookup;
@@ -35,8 +36,8 @@ Two execution regimes, switched per token:
   live with switching enabled and no post-divergence check pending
   (the "executes exactly like a sequential pushdown transducer" state
   of Section 4.3).  The loop keeps the state, the stack and the
-  transition base as Python locals and touches no policy object at
-  all; it exits to the multi-path code on stack underflow (the next
+  transition base as Python locals and reads no policy field at all;
+  it exits to the multi-path code on stack underflow (the next
   divergence) without consuming the underflowing token.  The same
   loop, entered from a known ``(state, stack)`` by
   :meth:`DenseRunner.run_from`, is the library's sequential transducer
@@ -47,7 +48,7 @@ Two execution regimes, switched per token:
 The single-stack loop (and the memo's copy of it) skips every element
 a START opens in the automaton's dead state: it counts the element's
 rows to its END and steps none of them (``skipped_tokens``); the
-multi-path loops step every row.
+multi-path phase steps every row.
 
 Work accounting: every token adds either one stack-mode step or one
 tree-mode step weighted by the number of live groups, a skipped row
@@ -58,9 +59,7 @@ object-graph interpreter of the same semantics
 
 A runner is built either from precompiled :class:`KernelTables`
 (shipped to workers by the pipeline) or compiles them on construction
-through the structural cache.  Only the policies whose hooks are pure
-table or constant lookups compile; :func:`tables_for_policy` refuses
-any other :class:`PathPolicy` subclass, so the pipeline does too.
+through the structural cache (:func:`tables_for_policy`).
 """
 
 from __future__ import annotations
@@ -82,18 +81,11 @@ from ..transducer.mapping import (
     SegmentEntry,
     StackUnderflow,
 )
-from ..transducer.policies import (
-    ELIMINATE_ALWAYS,
-    ELIMINATE_NEVER,
-    BaselinePolicy,
-    PathPolicy,
-)
+from ..transducer.policies import ELIMINATE_ALWAYS, ELIMINATE_NEVER, PathPolicy
 from ..xmlstream.tokens import Token, TokenColumns, TokenKind, as_columns
 from ..xpath.automaton import QueryAutomaton
 from ..xpath.compile_tables import KernelTables, compiled_tables
 from ..xpath.events import MatchEvent, close, hit
-from .engine import EngineError
-from .gap_transducer import GapPolicy
 
 __all__ = ["DenseRunner", "spawn_states_arg", "tables_for_policy"]
 
@@ -150,25 +142,13 @@ def tables_for_policy(
     anchor_sids: frozenset[int] = frozenset(),
     journal=NULL_JOURNAL,
 ) -> KernelTables:
-    """Compile (and cache) dense tables for a recognised policy.
+    """Compile (and cache) the dense tables a policy runs on.
 
-    Only the concrete policies whose hooks are pure table/constant
-    lookups compile; an unrecognised :class:`PathPolicy` subclass may
-    implement arbitrary dynamic hooks, so it raises
-    :class:`~repro.core.engine.EngineError`.  The *exact*-type check is
-    deliberate: a subclass overriding one hook must not silently lose
-    that override to the dense port of its parent.
+    The tables depend only on the automaton, the anchors and the
+    policy's feasible table; the policy's other fields are read by the
+    runner itself.
     """
-    t = type(policy)
-    if t is BaselinePolicy or t is PathPolicy:
-        return compiled_tables(automaton, None, anchor_sids, journal=journal)
-    if t is GapPolicy:
-        return compiled_tables(automaton, policy.table, anchor_sids, journal=journal)
-    raise EngineError(
-        f"policy {t.__name__} does not compile to kernel tables: the "
-        "kernel runs BaselinePolicy, PathPolicy and GapPolicy themselves, "
-        "not subclasses that may override a hook"
-    )
+    return compiled_tables(automaton, policy.table, anchor_sids, journal=journal)
 
 
 class DenseRunner:
@@ -305,7 +285,6 @@ class DenseRunner:
         eliminate = policy.eliminate
         speculative = policy.speculative
         switch_enabled = policy.switch_to_stack
-        table_based = policy.table_based
         always = eliminate == ELIMINATE_ALWAYS
         never = eliminate == ELIMINATE_NEVER
 
@@ -324,10 +303,8 @@ class DenseRunner:
 
         # the single-stack fast loop is safe whenever one live path can
         # only be interrupted by a divergence (ELIMINATE_ALWAYS also
-        # checks *every* tag, so it must stay in the general loop); the
-        # two-path loop additionally works with switching disabled
+        # checks *every* tag, so it must stay in the general loop)
         fast_ok = switch_enabled and not always
-        two_ok = not always
 
         # structural-repetition memo: the per-list plan names the
         # whole-element spans worth consulting; rejects (hash collisions
@@ -347,76 +324,6 @@ class DenseRunner:
 
         i = 0
         while i < n_tok:
-            if (
-                two_ok
-                and not stack_mode
-                and not pending_check
-                and n_live == 2
-                and len(cohorts) == 1
-                and len(cohorts[0].groups) == 2
-            ):
-                # ---- two-path loop over parallel integer stacks -------
-                # The common multi-path regime: one cohort, two live
-                # paths.  `diff` counts stack positions where the two
-                # stacks disagree, maintained O(1) per push/pop — the
-                # two paths converge at a pop exactly when diff == 0
-                # (identical stacks ⇒ identical popped values ⇒ a
-                # merge_groups key collision), so the
-                # per-pop O(depth) stack-tuple comparison disappears.
-                # Convergence and underflow both exit to the general
-                # loop, which performs the actual merge / divergence.
-                g1, g2 = cohorts[0].groups
-                s1 = g1.state
-                s2 = g2.state
-                st1 = g1.stack
-                st2 = g2.stack
-                ev1 = g1.events
-                ev2 = g2.events
-                push1 = st1.append
-                push2 = st2.append
-                pop1 = st1.pop
-                pop2 = st2.pop
-                diff = sum(1 for a, b in zip(st1, st2) if a != b)
-                n_two = 0
-                while i < n_tok:
-                    kind = kinds[i]
-                    if kind == _START:
-                        push1(s1)
-                        push2(s2)
-                        if s1 != s2:
-                            diff += 1
-                        depth += 1
-                        sym = symmap[name_ids[i]]
-                        s1 = trans[s1 * S + sym]
-                        s2 = trans[s2 * S + sym]
-                        if accept_flags[s1]:
-                            off = offsets[i]
-                            ev1.extend(hit(sid, off, depth) for sid in accepts[s1])
-                        if accept_flags[s2]:
-                            off = offsets[i]
-                            ev2.extend(hit(sid, off, depth) for sid in accepts[s2])
-                    elif kind == _END:
-                        if not st1 or diff == 0:
-                            break  # divergence / convergence: general loop
-                        off = offsets[i]
-                        if close_flags[s1]:
-                            ev1.extend(close(sid, off, depth) for sid in close_accepts[s1])
-                        if close_flags[s2]:
-                            ev2.extend(close(sid, off, depth) for sid in close_accepts[s2])
-                        s1 = pop1()
-                        s2 = pop2()
-                        if s1 != s2:
-                            diff -= 1
-                        depth -= 1
-                    i += 1
-                    n_two += 1
-                g1.state = s1
-                g2.state = s2
-                counters.tree_tokens += n_two
-                counters.tree_path_steps += 2 * n_two
-                if i >= n_tok:
-                    break
-
             if fast_ok and stack_mode and n_live == 1 and not pending_check:
                 # ---- single-stack fast loop (Section 4.3) -------------
                 g = next(lc.groups[0] for lc in cohorts if lc.groups)
@@ -848,7 +755,7 @@ class DenseRunner:
         return i, state, base + len(stack), skipped
 
     def _scenario1(self, kind: int, sym: int) -> tuple[int, ...] | None:
-        """Dense ``policy.start_states``: feasible states for a first token."""
+        """Elimination scenario 1: feasible states for a chunk's first token."""
         T = self.tables
         if not T.has_table or self.policy.eliminate == ELIMINATE_NEVER:
             return None
@@ -974,7 +881,8 @@ class DenseRunner:
                                  **spawn_states_arg(candidates))
 
     def _pop_candidates(self, sym: int) -> tuple[int, ...] | None:
-        """Dense ``policy.pop_candidates`` (rows are pre-sorted)."""
+        """Possible values an underflow pop of ``sym`` produces: the states
+        feasible before its START (rows are pre-sorted)."""
         T = self.tables
         if not T.has_table or self.policy.eliminate == ELIMINATE_NEVER:
             return None

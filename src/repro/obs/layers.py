@@ -44,7 +44,7 @@ LAYER_MODULES: dict[str, tuple[str, ...]] = {
     "xmlstream.lex": ("repro.xmlstream",),
     "jsonstream.lex": ("repro.jsonstream",),
     "parallel.backend": ("repro.parallel",),
-    "core.kernel": ("repro.core.kernel", "repro.core.gap_transducer"),
+    "core.kernel": ("repro.core.kernel",),
     "xpath.subseq": ("repro.xpath.subseq",),
     "xpath.subseq.persist": (),
     "transducer.mapping": ("repro.transducer",),

@@ -48,10 +48,18 @@ _START = int(TokenKind.START)
 _END = int(TokenKind.END)
 
 
+#: first non-blank characters that open a JSON value other than a literal
+_JSON_OPENERS = frozenset('{["-0123456789')
+
+
 def looks_like_json(text: str) -> bool:
     """A document is JSON when its first non-blank character opens an
-    object or an array; anything else is XML."""
-    return text.lstrip()[:1] in ("{", "[")
+    object, an array, a string or a number, or when it is one of the
+    literals ``true``, ``false`` and ``null``; anything else is XML."""
+    head = text.lstrip()[:1]
+    if head in _JSON_OPENERS:
+        return True
+    return head in ("t", "f", "n") and text.strip() in ("true", "false", "null")
 
 
 def parse_grammar(text: str) -> Grammar:

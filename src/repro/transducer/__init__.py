@@ -6,8 +6,8 @@ loop, entered through :meth:`repro.core.kernel.DenseRunner.run_from`.
 * :mod:`~repro.transducer.mapping` — mappings (Definition 3) and join;
 * :mod:`~repro.transducer.doubletree` — multi-path structure with
   path convergence (the baseline's double tree);
-* :mod:`~repro.transducer.policies` — per-variant path policies
-  (the PP-Transducer baseline lives here);
+* :mod:`~repro.transducer.policies` — the path-policy record
+  (PP-Transducer baseline and GAP configurations);
 * :mod:`~repro.transducer.pipeline` — split/parallel/join driver;
 * :mod:`~repro.transducer.counters` — work counters for the cost model.
 """
@@ -21,16 +21,9 @@ from .pipeline import (
     ParallelRunResult,
     run_sequential_pipeline,
 )
-from .policies import (
-    BaselinePolicy,
-    ELIMINATE_ALWAYS,
-    ELIMINATE_NEVER,
-    ELIMINATE_PAPER,
-    PathPolicy,
-)
+from .policies import ELIMINATE_ALWAYS, ELIMINATE_NEVER, ELIMINATE_PAPER, PathPolicy
 
 __all__ = [
-    "BaselinePolicy",
     "ChunkResult",
     "Cohort",
     "ELIMINATE_ALWAYS",

@@ -23,9 +23,9 @@ Text (:meth:`ParallelPipeline.run`) and token input
 2 and 3 are one method for both, and the one value that differs there
 is the columns a misspeculated range re-runs over.
 
-With a :class:`~repro.transducer.policies.BaselinePolicy` this *is*
-the PP-Transducer (Ogden et al., VLDB'13); with the GAP policies from
-:mod:`repro.core` it is the GAP transducer.
+With ``PathPolicy.baseline()`` (:mod:`repro.transducer.policies`)
+this *is* the PP-Transducer (Ogden et al., VLDB'13); with
+``PathPolicy.gap(table)`` it is the GAP transducer.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from ..xmlstream.lexer import lex_range, lex_windows
 from ..xmlstream.tokens import TokenColumns, TokenKind
 from .counters import WorkCounters
 from .mapping import ChunkResult, join_exact, join_results
-from .policies import BaselinePolicy, PathPolicy
+from .policies import PathPolicy
 
 __all__ = [
     "ParallelRunResult",
@@ -79,7 +79,7 @@ class _Ctx:
     policy: PathPolicy
     anchor_sids: frozenset[int]
     #: record per-worker spans (lex + chunk) and ship them back in the
-    #: ChunkResult; False keeps the untraced path byte-for-byte intact
+    #: ChunkResult; False runs the same body on the disabled tracer
     trace: bool = False
     #: record per-worker journal events and ship them back in the
     #: ChunkResult (same transport as spans)
@@ -164,32 +164,20 @@ def _run_one_chunk(ctx: _Ctx, chunk: Chunk, attempt: int = 0) -> ChunkResult:
     start = frozenset((ctx.automaton.initial,)) if chunk.index == 0 else None
     entry = ctx.entries[chunk.index] if ctx.entries is not None else None
     jr = Journal() if ctx.journal else NULL_JOURNAL
-    if not ctx.trace:
-        if ctx.pretokens is not None:
-            tokens = ctx.pretokens[chunk.index]
-        else:
-            tokens = lex_range(ctx.text, chunk.begin, chunk.end)
-        result = runner.run_chunk(
-            tokens, chunk.index, chunk.begin, chunk.end,
-            start_states=start, journal=jr, entry=entry,
-        )
-        if jr.enabled:
-            result.journal = list(jr.events)
-        return _corrupt_result(result) if corrupt else result
-
-    # traced path: one lane per worker; the lex span measures
-    # tokenisation separately from transduction (pre-lexed chunks skip
-    # that span — there is nothing to measure, and the span machinery
-    # would charge the traced path a phantom cost the untraced path
-    # never pays)
-    tracer = Tracer(tid=chunk.index + 1)
+    # one lane per worker when traced; the lex span measures
+    # tokenisation separately from transduction (pre-lexed chunks have
+    # no lex to measure)
+    tracer = Tracer(tid=chunk.index + 1) if ctx.trace else NULL_TRACER
     with tracer.span("core.kernel", cat="chunk", chunk=chunk.index) as sp:
         if ctx.pretokens is not None:
             tokens = ctx.pretokens[chunk.index]
         else:
             with tracer.span("xmlstream.lex", cat="chunk") as lex_sp:
                 tokens = lex_range(ctx.text, chunk.begin, chunk.end)
-                lex_sp.args["tokens"] = len(tokens)
+                if tracer.enabled:
+                    # counted only when kept: run_chunk takes any token
+                    # iterable, and a wrapped lexer may return one
+                    lex_sp.args["tokens"] = len(tokens)
         result = runner.run_chunk(
             tokens, chunk.index, chunk.begin, chunk.end,
             start_states=start, journal=jr, entry=entry,
@@ -260,11 +248,10 @@ class ParallelPipeline:
     recovery path instead of raising, so a degraded chunk costs
     re-execution of (at most) itself, never its siblings.
 
-    The policy must compile to kernel tables
-    (:func:`repro.core.kernel.tables_for_policy`); any other raises
-    :class:`repro.core.engine.EngineError` here, at construction.
-    ``tables`` hands in the policy's tables compiled beforehand (an
-    engine that keeps them): the pipeline then compiles nothing.
+    The pipeline compiles the policy's kernel tables at construction
+    (:func:`repro.core.kernel.tables_for_policy`); ``tables`` hands in
+    ones compiled beforehand (an engine that keeps them), and the
+    pipeline then compiles nothing.
     """
 
     def __init__(
@@ -514,7 +501,7 @@ def run_sequential_windows(
     """
     from ..core.kernel import tables_for_policy
 
-    policy = BaselinePolicy(automaton)
+    policy = PathPolicy.baseline()
     runner = _make_runner(automaton, policy, anchor_sids,
                           tables_for_policy(automaton, policy, anchor_sids))
     state = automaton.initial

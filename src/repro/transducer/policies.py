@@ -2,40 +2,42 @@
 
 The chunk kernel (:mod:`repro.core.kernel`) is shared by every
 parallel variant in the paper's evaluation; a :class:`PathPolicy`
-object encapsulates all the differences:
+record holds all the differences as plain data:
 
-========================  ==========================================
-Hook                      Question it answers
-========================  ==========================================
-``start_states(token)``   Which states may a chunk start from, given
-                          its first token?  (Elimination scenario 1)
-``pop_candidates(tag)``   Which values may an underflow pop produce
-                          for ``</tag>``?  (Divergence enumeration)
-``before_end(tag)``       Which states are feasible right before
-                          ``</tag>``?  (Elimination scenario 2)
-``before_start(tag)``     Which states are feasible right before
-                          ``<tag>``?  (Elimination scenario 3)
-========================  ==========================================
+=====================  ==============================================
+Field                  Meaning
+=====================  ==============================================
+``table``              the feasible-path table
+                       (:class:`~repro.core.inference.FeasibleTable`)
+                       that answers the three elimination scenarios
+                       and divergence enumeration; ``None`` answers
+                       "every state"
+``eliminate``          which elimination scenarios consult the table
+                       (``ELIMINATE_NEVER`` / ``_PAPER`` / ``_ALWAYS``)
+``switch_to_stack``    runtime data-structure switching (Section 4.3)
+``speculative``        scenario 3 *replaces* the live set and revives
+                       missing states as restart paths (Section 5.2)
+=====================  ==============================================
 
-Every hook may return ``None`` meaning "no information — assume every
-state", which is both the baseline's permanent answer and the
-speculative table's answer for tags missing from a partial grammar
-(the paper's *degrade to basic parallel transducer*).
+A table lookup may answer ``None``, meaning "no information — assume
+every state": the speculative table's answer for tags missing from a
+partial grammar (the paper's *degrade to basic parallel transducer*).
 
-:class:`BaselinePolicy` reproduces the PP-Transducer (Ogden et al.,
-VLDB'13): all states at chunk starts, FA-restricted (or naive Γ)
-divergence candidates, no grammar-based elimination, and no runtime
-data-structure switching.  The GAP policies live in
-:mod:`repro.core.gap_transducer`, next to the feasible-path table they
-consume.
+:meth:`PathPolicy.baseline` is the PP-Transducer (Ogden et al.,
+VLDB'13): all states at chunk starts, the whole stack alphabet on
+divergences, no grammar-based elimination and no runtime switching.
+:meth:`PathPolicy.gap` is the GAP transducer, speculative or not.
 """
 
 from __future__ import annotations
 
-from ..xpath.automaton import QueryAutomaton
-from ..xmlstream.tokens import Token
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-__all__ = ["PathPolicy", "BaselinePolicy", "ELIMINATE_NEVER", "ELIMINATE_PAPER", "ELIMINATE_ALWAYS"]
+if TYPE_CHECKING:
+    from ..core.inference import FeasibleTable
+
+__all__ = ["PathPolicy", "ELIMINATE_NEVER", "ELIMINATE_PAPER", "ELIMINATE_ALWAYS"]
 
 #: never consult feasibility (baseline)
 ELIMINATE_NEVER = "never"
@@ -45,69 +47,63 @@ ELIMINATE_PAPER = "paper"
 ELIMINATE_ALWAYS = "always"
 
 
+@dataclass(frozen=True, slots=True)
 class PathPolicy:
-    """Base policy: no information, no elimination, no switching.
+    """One parallel-phase configuration (see module docstring).
 
-    Subclasses override hooks; the defaults answer "all states".
+    The defaults are the baseline: no table, no elimination, no
+    switching.
     """
 
-    #: speculative semantics: `before_start` *replaces* the live set and
-    #: revives missing states as restart paths (Section 5.2)
-    speculative: bool = False
-    #: one of ELIMINATE_NEVER / ELIMINATE_PAPER / ELIMINATE_ALWAYS
+    table: FeasibleTable | None = None
     eliminate: str = ELIMINATE_NEVER
-    #: runtime data-structure switching (Section 4.3) enabled
     switch_to_stack: bool = False
-    #: whether `None` answers should count as degraded table lookups
-    table_based: bool = False
-
-    def __init__(self, automaton: QueryAutomaton) -> None:
-        self.automaton = automaton
-        self._all_states = frozenset(range(automaton.n_states))
+    speculative: bool = False
 
     @property
-    def all_states(self) -> frozenset[int]:
-        return self._all_states
+    def table_based(self) -> bool:
+        """Whether "no information" answers count as degraded lookups."""
+        return self.table is not None and self.eliminate != ELIMINATE_NEVER
 
-    # -- hooks ----------------------------------------------------------
+    @classmethod
+    def baseline(cls) -> PathPolicy:
+        """The PP-Transducer (Ogden et al., VLDB'13).
 
-    def start_states(self, token: Token) -> frozenset[int] | None:
-        """Feasible starting states for a chunk beginning with ``token``."""
-        return None
+        Enumerates every state at chunk starts and the whole stack
+        alphabet Γ = Q on divergences.  The FA-only restriction prior
+        work applies (footnote 2 of the paper) cannot soundly exclude
+        *any* popped value: the element whose end tag underflowed may
+        have been opened from any state — including ones whose
+        transition on the tag leads to the unrelated-tag state —
+        because the transition function is total.  This is exactly why
+        the paper observes that the FA-based reduction "often fails to
+        reduce the possibilities of popped-out states";
+        :meth:`QueryAutomaton.fa_pop_candidates` documents the
+        (non-restricting) set for analysis, and only the grammar-based
+        table of GAP can prune divergences.
+        """
+        return cls()
 
-    def pop_candidates(self, tag: str) -> frozenset[int] | None:
-        """Possible popped values when ``</tag>`` underflows the stack."""
-        return None
+    @classmethod
+    def gap(
+        cls,
+        table: FeasibleTable,
+        speculative: bool | None = None,
+        eliminate: str = ELIMINATE_PAPER,
+        switch_to_stack: bool = True,
+    ) -> PathPolicy:
+        """The GAP transducer over ``table`` (Section 4.3).
 
-    def before_end(self, tag: str) -> frozenset[int] | None:
-        """States feasible immediately before ``</tag>``."""
-        return None
-
-    def before_start(self, tag: str) -> frozenset[int] | None:
-        """States feasible immediately before ``<tag>``."""
-        return None
-
-
-class BaselinePolicy(PathPolicy):
-    """The PP-Transducer baseline (Ogden et al., VLDB'13).
-
-    Enumerates every state at chunk starts and the whole stack alphabet
-    Γ = Q on divergences.  The FA-only restriction prior work applies
-    (footnote 2 of the paper) cannot soundly exclude *any* popped
-    value: the element whose end tag underflowed may have been opened
-    from any state — including ones whose transition on the tag leads
-    to the unrelated-tag state — because the transition function is
-    total.  This is exactly why the paper observes that the FA-based
-    reduction "often fails to reduce the possibilities of popped-out
-    states"; :meth:`QueryAutomaton.fa_pop_candidates` documents the
-    (non-restricting) set for analysis, and only the grammar-based
-    table of GAP can prune divergences.
-    """
-
-    eliminate = ELIMINATE_NEVER
-    switch_to_stack = False
-    table_based = False
-    speculative = False
-
-    def __init__(self, automaton: QueryAutomaton) -> None:
-        super().__init__(automaton)
+        Speculation follows the table unless forced: a complete table
+        answers every lookup, a partial one answers "unknown" for
+        missing tags.  Non-speculative GAP needs a complete table.
+        ``eliminate=ELIMINATE_NEVER`` is the ablation that keeps only
+        runtime switching.
+        """
+        if speculative is None:
+            speculative = not table.complete
+        if not speculative and not table.complete:
+            raise ValueError(
+                "non-speculative GAP requires a table inferred from a complete grammar"
+            )
+        return cls(table, eliminate, switch_to_stack, speculative)

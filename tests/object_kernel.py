@@ -5,7 +5,11 @@ automaton and policy objects — the same semantics as
 :class:`repro.core.kernel.DenseRunner`, with none of its compiled
 tables or fast loops.  The test suite runs both and asserts equality
 on matches, aggregate counters and per-chunk counters
-(``tests/test_kernel_differential.py``).
+(``tests/test_kernel_differential.py``).  It asks the policy's
+:class:`~repro.core.inference.FeasibleTable` itself
+(``start_states``, ``lookup_start``, ``lookup_end``) where the dense
+kernel reads the rows compiled from it; a policy without a table, or
+with ``ELIMINATE_NEVER``, answers "every state".
 
 Live paths are grouped into :class:`~repro.transducer.doubletree.PathGroup`
 objects, organised into cohorts (one chain per synchronisation lineage
@@ -86,6 +90,10 @@ class ChunkRunner:
         self.automaton = automaton
         self.policy = policy
         self.anchor_sids = anchor_sids
+        self._all_states = frozenset(range(automaton.n_states))
+        #: the feasible table the elimination scenarios and divergence
+        #: enumeration consult (``None``: no information)
+        self._table = policy.table if policy.eliminate != ELIMINATE_NEVER else None
         # per-state tuple of anchor sub-queries to close on end tags
         self._close_accepts: list[tuple[int, ...]] = [
             tuple(sid for sid in acc if sid in anchor_sids) for acc in automaton.accepts
@@ -158,7 +166,7 @@ class ChunkRunner:
         first = next(token_iter, None)
         if first is None:
             # empty chunk: identity mapping for every allowed state
-            states = start_states if start_states is not None else policy.all_states
+            states = start_states if start_states is not None else self._all_states
             counters.starting_paths = len(states)
             if journal.enabled:
                 reason = "initial" if start_states is not None else "enumerate"
@@ -173,9 +181,10 @@ class ChunkRunner:
 
         spawn_reason = "initial"
         if start_states is None:
-            inferred = policy.start_states(first)
+            table = self._table
+            inferred = table.start_states(first) if table is not None else None
             if inferred is None:
-                inferred = policy.all_states
+                inferred = self._all_states
                 spawn_reason = "enumerate"
                 if policy.table_based:
                     counters.degraded_lookups += 1
@@ -260,7 +269,7 @@ class ChunkRunner:
                     if not lc.groups:
                         continue
                     if eliminate == ELIMINATE_ALWAYS:
-                        feas = policy.before_end(tag)
+                        feas = self._lookup_end(tag)
                         if feas is not None:
                             kept = [g for g in lc.groups if g.state in feas]
                             counters.paths_eliminated += len(lc.groups) - len(kept)
@@ -308,6 +317,14 @@ class ChunkRunner:
 
     # ------------------------------------------------------------------
 
+    def _lookup_start(self, tag: str) -> frozenset[int] | None:
+        """States feasible immediately before ``<tag>`` (``None``: all)."""
+        return self._table.lookup_start(tag) if self._table is not None else None
+
+    def _lookup_end(self, tag: str) -> frozenset[int] | None:
+        """States feasible immediately before ``</tag>`` (``None``: all)."""
+        return self._table.lookup_end(tag) if self._table is not None else None
+
     def _start_tag_check(
         self,
         cohorts: list[_LiveCohort],
@@ -319,7 +336,7 @@ class ChunkRunner:
     ) -> None:
         """Elimination scenario 3 (and speculative path revival)."""
         policy = self.policy
-        feas = policy.before_start(tag)
+        feas = self._lookup_start(tag)
         if feas is None:
             if policy.table_based:
                 counters.degraded_lookups += 1
@@ -388,7 +405,7 @@ class ChunkRunner:
         # elimination scenario 2: the current state must be feasible
         # immediately before this end tag
         if policy.eliminate != ELIMINATE_NEVER:
-            feas = policy.before_end(tag)
+            feas = self._lookup_end(tag)
             if feas is None:
                 if policy.table_based:
                     counters.degraded_lookups += 1
@@ -419,9 +436,11 @@ class ChunkRunner:
             Segment(entries=segment_entries(groups, final=False), end_tag=tag, end_offset=offset)
         )
 
-        candidates = policy.pop_candidates(tag)
+        # the popped value is whatever was pushed at the matching start
+        # tag, i.e. a state feasible immediately before ``<tag>``
+        candidates = self._lookup_start(tag)
         if candidates is None:
-            candidates = policy.all_states
+            candidates = self._all_states
             if policy.table_based:
                 counters.degraded_lookups += 1
         lc.groups = [PathGroup.fresh(v) for v in sorted(candidates)]

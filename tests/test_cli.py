@@ -351,6 +351,35 @@ class TestJsonQueries:
         assert "gap (spec)" in out and "2 match(es)" in out
 
 
+class TestJsonSniff:
+    """A top-level JSON scalar is a JSON document, not XML."""
+
+    @pytest.mark.parametrize("doc", ['"abc"', "42", " true\n"],
+                             ids=["string", "number", "literal"])
+    def test_scalar_json_document(self, tmp_path, capsys, doc):
+        p = tmp_path / "scalar.json"
+        p.write_text(doc)
+        rc = main(["query", str(p), "-q", "/json"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "/json: 1 match(es)" in out
+
+    @pytest.mark.parametrize("doc", ['"abc"', "42", "-1.5", "true", "null", "[1]"])
+    def test_registry_registers_json_kind(self, doc):
+        from repro.service import DocumentRegistry
+
+        assert DocumentRegistry().register(doc).kind == "json"
+
+    @pytest.mark.parametrize("doc", [FEED_XML, "  <r>true</r>", "<?xml version='1.0'?><n/>"],
+                             ids=["feed", "indented", "prolog"])
+    def test_xml_still_sniffed_as_xml(self, doc):
+        from repro.service import DocumentRegistry
+        from repro.store.docprep import looks_like_json
+
+        assert not looks_like_json(doc)
+        assert DocumentRegistry().register(doc).kind == "xml"
+
+
 class TestExplainCommand:
     def test_valid_chunk_replays(self, feed_file, capsys):
         rc = main(["explain", feed_file, "1", "-q", "//id", "-n", "4"])

@@ -36,7 +36,7 @@ from repro.core import DenseRunner
 from repro.datasets import ALL_DATASETS
 from repro.store import prepare_xml
 from repro.stream import StreamSession
-from repro.transducer import BaselinePolicy, StackUnderflow, WorkCounters
+from repro.transducer import PathPolicy, StackUnderflow, WorkCounters
 from repro.xmlstream import lex_range
 from repro.xpath import build_document, evaluate_offsets
 
@@ -72,7 +72,7 @@ def columns(xml: str):
 
 def dense_from(engine, tokens, state, stack, counters):
     a = engine.automaton
-    return DenseRunner(a, BaselinePolicy(a), engine.anchor_sids).run_from(
+    return DenseRunner(a, PathPolicy.baseline(), engine.anchor_sids).run_from(
         tokens, state, stack, counters)
 
 

@@ -40,12 +40,11 @@ class TestDepthRebasingThroughJoin:
 
         # compare the raw event streams, depths included
         from repro.transducer.pipeline import run_sequential_pipeline
-        from repro.transducer.policies import BaselinePolicy
+        from repro.transducer.policies import PathPolicy
         from repro.transducer.pipeline import ParallelPipeline
-        from repro.core.gap_transducer import GapPolicy
 
         seq_run = run_sequential_pipeline(FEED_XML, seq.automaton, seq.anchor_sids)
-        policy = GapPolicy(gap.automaton, gap.table)
+        policy = PathPolicy.gap(gap.table)
         pipe = ParallelPipeline(gap.automaton, policy, gap.anchor_sids)
         for n_chunks in (2, 3, 5, 8):
             par_run = pipe.run(FEED_XML, n_chunks)

@@ -40,7 +40,7 @@ from repro.store.docprep import chunk_paths, content_key
 from repro.transducer.counters import WorkCounters
 from repro.transducer.mapping import JoinError
 from repro.transducer.pipeline import ParallelPipeline, run_sequential_pipeline
-from repro.transducer.policies import BaselinePolicy
+from repro.transducer.policies import PathPolicy
 from repro.xmlstream import lex
 from repro.xmlstream.chunking import split_chunks
 from repro.xmlstream.lexer import lex_range
@@ -141,7 +141,7 @@ class TestCountersEqualSequentialCut:
         xml, qs = xmark_document(5)
         engine = GapEngine(qs, grammar=XMARK.dtd)
         automaton = engine.automaton
-        pipeline = ParallelPipeline(automaton, BaselinePolicy(automaton),
+        pipeline = ParallelPipeline(automaton, PathPolicy.baseline(),
                                     engine.anchor_sids)
         chunks, toks, paths = prepare_xml(None, xml, n_chunks)
 

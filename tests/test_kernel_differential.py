@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 
 from repro import GapEngine, PPTransducerEngine
 from repro.core import DenseRunner
-from repro.datasets import DocumentGenerator
+from repro.datasets import XMARK, DocumentGenerator, generate_query_set
 from repro.grammar import parse_dtd, sample_partial_grammar
 from repro.xmlstream import lex
 from repro.xpath import build_document, evaluate_offsets
@@ -173,6 +173,26 @@ class TestSeededCorpus:
         for n in CHUNK_COUNTS:
             result = assert_kernels_equivalent(xml, qs, make, n, label="learned")
             assert_matches_oracle(xml, result, qs, label=("learned", n))
+
+
+class TestTwoLivePaths:
+    """The multi-path phase over long stretches with two paths live.
+
+    On this input GAP keeps exactly two paths live for 92 rows, the
+    longest stretch 54 rows: the regime a dedicated two-path loop once
+    served, now run by the one multi-path loop.
+    """
+
+    def test_two_path_stretches(self):
+        qs = generate_query_set(XMARK, 3)
+        xml = XMARK.generate(scale=2, seed=0)
+        result = assert_kernels_equivalent(
+            xml, qs, lambda: GapEngine(qs, grammar=XMARK.grammar), 32,
+            label="two-paths")
+        assert_matches_oracle(xml, result, qs, label="two-paths")
+        counters = result.stats.counters
+        assert counters.tree_tokens and counters.tree_path_steps
+        assert result.total_matches
 
 
 class TestPropertyBased:

@@ -11,7 +11,7 @@ from bisect import bisect_left
 import pytest
 
 from repro.core import DenseRunner
-from repro.transducer import BaselinePolicy, StackUnderflow, WorkCounters
+from repro.transducer import PathPolicy, StackUnderflow, WorkCounters
 from repro.xmlstream import lex, lex_range
 from repro.xpath import EventKind, build_automaton, parse_xpath
 
@@ -28,7 +28,7 @@ def run(a, xml_or_tokens, anchor_sids=frozenset(), state=None, stack=None,
     """``run_from`` over a document's columns (or given tokens)."""
     tokens = (lex_range(xml_or_tokens, 0, len(xml_or_tokens))
               if isinstance(xml_or_tokens, str) else xml_or_tokens)
-    runner = DenseRunner(a, BaselinePolicy(a), anchor_sids)
+    runner = DenseRunner(a, PathPolicy.baseline(), anchor_sids)
     return runner.run_from(
         tokens, a.initial if state is None else state,
         [] if stack is None else stack,

@@ -106,3 +106,27 @@ class TestChunkGranularity:
         seq = SequentialEngine(qs).run(FEED_XML)
         gap = GapEngine(qs, grammar=FEED_DTD).run(FEED_XML, n_chunks=1)
         assert gap.offsets_by_id == seq.offsets_by_id
+
+
+class TestWorkerLexOutput:
+    """The chunk worker hands the kernel whatever its lexer returns."""
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_token_iterator_from_the_lexer(self, monkeypatch, trace):
+        from repro.obs.tracer import Tracer
+        from repro.transducer import pipeline
+
+        qs = [RUNNING_QUERY, "//c"]
+        expected = SequentialEngine(qs).run(RUNNING_XML).offsets_by_id
+        lex_range = pipeline.lex_range
+        if not trace:
+            # an unsized iterable, as a wrapped lexer may return; only
+            # the traced lex span counts the rows it gets
+            monkeypatch.setattr(pipeline, "lex_range",
+                                lambda *a: iter(list(lex_range(*a))))
+        engine = GapEngine(qs, grammar=RUNNING_DTD,
+                           tracer=Tracer() if trace else None)
+        result = engine.run(RUNNING_XML, n_chunks=3)
+        assert result.offsets_by_id == expected
+        lex_spans = engine.tracer.by_name("xmlstream.lex")
+        assert [s.args.get("tokens", 0) > 0 for s in lex_spans] == [trace] * (3 if trace else 0)

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from repro.core import DenseRunner, GapPolicy, infer_feasible_paths
+from repro.core import DenseRunner, infer_feasible_paths
 from repro.grammar import build_syntax_tree, parse_dtd
-from repro.transducer import BaselinePolicy
+from repro.transducer import PathPolicy
 from repro.transducer.policies import ELIMINATE_ALWAYS
 from repro.xmlstream import lex, lex_range
 from repro.xpath import build_automaton, parse_xpath
@@ -26,14 +26,14 @@ def run_chunk(runner, text, begin, end, index=1, **kw):
 class TestBaselineRunner:
     def test_starts_from_all_states(self):
         _g, automaton, _t = setup_running()
-        runner = DenseRunner(automaton, BaselinePolicy(automaton))
+        runner = DenseRunner(automaton, PathPolicy.baseline())
         # second half of the running example, beginning at <b> (offset 10)
         res = run_chunk(runner, RUNNING_XML, 10, len(RUNNING_XML))
         assert res.counters.starting_paths == automaton.n_states
 
     def test_chunk0_single_start(self):
         _g, automaton, _t = setup_running()
-        runner = DenseRunner(automaton, BaselinePolicy(automaton))
+        runner = DenseRunner(automaton, PathPolicy.baseline())
         res = run_chunk(
             runner, RUNNING_XML, 0, 10, index=0,
             start_states=frozenset({automaton.initial}),
@@ -42,7 +42,7 @@ class TestBaselineRunner:
 
     def test_divergence_enumerates_all_states(self):
         _g, automaton, _t = setup_running()
-        runner = DenseRunner(automaton, BaselinePolicy(automaton))
+        runner = DenseRunner(automaton, PathPolicy.baseline())
         # chunk containing only end tags: "</a></b></a>"
         begin = RUNNING_XML.index("</a>")
         res = run_chunk(runner, RUNNING_XML, begin, len(RUNNING_XML))
@@ -56,7 +56,7 @@ class TestBaselineRunner:
 
     def test_never_switches(self):
         _g, automaton, _t = setup_running()
-        runner = DenseRunner(automaton, BaselinePolicy(automaton))
+        runner = DenseRunner(automaton, PathPolicy.baseline())
         res = run_chunk(runner, RUNNING_XML, 0, len(RUNNING_XML), index=0,
                         start_states=frozenset({automaton.initial}))
         assert res.counters.switches == 0
@@ -67,7 +67,7 @@ class TestBaselineRunner:
 class TestGapRunner:
     def test_scenario1_start_elimination(self):
         _g, automaton, table = setup_running()
-        runner = DenseRunner(automaton, GapPolicy(automaton, table))
+        runner = DenseRunner(automaton, PathPolicy.gap(table))
         # chunk starting at the inner <c> (the paper's thread-2 example)
         begin = RUNNING_XML.index("<c>y")
         res = run_chunk(runner, RUNNING_XML, begin, len(RUNNING_XML))
@@ -76,7 +76,7 @@ class TestGapRunner:
 
     def test_scenario2_divergence_restriction(self):
         _g, automaton, table = setup_running()
-        runner = DenseRunner(automaton, GapPolicy(automaton, table))
+        runner = DenseRunner(automaton, PathPolicy.gap(table))
         begin = RUNNING_XML.index("</a>")
         res = run_chunk(runner, RUNNING_XML, begin, len(RUNNING_XML))
         # pop candidates for </a> = feasible states before <a> = {1,3,0}
@@ -85,7 +85,7 @@ class TestGapRunner:
 
     def test_switches_to_stack_with_single_path(self):
         _g, automaton, table = setup_running()
-        runner = DenseRunner(automaton, GapPolicy(automaton, table))
+        runner = DenseRunner(automaton, PathPolicy.gap(table))
         res = run_chunk(runner, RUNNING_XML, 0, len(RUNNING_XML), index=0,
                         start_states=frozenset({automaton.initial}))
         # one path from the start: pure stack mode, no switches needed
@@ -94,7 +94,7 @@ class TestGapRunner:
 
     def test_switching_disabled(self):
         _g, automaton, table = setup_running()
-        policy = GapPolicy(automaton, table, switch_to_stack=False)
+        policy = PathPolicy.gap(table, switch_to_stack=False)
         runner = DenseRunner(automaton, policy)
         res = run_chunk(runner, RUNNING_XML, 0, len(RUNNING_XML), index=0,
                         start_states=frozenset({automaton.initial}))
@@ -102,18 +102,18 @@ class TestGapRunner:
 
     def test_eager_elimination_counts(self):
         _g, automaton, table = setup_running()
-        policy = GapPolicy(automaton, table, eliminate=ELIMINATE_ALWAYS)
+        policy = PathPolicy.gap(table, eliminate=ELIMINATE_ALWAYS)
         runner = DenseRunner(automaton, policy)
         begin = RUNNING_XML.index("<b>")
         res_eager = run_chunk(runner, RUNNING_XML, begin, len(RUNNING_XML))
         # eager mode may only reduce live paths relative to paper mode
-        paper = DenseRunner(automaton, GapPolicy(automaton, table))
+        paper = DenseRunner(automaton, PathPolicy.gap(table))
         res_paper = run_chunk(paper, RUNNING_XML, begin, len(RUNNING_XML))
         assert res_eager.counters.tree_path_steps <= res_paper.counters.tree_path_steps
 
     def test_empty_chunk_identity_mappings(self):
         _g, automaton, table = setup_running()
-        runner = DenseRunner(automaton, GapPolicy(automaton, table))
+        runner = DenseRunner(automaton, PathPolicy.gap(table))
         res = runner.run_chunk([], 3, 50, 50)
         (cohort,) = res.cohorts
         (seg,) = cohort.segments
@@ -129,7 +129,7 @@ class TestSpeculativeRunner:
 
         seen = extract_syntax_tree(lex("<a><b>t</b></a>"))
         table = infer_feasible_paths(automaton, seen, complete=False)
-        policy = GapPolicy(automaton, table)
+        policy = PathPolicy.gap(table)
         assert policy.speculative
         runner = DenseRunner(automaton, policy)
         begin = RUNNING_XML.index("<c>y")
@@ -146,7 +146,7 @@ class TestSpeculativeRunner:
 
         shallow = extract_syntax_tree(lex("<a><b><a><c>x</c></a></b><c>z</c></a>"))
         table = infer(automaton, shallow, complete=False)
-        policy = GapPolicy(automaton, table)
+        policy = PathPolicy.gap(table)
         runner = DenseRunner(automaton, policy)
         # deep document: the chunk starts inside unseen recursion depth
         deep = "<a><b><a><b><a><c>q</c></a></b><c>y</c></a></b><c>z</c></a>"

@@ -11,9 +11,9 @@ from __future__ import annotations
 import pytest
 
 from repro import GapEngine, PPTransducerEngine, SequentialEngine
-from repro.core import DenseRunner, GapPolicy, infer_feasible_paths
+from repro.core import DenseRunner, infer_feasible_paths
 from repro.grammar import build_syntax_tree, parse_dtd
-from repro.transducer import BaselinePolicy, JoinError
+from repro.transducer import JoinError, PathPolicy
 from repro.transducer.pipeline import ParallelPipeline
 from repro.xmlstream import lex, lex_range, split_at_offsets, iter_tag_offsets
 from repro.xpath import build_automaton, parse_xpath
@@ -45,7 +45,7 @@ class TestChunkStartKinds:
         queries = ["/feed/entry/id", "//title"]
         seq = SequentialEngine(queries).run(FEED_XML)
         automaton, table = feed_setup(queries)
-        policy = GapPolicy(automaton, table)
+        policy = PathPolicy.gap(table)
         pipeline = ParallelPipeline(automaton, policy)
         # place a boundary exactly at each end-tag/text offset
         for boundary in self.offsets_of_kind(FEED_XML, kind):
@@ -146,7 +146,7 @@ class TestMalformedInput:
 class TestRunnerDirect:
     def test_single_token_chunk(self):
         automaton, table = feed_setup()
-        runner = DenseRunner(automaton, GapPolicy(automaton, table))
+        runner = DenseRunner(automaton, PathPolicy.gap(table))
         toks = list(lex(FEED_XML))
         mid = toks[len(toks) // 2]
         res = runner.run_chunk([mid], 1, mid.offset, mid.offset + 1)
@@ -154,7 +154,7 @@ class TestRunnerDirect:
 
     def test_baseline_empty_chunk_identity(self):
         automaton, _ = feed_setup()
-        runner = DenseRunner(automaton, BaselinePolicy(automaton))
+        runner = DenseRunner(automaton, PathPolicy.baseline())
         res = runner.run_chunk([], 2, 10, 10)
         (cohort,) = res.cohorts
         assert len(cohort.segments[0].entries) == automaton.n_states

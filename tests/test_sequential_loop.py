@@ -25,7 +25,7 @@ import pytest
 from repro import SequentialEngine
 from repro.core import DenseRunner
 from repro.grammar import parse_dtd
-from repro.transducer import BaselinePolicy, StackUnderflow, WorkCounters
+from repro.transducer import PathPolicy, StackUnderflow, WorkCounters
 from repro.xmlstream import lex_range
 from repro.xpath import build_document, evaluate_offsets
 
@@ -63,7 +63,7 @@ def case(entry, seed):
 
 def dense(engine, tokens, state, stack, counters):
     a = engine.automaton
-    return DenseRunner(a, BaselinePolicy(a), engine.anchor_sids).run_from(
+    return DenseRunner(a, PathPolicy.baseline(), engine.anchor_sids).run_from(
         tokens, state, stack, counters)
 
 

@@ -370,11 +370,11 @@ class _MemoRig:
     """
 
     def __init__(self, xml: str, qs, capacity: int = 64, min_span: int = 4):
-        from repro.core.gap_transducer import GapPolicy
+        from repro.transducer.policies import PathPolicy
         from repro.xmlstream.lexer import lex_range
 
         self.engine = GapEngine(qs)
-        self.policy = GapPolicy(self.engine.automaton, self.engine.table)
+        self.policy = PathPolicy.gap(self.engine.table)
         self.xml = xml
         self.toks = list(lex_range(xml, 0, len(xml)))
         self.tables = compiled_tables(
